@@ -5,8 +5,8 @@ evaluate, valence-corr, survey-corr, retrieve, regress, permute,
 project. Commands compose via files (e.g. `matrix` writes the
 prediction matrix that `retrieve`, `regress`, and `permute` read).
 
-Options may come from a flat key=value config file (--config); explicit
-flags override it. Outputs are byte-reproducible: fixed seeds, fixed
+Options may come from a flat key=value config file (--config) whose keys
+name options of the subcommand; explicit flags override it. Outputs are byte-reproducible: fixed seeds, fixed
 orderings, floats at 17 significant digits, and every output embeds the
 tool version and a hash of the resolved configuration.
 
@@ -25,8 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .classifiers import ModelSpec, fit_tier, posterior
-from .diachronic import (DIRECTIONS, PredictionMatrix, load_wordlist,
+from .classifiers import MODEL_KINDS, ModelSpec, fit_tier, posterior
+from .diachronic import (DIRECTIONS, MIN_SLOPE_DECADES, load_wordlist,
                          matrix_from_json, matrix_to_json_dict,
                          prediction_matrix, retrieve_changing, time_course)
 from .embeddings import (DiachronicEmbeddings, align_diachronic,
@@ -34,21 +34,21 @@ from .embeddings import (DiachronicEmbeddings, align_diachronic,
 from .errors import CoverageError, DataError, MoraldriftError, ParseError
 from .evaluate import (load_survey, loo_accuracy, loo_accuracy_historical,
                        survey_correlation, valence_correlation)
-from .lexicon import (TIERS, SeedLexicon, build_irrelevant_seeds, build_tiers,
-                      category_label, load_mfd, load_norms, relevant_words)
-from .stats import (fisher_projection, partial_correlation,
-                    permutation_control, psycholinguistic_regression,
-                    slope_test)
+from .lexicon import (TIERS, NormEntry, SeedLexicon, build_irrelevant_seeds,
+                      build_tiers, category_label, load_mfd, load_norms,
+                      relevant_words)
+from .stats import (changed_word_fit, factor_tables, fisher_projection,
+                    partial_correlation, permutation_control, slope_rows)
 
 logger = logging.getLogger(__name__)
 
 TOOL_NAME = "moraldrift"
 FLOAT_FMT = "%.17g"
 
-_MODEL_CHOICES = {"centroid": "centroid", "naive-bayes": "naive_bayes",
-                  "naive_bayes": "naive_bayes", "knn": "knn", "kde": "kde"}
 _BOOL_STRINGS = {"true": True, "1": True, "yes": True, "on": True,
                  "false": False, "0": False, "no": False, "off": False}
+# Namespace entries that change no output, left out of the config hash.
+_UNHASHED = ("config", "verbose")
 
 
 class _UsageError(Exception):
@@ -57,7 +57,8 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that reports usage problems via exception so the
-    dispatcher can exit with code 1 (argparse's default is 2)."""
+    dispatcher can exit with code 1 (argparse's default is 2).
+    ``build_parser`` sets ``commands``: subcommand name -> its parser."""
 
     def error(self, message):
         raise _UsageError(message)
@@ -67,147 +68,102 @@ class _Parser(argparse.ArgumentParser):
 # Option resolution: CLI flags override config-file values
 # ---------------------------------------------------------------------------
 
-def _load_config_file(path: Path) -> dict[str, str]:
-    config: dict[str, str] = {}
+def _config_value(action: argparse.Action, value: str, where: str):
+    """Convert one config-file string as the flag's own action would."""
+    flag = f"{where}: {action.option_strings[0]}"
+    if action.nargs == 0:
+        try:
+            return _BOOL_STRINGS[value.lower()]
+        except KeyError:
+            raise DataError(f"{flag}: expected a boolean, got {value!r}") from None
+    if action.type is not None:
+        try:
+            value = action.type(value)
+        except (TypeError, ValueError):
+            raise DataError(f"{flag}: invalid {action.type.__name__} value "
+                            f"{value!r}") from None
+    # argparse checks choices only for values given on the command line.
+    if action.choices is not None and value not in action.choices:
+        raise DataError(f"{flag}: invalid value {value!r}; "
+                        f"choose from {sorted(action.choices)}")
+    return value
+
+
+def _config_defaults(path: Path, parser: argparse.ArgumentParser) -> dict:
+    """Typed defaults for ``parser`` from a flat key=value file.
+
+    Keys name the subcommand's options (dashes or underscores); an
+    unknown key is an error.
+    """
+    actions = {a.dest: a for a in parser._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+    defaults = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
+            key, sep, value = line.partition("=")
+            if not sep:
                 raise ParseError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            config[key.strip().lower().replace("-", "_")] = value.strip()
-    return config
+            action = actions.get(key.strip().lower().replace("-", "_"))
+            if action is None:
+                raise DataError(f"{path}:{lineno}: unknown option {key.strip()!r} "
+                                f"for {parser.prog}")
+            defaults[action.dest] = _config_value(action, value.strip(),
+                                                  f"{path}:{lineno}")
+    return defaults
 
 
-class Settings:
-    """Resolved run configuration for one command invocation."""
+def _meta(args: argparse.Namespace) -> dict:
+    settings = {k: v for k, v in vars(args).items() if k not in _UNHASHED}
+    text = json.dumps(settings, sort_keys=True)
+    return {"tool": TOOL_NAME, "version": __version__, "command": args.command,
+            "config_hash": hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]}
 
-    def __init__(self, command: str, args: argparse.Namespace):
-        self.command = command
-        self._args = vars(args)
-        self._config: dict[str, str] = {}
-        self.resolved: dict[str, str] = {}
-        if self._args.get("config"):
-            path = Path(self._args["config"])
-            if not path.exists():
-                raise DataError(f"config file not found: {path}")
-            self._config = _load_config_file(path)
 
-    def _raw(self, name, default):
-        value = self._args.get(name)
-        if value is None and name in self._config:
-            value = self._config[name]
-        if value is None:
-            value = default
-        return value
+def _required(args: argparse.Namespace, name: str):
+    value = getattr(args, name)
+    if value is None:
+        raise DataError(f"missing required option --{name.replace('_', '-')}")
+    return value
 
-    def get(self, name, default=None, required=False, choices=None):
-        value = self._raw(name, default)
-        if value is None:
-            if required:
-                raise DataError(f"missing required option --{name.replace('_', '-')}")
-            self.resolved[name] = ""
-            return None
-        value = str(value)
-        if choices is not None and value not in choices:
-            raise DataError(f"--{name.replace('_', '-')}: invalid value {value!r}; "
-                            f"choose from {sorted(choices)}")
-        self.resolved[name] = value
-        return value
 
-    def get_int(self, name, default=None, required=False):
-        value = self._raw(name, default)
-        if value is None:
-            if required:
-                raise DataError(f"missing required option --{name.replace('_', '-')}")
-            self.resolved[name] = ""
-            return None
-        try:
-            value = int(value)
-        except (TypeError, ValueError):
-            raise DataError(f"--{name.replace('_', '-')}: expected an integer, "
-                            f"got {value!r}") from None
-        self.resolved[name] = str(value)
-        return value
+def _path(args: argparse.Namespace, name: str) -> Path:
+    path = Path(_required(args, name))
+    if not path.exists():
+        raise DataError(f"--{name.replace('_', '-')}: path does not exist: {path}")
+    return path
 
-    def get_float(self, name, default=None):
-        value = self._raw(name, default)
-        if value is None:
-            self.resolved[name] = ""
-            return None
-        try:
-            value = float(value)
-        except (TypeError, ValueError):
-            raise DataError(f"--{name.replace('_', '-')}: expected a number, "
-                            f"got {value!r}") from None
-        self.resolved[name] = repr(value)
-        return value
 
-    def get_bool(self, name, default=False):
-        value = self._raw(name, default)
-        if isinstance(value, str):
-            try:
-                value = _BOOL_STRINGS[value.lower()]
-            except KeyError:
-                raise DataError(f"--{name.replace('_', '-')}: expected a boolean, "
-                                f"got {value!r}") from None
-        value = bool(value)
-        self.resolved[name] = "true" if value else "false"
-        return value
-
-    def get_path(self, name, required=False, must_exist=True) -> Path | None:
-        value = self.get(name, required=required)
-        if value is None:
-            return None
-        path = Path(value)
-        if must_exist and not path.exists():
-            raise DataError(f"--{name.replace('_', '-')}: path does not exist: {path}")
-        return path
-
-    def out_dir(self) -> Path:
-        path = Path(self.get("out_dir", default="."))
-        path.mkdir(parents=True, exist_ok=True)
-        return path
-
-    def config_hash(self) -> str:
-        lines = [f"command={self.command}"]
-        lines += [f"{k}={v}" for k, v in sorted(self.resolved.items())]
-        digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-        return digest[:12]
-
-    def meta(self) -> dict:
-        return {"tool": TOOL_NAME, "version": __version__,
-                "command": self.command, "config_hash": self.config_hash()}
+def _out_dir(args: argparse.Namespace) -> Path:
+    path = Path(args.out_dir)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 # ---------------------------------------------------------------------------
 # Shared loading and serialization helpers
 # ---------------------------------------------------------------------------
 
-def _model_spec(s: Settings) -> ModelSpec:
-    kind = s.get("model", default="centroid", choices=set(_MODEL_CHOICES))
-    k = s.get_int("k", default=5)
-    h = s.get_float("bandwidth", default=None)
-    floor = s.get_float("variance_floor", default=1e-8)
-    return ModelSpec(kind=_MODEL_CHOICES[kind], k=k, h=h, variance_floor=floor)
+def _model_spec(args: argparse.Namespace) -> ModelSpec:
+    return ModelSpec(kind=args.model, k=args.k, h=args.bandwidth,
+                     variance_floor=args.variance_floor)
 
 
-def _load_spaces(s: Settings) -> DiachronicEmbeddings:
-    manifest = s.get_path("manifest", required=True)
-    normalize = s.get_bool("normalize_embeddings", default=False)
-    return load_diachronic(manifest, normalize=normalize)
+def _load_spaces(args: argparse.Namespace) -> DiachronicEmbeddings:
+    return load_diachronic(_path(args, "manifest"),
+                           normalize=args.normalize_embeddings)
 
 
-def _build_lexicon(s: Settings, diachronic: DiachronicEmbeddings) -> SeedLexicon:
-    mfd_path = s.get_path("mfd", required=True)
-    norms_path = s.get_path("norms", required=True)
-    entries = load_mfd(mfd_path)
-    norms = load_norms(norms_path)
+def _build_lexicon(args: argparse.Namespace, diachronic: DiachronicEmbeddings,
+                   norms: Sequence[NormEntry] | None = None) -> SeedLexicon:
+    entries = load_mfd(_path(args, "mfd"))
+    if norms is None:
+        norms = load_norms(_path(args, "norms"))
     words = relevant_words(entries)
     vocabulary = None
-    if s.get_bool("neutral_in_vocab", default=False):
+    if args.neutral_in_vocab:
         vocabulary = set(diachronic.spaces[0].words)
         for space in diachronic.spaces[1:]:
             vocabulary &= set(space.words)
@@ -215,8 +171,8 @@ def _build_lexicon(s: Settings, diachronic: DiachronicEmbeddings) -> SeedLexicon
     return build_tiers(entries, irrelevant)
 
 
-def _pick_decade(s: Settings, diachronic: DiachronicEmbeddings) -> int:
-    decade = s.get_int("decade", default=diachronic.decades[-1])
+def _pick_decade(args: argparse.Namespace, diachronic: DiachronicEmbeddings) -> int:
+    decade = diachronic.decades[-1] if args.decade is None else args.decade
     if decade not in diachronic.decades:
         raise DataError(f"decade {decade} not in manifest (have {list(diachronic.decades)})")
     return decade
@@ -254,13 +210,11 @@ def _score_list(values: np.ndarray) -> list:
 # Subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _cmd_align(s: Settings) -> int:
-    direction = s.get("alignment_direction", default="backward",
-                      choices={"forward", "backward"})
-    diachronic = _load_spaces(s)
-    out = s.out_dir()
-    aligned = align_diachronic(diachronic, direction=direction)
-    meta = s.meta()
+def _cmd_align(args) -> int:
+    diachronic = _load_spaces(args)
+    out = _out_dir(args)
+    aligned = align_diachronic(diachronic, direction=args.alignment_direction)
+    meta = _meta(args)
     manifest_rows = []
     for space in aligned:
         name = f"aligned_{space.decade}.txt"
@@ -269,40 +223,40 @@ def _cmd_align(s: Settings) -> int:
     _write_csv(out / "aligned_manifest.csv", meta,
                ["decade", "path", "format"], manifest_rows)
     _write_json(out / "align.json", meta, {
-        "direction": direction,
+        "direction": args.alignment_direction,
         "decades": list(aligned.decades),
         "dim": aligned.dim,
     })
     return 0
 
 
-def _cmd_classify(s: Settings) -> int:
-    word = s.get("word", required=True).lower()
-    tier = s.get("tier", required=True, choices=set(TIERS))
-    spec = _model_spec(s)
-    diachronic = _load_spaces(s)
-    decade = _pick_decade(s, diachronic)
-    lexicon = _build_lexicon(s, diachronic)
+def _cmd_classify(args) -> int:
+    word = _required(args, "word").lower()
+    tier = _required(args, "tier")
+    spec = _model_spec(args)
+    diachronic = _load_spaces(args)
+    decade = _pick_decade(args, diachronic)
+    lexicon = _build_lexicon(args, diachronic)
     space = diachronic.space(decade)
     model = fit_tier(spec, lexicon, space, tier)
     q = lookup(space, word)
     if q is None:
         raise CoverageError(f"word {word!r} has no embedding in decade {decade}")
     post = posterior(model, q)
-    payload = {"_meta": s.meta(), "word": word, "tier": tier, "decade": decade,
+    payload = {"_meta": _meta(args), "word": word, "tier": tier, "decade": decade,
                "posterior": {label: post[label] for label in model.classes}}
     print(json.dumps(payload, indent=2))
     return 0
 
 
-def _cmd_timecourse(s: Settings) -> int:
-    word = s.get("word", required=True).lower()
-    tier = s.get("tier", required=True, choices=set(TIERS))
-    spec = _model_spec(s)
-    diachronic = _load_spaces(s)
-    lexicon = _build_lexicon(s, diachronic)
-    out = s.out_dir()
-    meta = s.meta()
+def _cmd_timecourse(args) -> int:
+    word = _required(args, "word").lower()
+    tier = _required(args, "tier")
+    spec = _model_spec(args)
+    diachronic = _load_spaces(args)
+    lexicon = _build_lexicon(args, diachronic)
+    out = _out_dir(args)
+    meta = _meta(args)
     tc = time_course(diachronic, lexicon, spec, word, tier)
     body: dict = {"word": word, "tier": tier, "decades": list(tc.decades),
                   "missing": [bool(b) for b in tc.missing]}
@@ -328,16 +282,16 @@ def _cmd_timecourse(s: Settings) -> int:
     return 0
 
 
-def _cmd_matrix(s: Settings) -> int:
-    kind = s.get("kind", required=True, choices={"relevance", "polarity"})
-    wordlist_path = s.get_path("wordlist", required=True)
-    spec = _model_spec(s)
-    diachronic = _load_spaces(s)
-    lexicon = _build_lexicon(s, diachronic)
-    out = s.out_dir()
+def _cmd_matrix(args) -> int:
+    kind = _required(args, "kind")
+    wordlist_path = _path(args, "wordlist")
+    spec = _model_spec(args)
+    diachronic = _load_spaces(args)
+    lexicon = _build_lexicon(args, diachronic)
+    out = _out_dir(args)
     words = [w for w, _ in load_wordlist(wordlist_path)]
     matrix = prediction_matrix(diachronic, lexicon, spec, words, kind)
-    meta = s.meta()
+    meta = _meta(args)
     _write_json(out / f"matrix_{kind}.json", meta, matrix_to_json_dict(matrix))
     rows = [(w, d, (float(matrix.values[i, j]) if np.isfinite(matrix.values[i, j]) else None))
             for i, w in enumerate(matrix.words)
@@ -346,21 +300,20 @@ def _cmd_matrix(s: Settings) -> int:
     return 0
 
 
-def _cmd_evaluate(s: Settings) -> int:
-    tier = s.get("tier", required=True, choices=set(TIERS))
-    spec = _model_spec(s)
-    historical = s.get_bool("historical", default=False)
-    diachronic = _load_spaces(s)
-    lexicon = _build_lexicon(s, diachronic)
-    out = s.out_dir()
-    meta = s.meta()
-    if historical:
+def _cmd_evaluate(args) -> int:
+    tier = _required(args, "tier")
+    spec = _model_spec(args)
+    diachronic = _load_spaces(args)
+    lexicon = _build_lexicon(args, diachronic)
+    out = _out_dir(args)
+    meta = _meta(args)
+    if args.historical:
         report = loo_accuracy_historical(spec, lexicon, diachronic, tier)
         stem = f"evaluate_{tier}_{spec.kind}_historical"
         rows = [(r.tier, r.model.kind, r.decade, r.accuracy, r.n)
                 for r in report.reports]
     else:
-        decade = _pick_decade(s, diachronic)
+        decade = _pick_decade(args, diachronic)
         report = loo_accuracy(spec, lexicon, diachronic.space(decade), tier)
         stem = f"evaluate_{tier}_{spec.kind}"
         rows = [(report.tier, report.model.kind, report.decade,
@@ -371,17 +324,17 @@ def _cmd_evaluate(s: Settings) -> int:
     return 0
 
 
-def _cmd_valence_corr(s: Settings) -> int:
-    spec = _model_spec(s)
-    diachronic = _load_spaces(s)
-    decade = _pick_decade(s, diachronic)
-    lexicon = _build_lexicon(s, diachronic)
-    norms = load_norms(s.get_path("norms", required=True))
+def _cmd_valence_corr(args) -> int:
+    spec = _model_spec(args)
+    diachronic = _load_spaces(args)
+    decade = _pick_decade(args, diachronic)
+    norms = load_norms(_path(args, "norms"))
+    lexicon = _build_lexicon(args, diachronic, norms)
     space = diachronic.space(decade)
     model = fit_tier(spec, lexicon, space, "polarity")
     report = valence_correlation(model, space, norms)
-    meta = s.meta()
-    out = s.out_dir()
+    meta = _meta(args)
+    out = _out_dir(args)
     _write_json(out / "valence_corr.json", meta,
                 {"decade": decade, **report.to_dict()})
     _write_csv(out / "valence_corr.csv", meta, ["decade", "r", "p", "n"],
@@ -389,20 +342,20 @@ def _cmd_valence_corr(s: Settings) -> int:
     return 0
 
 
-def _cmd_survey_corr(s: Settings) -> int:
-    survey_path = s.get_path("survey", required=True)
-    spec = _model_spec(s)
-    diachronic = _load_spaces(s)
-    decade = _pick_decade(s, diachronic)
-    lexicon = _build_lexicon(s, diachronic)
+def _cmd_survey_corr(args) -> int:
+    survey_path = _path(args, "survey")
+    spec = _model_spec(args)
+    diachronic = _load_spaces(args)
+    decade = _pick_decade(args, diachronic)
+    lexicon = _build_lexicon(args, diachronic)
     space = diachronic.space(decade)
     survey = load_survey(survey_path)
     relevance_model = fit_tier(spec, lexicon, space, "relevance")
     polarity_model = fit_tier(spec, lexicon, space, "polarity")
     irrelevance, acceptability = survey_correlation(
         relevance_model, polarity_model, space, survey)
-    meta = s.meta()
-    out = s.out_dir()
+    meta = _meta(args)
+    out = _out_dir(args)
     _write_json(out / "survey_corr.json", meta, {
         "decade": decade,
         "irrelevance": irrelevance.to_dict(),
@@ -415,53 +368,52 @@ def _cmd_survey_corr(s: Settings) -> int:
     return 0
 
 
-def _cmd_retrieve(s: Settings) -> int:
-    direction = s.get("direction", required=True, choices=set(DIRECTIONS))
-    top_n = s.get_int("top", default=10)
-    family = s.get("bonferroni_family", default="filtered",
-                   choices={"filtered", "all-words"})
-    matrix = matrix_from_json(s.get_path("matrix", required=True))
-    rel_path = s.get_path("relevance_matrix")
-    relevance_matrix = matrix_from_json(rel_path) if rel_path is not None else None
-    spec = _model_spec(s)
-    diachronic = _load_spaces(s)
-    lexicon = _build_lexicon(s, diachronic)
+def _cmd_retrieve(args) -> int:
+    direction = _required(args, "direction")
+    matrix = matrix_from_json(_path(args, "matrix"))
+    relevance_matrix = None
+    if args.relevance_matrix is not None:
+        relevance_matrix = matrix_from_json(_path(args, "relevance_matrix"))
+    spec = _model_spec(args)
+    diachronic = _load_spaces(args)
+    lexicon = _build_lexicon(args, diachronic)
     records = retrieve_changing(matrix, lexicon, diachronic, spec, direction,
-                                top_n=top_n, relevance_matrix=relevance_matrix,
-                                bonferroni_family=family)
+                                top_n=args.top, relevance_matrix=relevance_matrix,
+                                bonferroni_family=args.bonferroni_family)
     rows = [(r.word, r.slope, r.p_raw, r.p_bonferroni, r.mean_relevance,
              r.switching_decade, r.early_category, r.modern_category)
             for r in records]
-    _write_csv(s.out_dir() / f"retrieve_{direction}.csv", s.meta(),
+    _write_csv(_out_dir(args) / f"retrieve_{direction}.csv", _meta(args),
                ["word", "slope", "p_raw", "p_bonferroni", "mean_relevance",
                 "switching_decade", "early_category", "modern_category"],
                rows)
     return 0
 
 
-def _load_regression_inputs(s: Settings):
-    matrix = matrix_from_json(s.get_path("matrix", required=True))
+def _load_regression_inputs(args):
+    matrix = matrix_from_json(_path(args, "matrix"))
     if matrix.kind != "relevance":
         raise DataError(f"change regression needs a relevance matrix, got {matrix.kind!r}")
-    norms = load_norms(s.get_path("norms", required=True))
-    frequencies = load_wordlist(s.get_path("wordlist", required=True))
+    norms = load_norms(_path(args, "norms"))
+    frequencies = load_wordlist(_path(args, "wordlist"))
     return matrix, norms, frequencies
 
 
-def _cmd_regress(s: Settings) -> int:
-    matrix, norms, frequencies = _load_regression_inputs(s)
-    fit, words = psycholinguistic_regression(matrix, norms, frequencies)
-    concreteness = {e.word: e.concreteness for e in norms}
-    freq_map = dict(frequencies)
-    slopes = _selected_slopes(matrix, words)
+def _cmd_regress(args) -> int:
+    matrix, norms, frequencies = _load_regression_inputs(args)
+    concreteness, log_frequency = factor_tables(norms, frequencies)
+    fit, words = changed_word_fit(matrix.values, list(matrix.words), concreteness,
+                                   log_frequency, MIN_SLOPE_DECADES)
+    row_of = {w: i for i, w in enumerate(matrix.words)}
+    slopes, _ = slope_rows(matrix.values[[row_of[w] for w in words]])
     partial = partial_correlation(
         slopes,
         [concreteness[w] for w in words],
-        {"frequency": [float(np.log(freq_map[w])) for w in words],
+        {"frequency": [log_frequency[w] for w in words],
          "length": [float(len(w)) for w in words]},
     )
-    meta = s.meta()
-    out = s.out_dir()
+    meta = _meta(args)
+    out = _out_dir(args)
     _write_json(out / "regress.json", meta, {
         "fit": fit.to_dict(),
         "partial_concreteness": partial.to_dict(),
@@ -475,24 +427,12 @@ def _cmd_regress(s: Settings) -> int:
     return 0
 
 
-def _selected_slopes(matrix: PredictionMatrix, words: Sequence[str]) -> list[float]:
-    slopes = []
-    for w in words:
-        row = matrix.values[matrix.words.index(w)]
-        present = np.isfinite(row)
-        t_idx = np.arange(1, len(matrix.decades) + 1, dtype=np.float64)
-        slopes.append(slope_test(row[present], t_idx[present])[0])
-    return slopes
-
-
-def _cmd_permute(s: Settings) -> int:
-    matrix, norms, frequencies = _load_regression_inputs(s)
-    n_shuffles = s.get_int("shuffles", default=1000)
-    seed = s.get_int("seed", default=0)
+def _cmd_permute(args) -> int:
+    matrix, norms, frequencies = _load_regression_inputs(args)
     report = permutation_control(matrix, norms, frequencies,
-                                 n_shuffles=n_shuffles, seed=seed)
-    meta = s.meta()
-    out = s.out_dir()
+                                 n_shuffles=args.shuffles, seed=args.seed)
+    meta = _meta(args)
+    out = _out_dir(args)
     _write_json(out / "permute.json", meta, report.to_dict())
     _write_csv(out / "permute.csv", meta,
                ["factor", "diachronic_coefficient", "control_mean",
@@ -503,15 +443,14 @@ def _cmd_permute(s: Settings) -> int:
     return 0
 
 
-def _cmd_project(s: Settings) -> int:
-    words = [w.strip().lower() for w in s.get("words", required=True).split(",")
+def _cmd_project(args) -> int:
+    words = [w.strip().lower() for w in _required(args, "words").split(",")
              if w.strip()]
     if not words:
         raise DataError("--words must name at least one query word")
-    all_decades = s.get_bool("all_decades", default=False)
-    diachronic = _load_spaces(s)
-    seed_decade = _pick_decade(s, diachronic)
-    lexicon = _build_lexicon(s, diachronic)
+    diachronic = _load_spaces(args)
+    seed_decade = _pick_decade(args, diachronic)
+    lexicon = _build_lexicon(args, diachronic)
     space = diachronic.space(seed_decade)
 
     def found_rows(word_set):
@@ -536,7 +475,7 @@ def _cmd_project(s: Settings) -> int:
 
     query_rows = []
     query_keys = []
-    decades = diachronic.decades if all_decades else (seed_decade,)
+    decades = diachronic.decades if args.all_decades else (seed_decade,)
     for word in words:
         for decade in decades:
             vec = diachronic.space(decade).vector(word)
@@ -557,7 +496,7 @@ def _cmd_project(s: Settings) -> int:
         rows.append(("anchor", label, None, float(xy[0]), float(xy[1])))
     for (word, decade), xy in zip(query_keys, result.query_coords):
         rows.append(("query", word, decade, float(xy[0]), float(xy[1])))
-    _write_csv(s.out_dir() / "project.csv", s.meta(),
+    _write_csv(_out_dir(args) / "project.csv", _meta(args),
                ["kind", "label", "decade", "x", "y"], rows)
     return 0
 
@@ -581,29 +520,37 @@ _HANDLERS = {
 # Parser construction
 # ---------------------------------------------------------------------------
 
-def _add_common(p: _Parser, *, mfd: bool = False, norms: bool = False,
-                model: bool = False, decade: bool = False) -> None:
+def _model_kind(value: str) -> str:
+    return value.replace("-", "_")
+
+
+def _add_common(p: _Parser, *, manifest: bool = True, mfd: bool = False,
+                norms: bool = False, model: bool = False, decade: bool = False) -> None:
     p.add_argument("--config", help="flat key=value config file; flags override it")
-    p.add_argument("--manifest", help="CSV manifest of decade embedding files")
-    p.add_argument("--out-dir", dest="out_dir", help="output directory (default: .)")
-    p.add_argument("--normalize-embeddings", dest="normalize_embeddings",
-                   action="store_const", const=True, default=None,
-                   help="L2-normalize every vector at load")
+    p.add_argument("--out-dir", dest="out_dir", default=".",
+                   help="output directory (default: .)")
+    if manifest:
+        p.add_argument("--manifest", help="CSV manifest of decade embedding files")
+        p.add_argument("--normalize-embeddings", dest="normalize_embeddings",
+                       action="store_true", help="L2-normalize every vector at load")
     if mfd:
         p.add_argument("--mfd", help="seed word CSV (word,category)")
         p.add_argument("--neutral-in-vocab", dest="neutral_in_vocab",
-                       action="store_const", const=True, default=None,
+                       action="store_true",
                        help="restrict neutral-seed candidates to words present "
                             "in every decade's vocabulary")
     if norms:
         p.add_argument("--norms", help="ratings CSV (word,valence[,concreteness])")
     if model:
-        p.add_argument("--model", choices=sorted(set(_MODEL_CHOICES) - {"naive_bayes"}),
+        p.add_argument("--model", type=_model_kind, choices=MODEL_KINDS,
+                       default="centroid", metavar="{centroid,naive-bayes,knn,kde}",
                        help="classifier kind (default: centroid)")
-        p.add_argument("--k", type=int, help="neighbor count for knn (default: 5)")
+        p.add_argument("--k", type=int, default=5,
+                       help="neighbor count for knn (default: 5)")
         p.add_argument("--bandwidth", type=float,
                        help="kde bandwidth h (default: tuned by leave-one-out)")
         p.add_argument("--variance-floor", dest="variance_floor", type=float,
+                       default=1e-8,
                        help="minimum per-dimension variance for naive-bayes")
     if decade:
         p.add_argument("--decade", type=int,
@@ -619,11 +566,12 @@ def build_parser() -> _Parser:
     parser.add_argument("--verbose", action="store_true",
                         help="log progress details to stderr")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    parser.commands = sub.choices
 
     p = sub.add_parser("align", help="rotationally align all decades into a common space")
     _add_common(p)
     p.add_argument("--alignment-direction", dest="alignment_direction",
-                   choices=["forward", "backward"],
+                   choices=["forward", "backward"], default="backward",
                    help="chaining anchor: forward=earliest decade, "
                         "backward=latest (default)")
 
@@ -646,7 +594,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="leave-one-out seed classification accuracy")
     _add_common(p, mfd=True, norms=True, model=True, decade=True)
     p.add_argument("--tier", choices=list(TIERS), help="classification tier")
-    p.add_argument("--historical", action="store_const", const=True, default=None,
+    p.add_argument("--historical", action="store_true",
                    help="evaluate every decade and summarize mean/stdev")
 
     p = sub.add_parser("valence-corr",
@@ -664,31 +612,31 @@ def build_parser() -> _Parser:
     p.add_argument("--relevance-matrix", dest="relevance_matrix",
                    help="companion relevance matrix JSON (polarity directions)")
     p.add_argument("--direction", choices=list(DIRECTIONS), help="change direction")
-    p.add_argument("--top", type=int, help="number of records (default: 10)")
+    p.add_argument("--top", type=int, default=10, help="number of records (default: 10)")
     p.add_argument("--bonferroni-family", dest="bonferroni_family",
-                   choices=["filtered", "all-words"],
+                   choices=["filtered", "all-words"], default="filtered",
                    help="correction multiplier family (default: filtered)")
 
     p = sub.add_parser("regress",
                        help="regress relevance-change slopes on psycholinguistic factors")
-    _add_common(p)
+    _add_common(p, manifest=False)
     p.add_argument("--matrix", help="relevance prediction-matrix JSON")
     p.add_argument("--norms", help="ratings CSV with concreteness column")
     p.add_argument("--wordlist", help="word,frequency CSV")
 
     p = sub.add_parser("permute", help="decade-shuffled control for the change regression")
-    _add_common(p)
+    _add_common(p, manifest=False)
     p.add_argument("--matrix", help="relevance prediction-matrix JSON")
     p.add_argument("--norms", help="ratings CSV with concreteness column")
     p.add_argument("--wordlist", help="word,frequency CSV")
-    p.add_argument("--shuffles", type=int, help="number of shuffles (default: 1000)")
-    p.add_argument("--seed", type=int, help="random seed (default: 0)")
+    p.add_argument("--shuffles", type=int, default=1000,
+                   help="number of shuffles (default: 1000)")
+    p.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
 
     p = sub.add_parser("project", help="2D discriminant map of query words")
     _add_common(p, mfd=True, norms=True, decade=True)
     p.add_argument("--words", help="comma-separated query words")
-    p.add_argument("--all-decades", dest="all_decades",
-                   action="store_const", const=True, default=None,
+    p.add_argument("--all-decades", dest="all_decades", action="store_true",
                    help="project each word's vector from every decade")
 
     return parser
@@ -711,8 +659,13 @@ def dispatch(argv: Sequence[str]) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
     try:
-        settings = Settings(args.command, args)
-        return _HANDLERS[args.command](settings)
+        if args.config:
+            # Config values become the subcommand's defaults, so flags
+            # parsed again on top of them still win.
+            command = parser.commands[args.command]
+            command.set_defaults(**_config_defaults(Path(args.config), command))
+            args = parser.parse_args(list(argv))
+        return _HANDLERS[args.command](args)
     except (MoraldriftError, OSError, ValueError, KeyError) as exc:
         print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
         return 2

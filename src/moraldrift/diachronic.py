@@ -3,7 +3,6 @@ prediction matrices, change slopes, switching periods, and retrieval
 of the words whose scores changed the most."""
 from __future__ import annotations
 
-import csv
 import json
 import logging
 from dataclasses import dataclass
@@ -13,10 +12,10 @@ from typing import Sequence
 import numpy as np
 
 from .classifiers import Classifier, ModelSpec, fit_tier, posterior_batch
-from .embeddings import DiachronicEmbeddings
+from .embeddings import DiachronicEmbeddings, read_table
 from .errors import CoverageError, DataError, ParseError
 from .lexicon import CATEGORY, POLARITY, RELEVANCE, SeedLexicon, tier_classes
-from .stats import slope_test
+from .stats import slope_rows
 
 logger = logging.getLogger(__name__)
 
@@ -164,8 +163,10 @@ def slope(tc: TimeCourse, min_decades: int = MIN_SLOPE_DECADES) -> tuple[float, 
         raise DataError(
             f"word {tc.word!r}: {int(present.sum())} unmasked decades; "
             f"need at least {min_decades} for a slope")
-    t_idx = np.arange(1, len(tc.decades) + 1, dtype=np.float64)
-    return slope_test(tc.scores[present], t_idx[present])
+    if not np.all(np.isfinite(tc.scores[present])):
+        raise DataError(f"word {tc.word!r}: non-finite score in an unmasked decade")
+    slopes, p = slope_rows(np.where(present, tc.scores, np.nan)[None, :])
+    return float(slopes[0]), float(p[0])
 
 
 def _binary_classes(tc: TimeCourse) -> np.ndarray:
@@ -244,9 +245,10 @@ def retrieve_changing(matrix: PredictionMatrix, lexicon: SeedLexicon,
         if relevance_matrix.words != matrix.words:
             raise DataError("relevance matrix words do not match the score matrix")
 
-    candidates: list[tuple[str, float, float, float]] = []
+    rows: list[int] = []
+    mean_rels: list[float] = []
     skipped_short = 0
-    for i, word in enumerate(matrix.words):
+    for i in range(len(matrix.words)):
         rel_row = relevance_matrix.values[i]
         rel_present = np.isfinite(rel_row)
         if not rel_present.any():
@@ -254,20 +256,20 @@ def retrieve_changing(matrix: PredictionMatrix, lexicon: SeedLexicon,
         mean_rel = float(rel_row[rel_present].mean())
         if mean_rel < 0.5:
             continue
-        row = matrix.values[i]
-        present = np.isfinite(row)
-        if int(present.sum()) < MIN_SLOPE_DECADES:
+        if int(np.isfinite(matrix.values[i]).sum()) < MIN_SLOPE_DECADES:
             skipped_short += 1
             continue
-        t_idx = np.arange(1, len(matrix.decades) + 1, dtype=np.float64)
-        b, p = slope_test(row[present], t_idx[present])
-        candidates.append((word, b, p, mean_rel))
+        rows.append(i)
+        mean_rels.append(mean_rel)
     if skipped_short:
         logger.info("skipped %d words with fewer than %d scored decades",
                     skipped_short, MIN_SLOPE_DECADES)
-    if not candidates:
+    if not rows:
         logger.warning("no words pass the relevance filter; empty retrieval")
         return []
+    slopes, p_values = slope_rows(matrix.values[rows])
+    candidates = [(matrix.words[i], float(b), float(p), mean_rel)
+                  for i, b, p, mean_rel in zip(rows, slopes, p_values, mean_rels)]
 
     m = len(candidates) if bonferroni_family == "filtered" else len(matrix.words)
     reverse = direction in (TOWARD_RELEVANCE, TOWARD_POSITIVE)
@@ -301,27 +303,19 @@ def load_wordlist(path: str | Path) -> list[tuple[str, float]]:
     path = Path(path)
     out: list[tuple[str, float]] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != ["word", "frequency"]:
-            raise ParseError(f"{path}: expected header 'word,frequency'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or not any(cell.strip() for cell in row):
-                continue
-            if len(row) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
-            word = row[0].strip().lower()
-            if not word:
-                raise ParseError(f"{path}:{lineno}: empty word")
-            if word in seen:
-                raise ParseError(f"{path}:{lineno}: duplicate word {word!r}")
-            seen.add(word)
-            try:
-                freq = float(row[1])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric frequency {row[1]!r}") from None
-            out.append((word, freq))
+    _, rows = read_table(path, [["word", "frequency"]])
+    for lineno, row in rows:
+        word = row[0].strip().lower()
+        if not word:
+            raise ParseError(f"{path}:{lineno}: empty word")
+        if word in seen:
+            raise ParseError(f"{path}:{lineno}: duplicate word {word!r}")
+        seen.add(word)
+        try:
+            freq = float(row[1])
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-numeric frequency {row[1]!r}") from None
+        out.append((word, freq))
     if not out:
         raise ParseError(f"{path}: no entries")
     return out

@@ -137,6 +137,39 @@ class DiachronicEmbeddings:
         raise DataError(f"no embedding space for decade {decade}")
 
 
+def read_table(path: str | Path, headers: Sequence[Sequence[str]]
+               ) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """Read a CSV table whose header is one of ``headers``.
+
+    Lines starting with ``#`` and blank rows are skipped. Header cells
+    are compared stripped and lowercased. Returns the matched header and
+    ``(lineno, cells)`` per data row, where ``lineno`` is the row's line
+    in the file. A row whose column count differs from the header's
+    raises a ParseError naming ``path:lineno``.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        kept = [(n, line) for n, line in enumerate(fh, start=1)
+                if not line.startswith("#")]
+    reader = csv.reader(line for _, line in kept)
+    header = next(reader, None)
+    if header is None:
+        raise ParseError(f"{path}: empty file")
+    normalized = [h.strip().lower() for h in header]
+    if normalized not in [list(h) for h in headers]:
+        want = " or ".join(",".join(h) for h in headers)
+        raise ParseError(f"{path}: expected header '{want}', got {','.join(header)!r}")
+    rows = []
+    for row in reader:
+        if not any(cell.strip() for cell in row):
+            continue
+        lineno = kept[reader.line_num - 1][0]
+        if len(row) != len(normalized):
+            raise ParseError(f"{path}:{lineno}: expected {len(normalized)} columns, "
+                             f"got {len(row)}")
+        rows.append((lineno, row))
+    return normalized, rows
+
+
 def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
@@ -350,25 +383,17 @@ def load_diachronic(manifest: str | Path, normalize: bool = False) -> Diachronic
     manifest = Path(manifest)
     base = manifest.parent
     rows: list[tuple[int, Path, str]] = []
-    with open(manifest, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != ["decade", "path", "format"]:
-            raise ParseError(f"{manifest}: expected header 'decade,path,format'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or not any(cell.strip() for cell in row):
-                continue
-            if len(row) != 3:
-                raise ParseError(f"{manifest}:{lineno}: expected 3 columns, got {len(row)}")
-            try:
-                decade = int(row[0])
-            except ValueError:
-                raise ParseError(f"{manifest}:{lineno}: bad decade {row[0]!r}") from None
-            fmt = row[2].strip()
-            if fmt not in FORMATS:
-                raise ParseError(f"{manifest}:{lineno}: unknown format {fmt!r}")
-            p = Path(row[1].strip())
-            rows.append((decade, p if p.is_absolute() else base / p, fmt))
+    _, table = read_table(manifest, [["decade", "path", "format"]])
+    for lineno, row in table:
+        try:
+            decade = int(row[0])
+        except ValueError:
+            raise ParseError(f"{manifest}:{lineno}: bad decade {row[0]!r}") from None
+        fmt = row[2].strip()
+        if fmt not in FORMATS:
+            raise ParseError(f"{manifest}:{lineno}: unknown format {fmt!r}")
+        p = Path(row[1].strip())
+        rows.append((decade, p if p.is_absolute() else base / p, fmt))
     if not rows:
         raise ParseError(f"{manifest}: no entries")
     spaces = []

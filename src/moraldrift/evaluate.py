@@ -2,7 +2,6 @@
 with human ratings (valence norms and survey judgments)."""
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -12,7 +11,8 @@ import numpy as np
 
 from .classifiers import (Classifier, ModelSpec, classify, fit, posterior,
                           posterior_batch, select_bandwidth)
-from .embeddings import DiachronicEmbeddings, EmbeddingSpace, average_vector
+from .embeddings import (DiachronicEmbeddings, EmbeddingSpace, average_vector,
+                         read_table)
 from .errors import DataError, ParseError
 from .lexicon import NormEntry, SeedLexicon, seed_vectors, tier_classes
 from .stats import CorrelationReport, pearson
@@ -145,28 +145,19 @@ def load_survey(path: str | Path) -> list[tuple[list[str], float, float]]:
     """
     path = Path(path)
     rows: list[tuple[list[str], float, float]] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != \
-                ["topic", "frac_not_moral", "frac_acceptable"]:
-            raise ParseError(f"{path}: expected header 'topic,frac_not_moral,frac_acceptable'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or not any(cell.strip() for cell in row):
-                continue
-            if len(row) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-            tokens = row[0].strip().lower().split()
-            if not tokens:
-                raise ParseError(f"{path}:{lineno}: empty topic")
-            try:
-                not_moral, acceptable = float(row[1]), float(row[2])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric proportion") from None
-            for v in (not_moral, acceptable):
-                if not 0.0 <= v <= 1.0:
-                    raise ParseError(f"{path}:{lineno}: proportion {v} outside [0, 1]")
-            rows.append((tokens, not_moral, acceptable))
+    _, table = read_table(path, [["topic", "frac_not_moral", "frac_acceptable"]])
+    for lineno, row in table:
+        tokens = row[0].strip().lower().split()
+        if not tokens:
+            raise ParseError(f"{path}:{lineno}: empty topic")
+        try:
+            not_moral, acceptable = float(row[1]), float(row[2])
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-numeric proportion") from None
+        for v in (not_moral, acceptable):
+            if not 0.0 <= v <= 1.0:
+                raise ParseError(f"{path}:{lineno}: proportion {v} outside [0, 1]")
+        rows.append((tokens, not_moral, acceptable))
     return rows
 
 

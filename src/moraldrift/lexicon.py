@@ -7,7 +7,6 @@ the neutral midpoint that are not themselves moral seeds.
 """
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -15,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace
+from .embeddings import EmbeddingSpace, read_table
 from .errors import CoverageError, DataError, ParseError
 
 logger = logging.getLogger(__name__)
@@ -90,21 +89,6 @@ class SeedLexicon:
         raise ValueError(f"unknown tier {tier!r}; expected one of {TIERS}")
 
 
-def _read_csv(path: Path, expected_headers: Sequence[Sequence[str]]):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(f"{path}: empty file")
-        normalized = [h.strip().lower() for h in header]
-        if normalized not in [list(h) for h in expected_headers]:
-            want = " or ".join(",".join(h) for h in expected_headers)
-            raise ParseError(f"{path}: expected header '{want}', got {','.join(header)!r}")
-        rows = [(lineno, row) for lineno, row in enumerate(reader, start=2)
-                if row and any(cell.strip() for cell in row)]
-    return normalized, rows
-
-
 def load_mfd(path: str | Path) -> list[SeedEntry]:
     """Parse the moral seed CSV (header word,category; categories 1-10).
 
@@ -112,12 +96,10 @@ def load_mfd(path: str | Path) -> list[SeedEntry]:
     single-token embedding vocabularies and are skipped with a warning.
     """
     path = Path(path)
-    _, rows = _read_csv(path, [["word", "category"]])
+    _, rows = read_table(path, [["word", "category"]])
     entries: list[SeedEntry] = []
     skipped = 0
     for lineno, row in rows:
-        if len(row) != 2:
-            raise ParseError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
         word = row[0].strip().lower()
         if not word:
             raise ParseError(f"{path}:{lineno}: empty word")
@@ -139,14 +121,12 @@ def load_mfd(path: str | Path) -> list[SeedEntry]:
 def load_norms(path: str | Path) -> list[NormEntry]:
     """Parse the ratings CSV (word,valence[,concreteness]); rejects duplicates."""
     path = Path(path)
-    header, rows = _read_csv(
+    header, rows = read_table(
         path, [["word", "valence"], ["word", "valence", "concreteness"]])
     has_concreteness = len(header) == 3
     entries: list[NormEntry] = []
     seen: set[str] = set()
     for lineno, row in rows:
-        if len(row) != len(header):
-            raise ParseError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
         word = row[0].strip().lower()
         if not word:
             raise ParseError(f"{path}:{lineno}: empty word")

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
-from scipy.stats import t as student_t
+from scipy.special import stdtr
 
 from .embeddings import QueryVector
 from .errors import DataError
@@ -133,37 +132,63 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationReport:
         p = 0.0
     else:
         t_stat = r * np.sqrt((n - 2) / (1.0 - r * r))
-        p = float(2.0 * student_t.sf(abs(t_stat), n - 2))
+        p = float(_two_sided_p(t_stat, n - 2))
     return CorrelationReport(r=r, p=p, n=n)
+
+
+def _two_sided_p(t_stat, df):
+    """Two-sided Student-t p-value, 2 * P(T_df > |t|)."""
+    return 2.0 * stdtr(df, -np.abs(t_stat))
+
+
+def slope_rows(values: np.ndarray, t_values: np.ndarray | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row OLS slopes of ``values`` on ``t_values`` with two-sided
+    t-test p-values, in one vectorized pass.
+
+    NaN entries are missing: each row is fitted on its finite entries
+    only, against the matching abscissa values (default 1..n_columns).
+    Every row needs at least 3 finite entries. Degenerate zero-residual
+    fits use the convention p=0 for a nonzero slope and p=1 for a zero
+    slope.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if t_values is None:
+        t_values = np.arange(1, values.shape[1] + 1, dtype=np.float64)
+    present = np.isfinite(values)
+    k = present.sum(axis=1)
+    t_mean = np.where(present, t_values, 0.0).sum(axis=1) / k
+    y_mean = np.where(present, values, 0.0).sum(axis=1) / k
+    tc = np.where(present, t_values[None, :] - t_mean[:, None], 0.0)
+    yc = np.where(present, values - y_mean[:, None], 0.0)
+    sxx = np.sum(tc * tc, axis=1)
+    if np.any(sxx == 0.0):
+        raise DataError("abscissa has zero variance")
+    slopes = np.sum(tc * yc, axis=1) / sxx
+    resid = yc - slopes[:, None] * tc
+    with np.errstate(divide="ignore", invalid="ignore"):
+        se = np.sqrt(np.sum(resid * resid, axis=1) / (k - 2) / sxx)
+        p = _two_sided_p(slopes / se, k - 2)
+    degenerate = se == 0.0
+    p[degenerate] = np.where(slopes[degenerate] == 0.0, 1.0, 0.0)
+    return slopes, p
 
 
 def slope_test(y: Sequence[float], t_values: Sequence[float] | None = None
                ) -> tuple[float, float]:
     """OLS slope of y on t (default t = 1..n) with a two-sided t-test p.
 
-    Degenerate zero-residual fits use the convention p=0 for a nonzero
-    slope and p=1 for a zero slope.
+    The one-row case of ``slope_rows``, for complete data. Degenerate
+    zero-residual fits use the convention p=0 for a nonzero slope and
+    p=1 for a zero slope.
     """
     ya = _column("y", y)
     n = ya.shape[0]
-    if t_values is None:
-        ta = np.arange(1, n + 1, dtype=np.float64)
-    else:
-        ta = _column("t", t_values, n)
+    ta = None if t_values is None else _column("t", t_values, n)
     if n < 3:
         raise DataError(f"need at least 3 points for a slope test, got {n}")
-    tc = ta - ta.mean()
-    sxx = np.sum(tc * tc)
-    if sxx == 0.0:
-        raise DataError("abscissa has zero variance")
-    slope = float(np.sum(tc * (ya - ya.mean())) / sxx)
-    resid = ya - ya.mean() - slope * tc
-    rss = float(np.sum(resid * resid))
-    se = np.sqrt(rss / (n - 2) / sxx)
-    if se == 0.0:
-        return slope, (1.0 if slope == 0.0 else 0.0)
-    t_stat = slope / se
-    return slope, float(2.0 * student_t.sf(abs(t_stat), n - 2))
+    slopes, p = slope_rows(ya[None, :], ta)
+    return float(slopes[0]), float(p[0])
 
 
 def _design(factors: Mapping[str, Sequence[float]], n: int) -> tuple[np.ndarray, list[str]]:
@@ -202,7 +227,7 @@ def multiple_regression(y: Sequence[float],
             p = 1.0 if b == 0.0 else 0.0
         else:
             t_stat = b / s
-            p = float(2.0 * student_t.sf(abs(t_stat), dof))
+            p = float(_two_sided_p(t_stat, dof))
         coeffs[name] = b
         errs[name] = s
         tstats[name] = float(t_stat)
@@ -241,26 +266,12 @@ def partial_correlation(target: Sequence[float], factor: Sequence[float],
 # Broad-scale change regression and its shuffled control
 # ---------------------------------------------------------------------------
 
-def _row_slopes(values: np.ndarray, present: np.ndarray) -> np.ndarray:
-    """Vectorized per-row OLS slopes of score on decade index 1..n,
-    restricted to unmasked entries. Rows need >= 2 present points."""
-    n_dec = values.shape[1]
-    t_idx = np.arange(1, n_dec + 1, dtype=np.float64)
-    k = present.sum(axis=1)
-    vals = np.where(present, values, 0.0)
-    t_mat = np.where(present, t_idx, 0.0)
-    t_mean = t_mat.sum(axis=1) / k
-    y_mean = vals.sum(axis=1) / k
-    tc = np.where(present, t_idx[None, :] - t_mean[:, None], 0.0)
-    yc = np.where(present, values - y_mean[:, None], 0.0)
-    sxx = np.sum(tc * tc, axis=1)
-    return np.sum(tc * yc, axis=1) / sxx
-
-
-def _changed_word_fit(values: np.ndarray, words: Sequence[str],
-                      concreteness: Mapping[str, float],
-                      log_frequency: Mapping[str, float],
-                      min_decades: int) -> tuple[RegressionFit, list[str]]:
+def changed_word_fit(values: np.ndarray, words: Sequence[str],
+                     concreteness: Mapping[str, float],
+                     log_frequency: Mapping[str, float],
+                     min_decades: int) -> tuple[RegressionFit, list[str]]:
+    """The change regression on a words x decades score array, given the
+    factor tables of ``factor_tables``; see psycholinguistic_regression."""
     present = np.isfinite(values)
     n_words, n_dec = values.shape
     counts = present.sum(axis=1)
@@ -285,7 +296,7 @@ def _changed_word_fit(values: np.ndarray, words: Sequence[str],
             f"only {len(selected)} words qualify for the change regression; "
             f"need more than {len(REGRESSION_FACTORS) + 1}")
     idx = np.array(selected)
-    slopes = _row_slopes(values[idx], present[idx])
+    slopes, _ = slope_rows(values[idx])
     factors = {
         "frequency": np.array([log_frequency[w] for w in kept_words]),
         "length": np.array([float(len(w)) for w in kept_words]),
@@ -294,9 +305,11 @@ def _changed_word_fit(values: np.ndarray, words: Sequence[str],
     return multiple_regression(slopes, factors), kept_words
 
 
-def _factor_tables(norms: Sequence[NormEntry],
-                   frequencies: Mapping[str, float] | Sequence[tuple[str, float]]
-                   ) -> tuple[dict[str, float], dict[str, float]]:
+def factor_tables(norms: Sequence[NormEntry],
+                  frequencies: Mapping[str, float] | Sequence[tuple[str, float]]
+                  ) -> tuple[dict[str, float], dict[str, float]]:
+    """Word -> concreteness and word -> log frequency; words without a
+    concreteness rating or with a non-positive frequency are left out."""
     concreteness = {e.word: e.concreteness for e in norms if e.concreteness is not None}
     freq_map = dict(frequencies)
     log_frequency = {}
@@ -325,10 +338,10 @@ def psycholinguistic_regression(
     words that changed relevance in either direction. Returns the fit
     and the words that entered it.
     """
-    concreteness, log_frequency = _factor_tables(norms, frequencies)
-    return _changed_word_fit(np.asarray(matrix.values, dtype=np.float64),
-                             list(matrix.words), concreteness, log_frequency,
-                             min_decades)
+    concreteness, log_frequency = factor_tables(norms, frequencies)
+    return changed_word_fit(np.asarray(matrix.values, dtype=np.float64),
+                            list(matrix.words), concreteness, log_frequency,
+                            min_decades)
 
 
 def permutation_control(
@@ -355,11 +368,11 @@ def permutation_control(
     n_dec = values.shape[1]
     if n_dec < 5:
         raise DataError(f"need at least 5 decades, got {n_dec}")
-    concreteness, log_frequency = _factor_tables(norms, frequencies)
+    concreteness, log_frequency = factor_tables(norms, frequencies)
     words = list(matrix.words)
 
-    base_fit, _ = _changed_word_fit(values, words, concreteness,
-                                    log_frequency, min_decades)
+    base_fit, _ = changed_word_fit(values, words, concreteness,
+                                   log_frequency, min_decades)
 
     if permutations is None:
         children = np.random.SeedSequence(seed).spawn(n_shuffles)
@@ -371,8 +384,8 @@ def permutation_control(
     control = {name: np.empty(n_shuffles) for name in REGRESSION_FACTORS}
     for i, perm in enumerate(permutations):
         try:
-            fit_i, _ = _changed_word_fit(values[:, perm], words, concreteness,
-                                         log_frequency, min_decades)
+            fit_i, _ = changed_word_fit(values[:, perm], words, concreteness,
+                                        log_frequency, min_decades)
         except DataError as exc:
             raise DataError(f"shuffle {i}: {exc}") from exc
         for name in REGRESSION_FACTORS:
@@ -443,6 +456,8 @@ def fisher_projection(class_vectors: Mapping[str, Sequence],
         s_w += dev.T @ dev
         gap = (mu - grand_mean)[:, None]
         s_b += m.shape[0] * (gap @ gap.T)
+
+    import scipy.linalg
 
     try:
         eigvals, eigvecs = scipy.linalg.eigh(s_b, s_w)

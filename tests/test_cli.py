@@ -122,6 +122,33 @@ class TestConfigFile:
         assert code == 2
         assert "tier" in err
 
+    def test_unknown_config_key_is_data_error(self, capsys, world_files, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("# kde settings\nbandwith=0.3\n")
+        code, _, err = run(capsys, "classify", *data_args(world_files),
+                           "--word", "riser", "--tier", "relevance",
+                           "--config", str(config))
+        assert code == 2
+        assert "bandwith" in err
+        assert f"{config}:2" in err
+
+    def test_config_value_matches_flag(self, capsys, world_files, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("model=naive-bayes\nvariance_floor=0.01\nk=7\n")
+        args = [*data_args(world_files), "--word", "riser", "--tier", "relevance"]
+        from_config = run(capsys, "classify", *args, "--config", str(config))[1]
+        from_flags = run(capsys, "classify", *args, "--model", "naive-bayes",
+                         "--variance-floor", "0.01", "--k", "7")[1]
+        assert json.loads(from_config) == json.loads(from_flags)
+
+    def test_regression_commands_take_no_embedding_options(self, capsys, changer_files):
+        code, _, err = run(capsys, "regress", "--matrix", str(changer_files.matrix),
+                           "--norms", str(changer_files.norms),
+                           "--wordlist", str(changer_files.wordlist),
+                           "--manifest", "manifest.csv")
+        assert code == 1
+        assert "--manifest" in err
+
     def test_boolean_from_config(self, capsys, world_files, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("normalize-embeddings=true\n")

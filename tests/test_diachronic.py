@@ -142,6 +142,12 @@ class TestSlope:
         expected = np.polyfit(t, y, 1)[0]
         assert b == pytest.approx(expected, abs=1e-12)
 
+    def test_non_finite_unmasked_score_rejected(self):
+        scores = np.array([0.1, np.nan, 0.3, 0.4, 0.5, 0.6])
+        tc = binary_course(scores, missing=np.zeros(6, dtype=bool))
+        with pytest.raises(DataError, match="non-finite"):
+            slope(tc)
+
     def test_category_course_rejected(self, world):
         tc = time_course(world.diachronic, world.lexicon, SPEC,
                          "alwayspos", "category")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from moraldrift import (AlignmentError, CoverageError, DataError,
                         MoraldriftError, ParseError, align_diachronic,
                         align_procrustes, average_vector, load_diachronic,
                         load_embedding_space, lookup, save_embedding_space)
+from moraldrift import load_mfd, load_norms, load_survey, load_wordlist
 from moraldrift.embeddings import EmbeddingSpace
 
 from conftest import make_space
@@ -303,6 +306,49 @@ class TestManifest:
         manifest.write_text("decade,file\n")
         with pytest.raises(ParseError, match="header"):
             load_diachronic(manifest)
+
+
+def _manifest_rows(tmp_path):
+    for decade in (1900, 1910):
+        save_embedding_space(random_space(decade, 4, 2, seed=decade), tmp_path / f"{decade}.txt")
+    return ["1900,1900.txt,text-word2vec", "1910,1910.txt,text-word2vec"]
+
+
+# (reader, header, two valid rows or a function of tmp_path writing
+#  what they refer to and returning them, a row with one column too many)
+TABLE_READERS = {
+    "manifest": (load_diachronic, "decade,path,format", _manifest_rows,
+                 "1920,x.txt,text-word2vec,extra"),
+    "mfd": (load_mfd, "word,category", ["care,1", "harm,2"], "fair,3,4"),
+    "norms": (load_norms, "Word,Valence,Concreteness", ["calm,5.1,2.0", "war,2.0,"],
+              "tree,5.0,4.0,1"),
+    "wordlist": (load_wordlist, "word,frequency", ["truth,99", "lie,12"], "myth,3,3"),
+    "survey": (load_survey, "topic,frac_not_moral,frac_acceptable",
+               ["abortion,0.1,0.25", "premarital sex,0.3,0.4"], "war,0.1,0.2,0.3"),
+}
+
+
+class TestReadTable:
+    @pytest.fixture(params=sorted(TABLE_READERS))
+    def reader(self, request, tmp_path):
+        load, header, rows, bad = TABLE_READERS[request.param]
+        if callable(rows):
+            rows = rows(tmp_path)
+        return load, header, rows, bad
+
+    def test_comments_and_blank_rows_skipped(self, reader, tmp_path):
+        load, header, rows, _ = reader
+        path = write(tmp_path / "table.csv",
+                     f"# written by a test\n{header}\n{rows[0]}\n\n"
+                     f"# a comment between rows\n ,  \n{rows[1]}\n")
+        assert len(load(path)) == 2
+
+    def test_wrong_column_count_names_line(self, reader, tmp_path):
+        load, header, rows, bad = reader
+        path = write(tmp_path / "table.csv",
+                     f"# written by a test\n{header}\n{rows[0]}\n# note\n{bad}\n")
+        with pytest.raises(ParseError, match=re.escape(f"{path}:5: expected")):
+            load(path)
 
 
 class TestAlignDiachronic:

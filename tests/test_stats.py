@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from moraldrift import (DataError, PredictionMatrix, fisher_projection,
                         multiple_regression, partial_correlation, pearson,
                         permutation_control, psycholinguistic_regression,
                         slope_test)
 from moraldrift.lexicon import NormEntry
+from moraldrift.stats import slope_rows
 
 from conftest import CHANGER_DECADES, changer_courses
 
@@ -122,6 +125,44 @@ class TestSlopeTest:
             want = linregress(t, y)
             assert slope == pytest.approx(want.slope, rel=1e-10)
             assert p == pytest.approx(want.pvalue, rel=1e-9)
+
+
+@st.composite
+def masked_rows(draw):
+    """A matrix of 8-20 columns with NaN gaps (each row keeps >= 3
+    points), plus exactly linear integer rows whose fits have zero
+    residual."""
+    n_cols = draw(st.integers(8, 20))
+    n_rows = draw(st.integers(1, 6))
+    values = np.array(draw(st.lists(
+        st.lists(st.floats(-1.0, 1.0), min_size=n_cols, max_size=n_cols),
+        min_size=n_rows, max_size=n_rows)))
+    for row in values:
+        keep = draw(st.sets(st.integers(0, n_cols - 1), min_size=3))
+        row[[j for j in range(n_cols) if j not in keep]] = np.nan
+    coefficients = draw(st.lists(st.tuples(st.integers(-5, 5), st.integers(-3, 3)),
+                                 min_size=1, max_size=3))
+    return values, coefficients
+
+
+class TestSlopeRows:
+    @settings(max_examples=200, deadline=None)
+    @given(masked_rows())
+    def test_matches_linregress_on_compacted_rows(self, data):
+        from scipy.stats import linregress
+        values, coefficients = data
+        t = np.arange(1.0, values.shape[1] + 1)
+        lines = [a + b * t for a, b in coefficients]
+        slopes, p = slope_rows(np.vstack([values, *lines]))
+        for i, row in enumerate(values):
+            present = np.isfinite(row)
+            want = linregress(t[present], row[present])
+            assume(np.ptp(row[present]) > 1e-3 and abs(want.rvalue) < 0.999)
+            assert slopes[i] == pytest.approx(want.slope, rel=1e-9, abs=1e-12)
+            assert p[i] == pytest.approx(want.pvalue, rel=1e-7)
+        for i, (_, b) in enumerate(coefficients, start=len(values)):
+            assert slopes[i] == b
+            assert p[i] == (1.0 if b == 0 else 0.0)
 
 
 class TestMultipleRegression:
