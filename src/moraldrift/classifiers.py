@@ -14,7 +14,7 @@ and normalized exactly, so posteriors always sum to one.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -42,9 +42,11 @@ _CLAMP = 1e-6
 class ModelSpec:
     """Model kind plus its (at most one) parameter.
 
-    ``k`` applies to knn only; ``h`` to kde only. ``h=None`` asks fit()
-    to pick the bandwidth maximizing leave-one-out accuracy on the seeds
-    over the grid 0.1 .. 1.0.
+    ``k`` applies to knn only; ``h`` to kde only. ``h`` is the kernel
+    variance, not a standard deviation: each seed w contributes
+    exp(-|x - w|^2 / 2h). ``h=None`` asks fit() to pick the bandwidth
+    maximizing leave-one-out accuracy on the seeds over the grid
+    0.1 .. 1.0.
     """
 
     kind: str
@@ -99,6 +101,25 @@ def _as_matrix(label: str, vectors) -> np.ndarray:
     return mat
 
 
+def _class_matrices(class_vectors: Mapping[str, Sequence]
+                    ) -> tuple[tuple[str, ...], list[np.ndarray]]:
+    """The class labels and checked (n_c, d) seed matrices of one tier."""
+    if len(class_vectors) < 2:
+        raise DataError(f"need at least 2 classes, got {len(class_vectors)}")
+    labels = tuple(class_vectors)
+    matrices = [_as_matrix(label, class_vectors[label]) for label in labels]
+    dims = {m.shape[1] for m in matrices}
+    if len(dims) != 1:
+        raise DataError(f"classes disagree on vector dimensionality: {sorted(dims)}")
+    return labels, matrices
+
+
+def _stack(matrices: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The (S, d) seed matrix in class order and each seed's class index."""
+    return (np.vstack(matrices),
+            np.repeat(np.arange(len(matrices)), [m.shape[0] for m in matrices]))
+
+
 def _sq_dists(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances, (n_queries, n_points)."""
     q_sq = np.sum(queries * queries, axis=1)[:, None]
@@ -115,44 +136,22 @@ def fit(spec: ModelSpec, class_vectors: Mapping[str, Sequence],
     iteration order. Requires at least two non-empty classes of matching
     dimensionality.
     """
-    if len(class_vectors) < 2:
-        raise DataError(f"need at least 2 classes, got {len(class_vectors)}")
-    labels = tuple(class_vectors)
-    matrices = [_as_matrix(label, class_vectors[label]) for label in labels]
-    dims = {m.shape[1] for m in matrices}
-    if len(dims) != 1:
-        raise DataError(f"classes disagree on vector dimensionality: {sorted(dims)}")
-    dim = dims.pop()
-    total = sum(m.shape[0] for m in matrices)
-
-    if spec.kind == CENTROID:
+    labels, matrices = _class_matrices(class_vectors)
+    model = dict(classes=labels, dim=matrices[0].shape[1], tier=tier)
+    if spec.kind in (CENTROID, NAIVE_BAYES):
         means = np.vstack([m.mean(axis=0) for m in matrices])
-        return Classifier(spec=spec, classes=labels, dim=dim, tier=tier, means=means)
-
-    if spec.kind == NAIVE_BAYES:
-        means = np.vstack([m.mean(axis=0) for m in matrices])
+        if spec.kind == CENTROID:
+            return Classifier(spec=spec, means=means, **model)
         variances = np.vstack([np.maximum(m.var(axis=0), spec.variance_floor)
                                for m in matrices])
-        return Classifier(spec=spec, classes=labels, dim=dim, tier=tier,
-                          means=means, variances=variances)
-
-    seed_matrix = np.vstack(matrices)
-    seed_labels = np.concatenate(
-        [np.full(m.shape[0], i, dtype=np.intp) for i, m in enumerate(matrices)])
-
-    if spec.kind == KNN:
-        if spec.k > total:
-            raise DataError(f"k={spec.k} exceeds the {total} available seed vectors")
-        return Classifier(spec=spec, classes=labels, dim=dim, tier=tier,
-                          seed_matrix=seed_matrix, seed_labels=seed_labels)
-
-    # KDE
-    if spec.h is None:
-        h = select_bandwidth(class_vectors)
-        spec = ModelSpec(kind=KDE, k=spec.k, h=h, variance_floor=spec.variance_floor)
-        logger.info("selected KDE bandwidth h=%g by leave-one-out accuracy", h)
-    return Classifier(spec=spec, classes=labels, dim=dim, tier=tier,
-                      seed_matrix=seed_matrix, seed_labels=seed_labels)
+        return Classifier(spec=spec, means=means, variances=variances, **model)
+    seeds, seed_labels = _stack(matrices)
+    if spec.kind == KNN and spec.k > len(seed_labels):
+        raise DataError(f"k={spec.k} exceeds the {len(seed_labels)} available seed vectors")
+    if spec.kind == KDE and spec.h is None:
+        spec = replace(spec, h=select_bandwidth(class_vectors))
+        logger.info("selected KDE bandwidth h=%g by leave-one-out accuracy", spec.h)
+    return Classifier(spec=spec, seed_matrix=seeds, seed_labels=seed_labels, **model)
 
 
 def fit_tier(spec: ModelSpec, lexicon: SeedLexicon, space: EmbeddingSpace,
@@ -165,8 +164,7 @@ def _query_matrix(model: Classifier, queries) -> np.ndarray:
     if isinstance(queries, QueryVector):
         queries = queries.values
     q = np.asarray(queries, dtype=np.float64)
-    single = q.ndim == 1
-    if single:
+    if q.ndim == 1:
         q = q.reshape(1, -1)
     if q.shape[1] != model.dim:
         raise DataError(f"query has dimension {q.shape[1]}, model expects {model.dim}")
@@ -175,29 +173,40 @@ def _query_matrix(model: Classifier, queries) -> np.ndarray:
     return q
 
 
-def _kde_log_likelihoods(model: Classifier, q: np.ndarray) -> np.ndarray:
-    h = model.spec.h
-    sq = _sq_dists(q, model.seed_matrix)
-    log_norm = -0.5 * model.dim * (_LOG_2PI + np.log(h))
-    out = np.empty((q.shape[0], len(model.classes)))
-    for c in range(len(model.classes)):
-        cols = model.seed_labels == c
-        out[:, c] = (logsumexp(-sq[:, cols] / (2.0 * h), axis=1)
-                     - np.log(np.count_nonzero(cols)) + log_norm)
+def _nb_log_likelihood(q: np.ndarray, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """Diagonal-Gaussian log density of each row of ``q``; moments (d,) or per row."""
+    dev = q - mean
+    return -0.5 * np.sum(_LOG_2PI + np.log(var) + dev * dev / var, axis=1)
+
+
+def _kde_log_likelihoods(sq: np.ndarray, seed_labels: np.ndarray,
+                         sizes: np.ndarray, h: float, dim: int) -> np.ndarray:
+    """Per-class log kernel densities from squared distances ``sq`` (n, S).
+    Class ``sizes`` are shared (C,) or per row (n, C); +inf adds no mass."""
+    log_norm = -0.5 * dim * (_LOG_2PI + np.log(h))
+    out = np.empty((sq.shape[0], sizes.shape[-1]))
+    for c in range(sizes.shape[-1]):
+        out[:, c] = (logsumexp(-sq[:, seed_labels == c] / (2.0 * h), axis=1)
+                     - np.log(sizes[..., c]) + log_norm)
     return out
 
 
-def _knn_counts(model: Classifier, q: np.ndarray) -> np.ndarray:
-    """Per-class neighbor counts; distance ties at rank k admit all tied seeds."""
-    sq = _sq_dists(q, model.seed_matrix)
-    k = model.spec.k
-    counts = np.empty((q.shape[0], len(model.classes)))
-    kth = np.partition(sq, k - 1, axis=1)[:, k - 1]
-    for i in range(q.shape[0]):
-        admitted = sq[i] <= kth[i]
-        counts[i] = np.bincount(model.seed_labels[admitted],
-                                minlength=len(model.classes))
-    return counts
+def _knn_counts(sq: np.ndarray, seed_labels: np.ndarray, n_classes: int,
+                k: int) -> np.ndarray:
+    """Per-class neighbor counts for each row of ``sq`` (n, S); distance
+    ties at rank k admit all tied seeds, +inf entries are never admitted."""
+    kth = np.partition(sq, k - 1, axis=1)[:, k - 1:k]
+    admitted = sq <= kth
+    return np.column_stack([np.count_nonzero(admitted[:, seed_labels == c], axis=1)
+                            for c in range(n_classes)])
+
+
+def _normalize(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of log scores, in place."""
+    logits -= logits.max(axis=1, keepdims=True)
+    probs = np.exp(logits)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs
 
 
 def posterior_batch(model: Classifier, queries) -> np.ndarray:
@@ -206,24 +215,20 @@ def posterior_batch(model: Classifier, queries) -> np.ndarray:
     Columns follow ``model.classes``. Rows are normalized exactly.
     """
     q = _query_matrix(model, queries)
+    n_classes = len(model.classes)
     if model.spec.kind == CENTROID:
-        dists = np.sqrt(_sq_dists(q, model.means))
-        logits = -dists
-    elif model.spec.kind == NAIVE_BAYES:
-        logits = np.empty((q.shape[0], len(model.classes)))
-        for c in range(len(model.classes)):
-            var = model.variances[c]
-            dev = q - model.means[c]
-            logits[:, c] = -0.5 * np.sum(_LOG_2PI + np.log(var) + dev * dev / var, axis=1)
-    elif model.spec.kind == KDE:
-        logits = _kde_log_likelihoods(model, q)
-    else:  # KNN: scores are counts, not log densities
-        counts = _knn_counts(model, q)
+        return _normalize(-np.sqrt(_sq_dists(q, model.means)))
+    if model.spec.kind == NAIVE_BAYES:
+        return _normalize(np.column_stack(
+            [_nb_log_likelihood(q, model.means[c], model.variances[c])
+             for c in range(n_classes)]))
+    sq = _sq_dists(q, model.seed_matrix)
+    if model.spec.kind == KNN:  # scores are counts, not log densities
+        counts = _knn_counts(sq, model.seed_labels, n_classes, model.spec.k)
         return counts / counts.sum(axis=1, keepdims=True)
-    logits -= logits.max(axis=1, keepdims=True)
-    probs = np.exp(logits)
-    probs /= probs.sum(axis=1, keepdims=True)
-    return probs
+    sizes = np.bincount(model.seed_labels, minlength=n_classes)
+    return _normalize(_kde_log_likelihoods(sq, model.seed_labels, sizes,
+                                           model.spec.h, model.dim))
 
 
 def posterior(model: Classifier, query) -> PosteriorDistribution:
@@ -258,40 +263,65 @@ def log_odds(p: PosteriorDistribution, numerator: str, denominator: str) -> floa
     return float(np.log(num / den))
 
 
+def _loo_predict(spec: ModelSpec, class_vectors: Mapping[str, Sequence],
+                 grid: Sequence[float] = BANDWIDTH_GRID) -> tuple[ModelSpec, np.ndarray]:
+    """The spec (h chosen if None) and each seed's leave-one-out predicted
+    class index, seeds stacked in class order. Nothing is refit: knn and kde
+    mask the diagonal of the seed-by-seed distances (a kde seed's class then
+    counts n - 1 seeds); centroid and naive_bayes drop the seed from its
+    class moments in closed form (|x - mu_-i| = n/(n-1)·|x - mu|), flooring
+    the variance after. The bandwidth search takes the first grid value of
+    best accuracy over seeds outside singleton classes."""
+    labels, matrices = _class_matrices(class_vectors)
+    seeds, seed_labels = _stack(matrices)
+    n_seeds, dim = seeds.shape
+    sizes = np.bincount(seed_labels, minlength=len(labels))
+    own = seed_labels[:, None] == np.arange(len(labels))  # (S, C)
+
+    if spec.kind in (CENTROID, NAIVE_BAYES):
+        means = np.vstack([m.mean(axis=0) for m in matrices])
+        variances = np.vstack([m.var(axis=0) for m in matrices])
+        n = sizes[seed_labels][:, None].astype(np.float64)
+        if spec.kind == CENTROID:
+            logits = -np.sqrt(_sq_dists(seeds, means)) * np.where(own, n / (n - 1), 1.0)
+        else:
+            dev = seeds - means[seed_labels]
+            loo_mean = means[seed_labels] - dev / (n - 1)
+            loo_var = n / (n - 1) * (variances[seed_labels] - dev * dev / (n - 1))
+            logits = np.column_stack([_nb_log_likelihood(
+                seeds, np.where(own[:, c, None], loo_mean, means[c]),
+                np.maximum(np.where(own[:, c, None], loo_var, variances[c]),
+                           spec.variance_floor))
+                for c in range(len(labels))])
+        return spec, np.argmax(_normalize(logits), axis=1)
+
+    sq = _sq_dists(seeds, seeds)
+    np.fill_diagonal(sq, np.inf)
+    if spec.kind == KNN:
+        if spec.k > n_seeds - 1:
+            raise DataError(f"k={spec.k} exceeds the {n_seeds - 1} available seed vectors")
+        return spec, np.argmax(_knn_counts(sq, seed_labels, len(labels), spec.k), axis=1)
+
+    # KDE. A singleton class keeps size 1 with no kernel left: log density -inf.
+    loo_sizes = np.maximum(sizes - own, 1)
+    scored = sizes[seed_labels] > 1
+    if spec.h is None and not scored.any():
+        raise DataError("cannot auto-select bandwidth: every class is a singleton; "
+                        "pass an explicit h")
+    grid = grid if spec.h is None else (spec.h,)
+    predicted = [np.argmax(_normalize(_kde_log_likelihoods(sq, seed_labels, loo_sizes, h, dim)),
+                           axis=1) for h in grid]
+    best = int(np.argmax([np.count_nonzero(p[scored] == seed_labels[scored])
+                          for p in predicted]))  # first maximum: the smaller h
+    return replace(spec, h=float(grid[best])), predicted[best]
+
+
 def select_bandwidth(class_vectors: Mapping[str, Sequence],
                      grid: Sequence[float] = BANDWIDTH_GRID) -> float:
     """Pick the KDE bandwidth with the best leave-one-out seed accuracy.
 
-    Seeds whose class would be emptied by their removal are skipped.
-    Accuracy ties resolve to the smaller bandwidth. Kernel distances are
-    computed once and reused across the grid.
-    """
-    labels = tuple(class_vectors)
-    matrices = [_as_matrix(label, class_vectors[label]) for label in labels]
-    seed_matrix = np.vstack(matrices)
-    seed_labels = np.concatenate(
-        [np.full(m.shape[0], i, dtype=np.intp) for i, m in enumerate(matrices)])
-    class_sizes = np.bincount(seed_labels, minlength=len(labels))
-    evaluable = class_sizes[seed_labels] > 1
-    if not np.any(evaluable):
-        raise DataError("cannot auto-select bandwidth: every class is a singleton; "
-                        "pass an explicit h")
-    sq = _sq_dists(seed_matrix, seed_matrix)
-    np.fill_diagonal(sq, np.inf)  # leave-one-out: exclude self
-
-    best_h, best_acc = None, -1.0
-    for h in grid:
-        kern = -sq / (2.0 * h)
-        hits = 0
-        for i in np.flatnonzero(evaluable):
-            logits = np.full(len(labels), -np.inf)
-            for c in range(len(labels)):
-                cols = seed_labels == c
-                size = class_sizes[c] - (1 if c == seed_labels[i] else 0)
-                logits[c] = logsumexp(kern[i, cols]) - np.log(size)
-            if int(np.argmax(logits)) == seed_labels[i]:
-                hits += 1
-        acc = hits / int(np.count_nonzero(evaluable))
-        if acc > best_acc:
-            best_h, best_acc = h, acc
-    return float(best_h)
+    The leave-one-out is masked, not refit: one seed-by-seed distance
+    matrix with its diagonal masked serves the whole grid. Seeds in
+    singleton classes are skipped; accuracy ties go to the smaller h."""
+    spec, _ = _loo_predict(ModelSpec(kind=KDE), class_vectors, grid)
+    return spec.h

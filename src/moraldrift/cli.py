@@ -548,7 +548,8 @@ def _add_common(p: _Parser, *, manifest: bool = True, mfd: bool = False,
         p.add_argument("--k", type=int, default=5,
                        help="neighbor count for knn (default: 5)")
         p.add_argument("--bandwidth", type=float,
-                       help="kde bandwidth h (default: tuned by leave-one-out)")
+                       help="kde bandwidth h, the kernel variance: kernel "
+                            "exp(-d^2/2h) (default: tuned by leave-one-out)")
         p.add_argument("--variance-floor", dest="variance_floor", type=float,
                        default=1e-8,
                        help="minimum per-dimension variance for naive-bayes")

@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .classifiers import Classifier, ModelSpec, fit_tier, posterior_batch
+from .classifiers import ModelSpec, fit_tier, posterior_batch
 from .embeddings import DiachronicEmbeddings, read_table
 from .errors import CoverageError, DataError, ParseError
 from .lexicon import CATEGORY, POLARITY, RELEVANCE, SeedLexicon, tier_classes
@@ -78,44 +78,43 @@ class ChangeRecord:
     modern_category: str | None
 
 
-def _decade_models(diachronic: DiachronicEmbeddings, lexicon: SeedLexicon,
-                   spec: ModelSpec, tier: str) -> dict[int, Classifier]:
-    return {space.decade: fit_tier(spec, lexicon, space, tier)
-            for space in diachronic}
+def _decade_scores(diachronic: DiachronicEmbeddings, lexicon: SeedLexicon,
+                   spec: ModelSpec, words: Sequence[str], tier: str) -> np.ndarray:
+    """Scores of words under each decade's model, fit once per decade: the
+    tracked pole's probability for a binary tier, (n_words, n_decades); the
+    class distribution for the category tier, (n_words, n_decades, 10).
+    NaN where a word has no embedding."""
+    values = np.full((len(words), len(diachronic))
+                     + ((len(tier_classes(tier)),) if tier == CATEGORY else ()), np.nan)
+    row_of = {w: i for i, w in enumerate(words)}
+    for j, space in enumerate(diachronic):
+        model = fit_tier(spec, lexicon, space, tier)
+        matrix, found, _ = space.rows(words)
+        if not found:
+            continue
+        probs = posterior_batch(model, matrix)
+        if tier != CATEGORY:
+            probs = probs[:, model.classes.index(_SCORE_CLASS[tier])]
+        values[[row_of[w] for w in found], j] = probs
+    return values
 
 
-def _binary_column(model: Classifier, tier: str) -> int:
-    return model.classes.index(_SCORE_CLASS[tier])
+def _course(word: str, tier: str, decades: tuple[int, ...],
+            scores: np.ndarray) -> TimeCourse:
+    missing = np.isnan(scores) if scores.ndim == 1 else np.isnan(scores).all(axis=1)
+    if missing.all():
+        raise CoverageError(f"word {word!r} has no embedding in any decade")
+    return TimeCourse(word=word, tier=tier, decades=decades, scores=scores,
+                      missing=missing,
+                      class_labels=tier_classes(tier) if tier == CATEGORY else None)
 
 
 def time_course(diachronic: DiachronicEmbeddings, lexicon: SeedLexicon,
                 spec: ModelSpec, word: str, tier: str) -> TimeCourse:
     """Score one word against per-decade classifiers fitted from each
     decade's seed vectors. Decades without the word are masked."""
-    decades = diachronic.decades
-    labels = tier_classes(tier)
-    n = len(decades)
-    if tier == CATEGORY:
-        scores = np.full((n, len(labels)), np.nan)
-    else:
-        scores = np.full(n, np.nan)
-    missing = np.ones(n, dtype=bool)
-    models = _decade_models(diachronic, lexicon, spec, tier)
-    for i, space in enumerate(diachronic):
-        vec = space.vector(word)
-        if vec is None:
-            continue
-        probs = posterior_batch(models[space.decade], vec.reshape(1, -1))[0]
-        if tier == CATEGORY:
-            scores[i] = probs
-        else:
-            scores[i] = probs[_binary_column(models[space.decade], tier)]
-        missing[i] = False
-    if missing.all():
-        raise CoverageError(f"word {word!r} has no embedding in any decade")
-    return TimeCourse(word=word, tier=tier, decades=decades, scores=scores,
-                      missing=missing,
-                      class_labels=labels if tier == CATEGORY else None)
+    scores = _decade_scores(diachronic, lexicon, spec, [word], tier)[0]
+    return _course(word, tier, diachronic.decades, scores)
 
 
 def prediction_matrix(diachronic: DiachronicEmbeddings, lexicon: SeedLexicon,
@@ -131,19 +130,9 @@ def prediction_matrix(diachronic: DiachronicEmbeddings, lexicon: SeedLexicon,
         raise ValueError(f"matrix kind must be '{RELEVANCE}' or '{POLARITY}', got {kind!r}")
     if not words:
         raise DataError("word list is empty")
-    values = np.full((len(words), len(diachronic)), np.nan)
-    row_of = {w: i for i, w in enumerate(words)}
-    if len(row_of) != len(words):
+    if len(set(words)) != len(words):
         raise DataError("word list contains duplicates")
-    models = _decade_models(diachronic, lexicon, spec, kind)
-    for j, space in enumerate(diachronic):
-        model = models[space.decade]
-        matrix, found, _ = space.rows(words)
-        if not found:
-            continue
-        probs = posterior_batch(model, matrix)[:, _binary_column(model, kind)]
-        for w, p in zip(found, probs):
-            values[row_of[w], j] = p
+    values = _decade_scores(diachronic, lexicon, spec, words, kind)
     absent = int(np.count_nonzero(~np.isfinite(values).any(axis=1)))
     if absent:
         logger.warning("%d of %d words have no embedding in any decade",
@@ -227,6 +216,8 @@ def retrieve_changing(matrix: PredictionMatrix, lexicon: SeedLexicon,
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}; expected one of {DIRECTIONS}")
+    if top_n < 1:
+        raise ValueError(f"top_n must be at least 1, got {top_n}")
     if bonferroni_family not in ("filtered", "all-words"):
         raise ValueError(f"unknown bonferroni family {bonferroni_family!r}")
     if direction == TOWARD_RELEVANCE:
@@ -248,13 +239,9 @@ def retrieve_changing(matrix: PredictionMatrix, lexicon: SeedLexicon,
     rows: list[int] = []
     mean_rels: list[float] = []
     skipped_short = 0
-    for i in range(len(matrix.words)):
-        rel_row = relevance_matrix.values[i]
-        rel_present = np.isfinite(rel_row)
-        if not rel_present.any():
-            continue
-        mean_rel = float(rel_row[rel_present].mean())
-        if mean_rel < 0.5:
+    for i, rel_row in enumerate(relevance_matrix.values):
+        rel_row = rel_row[np.isfinite(rel_row)]
+        if rel_row.size == 0 or (mean_rel := float(rel_row.mean())) < 0.5:
             continue
         if int(np.isfinite(matrix.values[i]).sum()) < MIN_SLOPE_DECADES:
             skipped_short += 1
@@ -276,21 +263,16 @@ def retrieve_changing(matrix: PredictionMatrix, lexicon: SeedLexicon,
     candidates.sort(key=lambda c: ((-c[1] if reverse else c[1]), c[0]))
     top = candidates[:top_n]
 
+    categories = _decade_scores(diachronic, lexicon, spec, [c[0] for c in top], CATEGORY)
     records = []
-    for word, b, p, mean_rel in top:
-        course = matrix.course(word)
-        cat_course = time_course(diachronic, lexicon, spec, word, CATEGORY)
+    for (word, b, p, mean_rel), cat_scores in zip(top, categories):
+        cat_course = _course(word, CATEGORY, diachronic.decades, cat_scores)
         rel_row = relevance_matrix.values[matrix.words.index(word)]
         records.append(ChangeRecord(
-            word=word,
-            slope=b,
-            p_raw=p,
-            p_bonferroni=min(1.0, m * p),
-            mean_relevance=mean_rel,
-            switching_decade=switching_period(course),
+            word=word, slope=b, p_raw=p, p_bonferroni=min(1.0, m * p),
+            mean_relevance=mean_rel, switching_decade=switching_period(matrix.course(word)),
             early_category=_early_category(cat_course, rel_row),
-            modern_category=_mean_modern_category(cat_course),
-        ))
+            modern_category=_mean_modern_category(cat_course)))
     return records
 
 

@@ -9,8 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .classifiers import (Classifier, ModelSpec, classify, fit, posterior,
-                          posterior_batch, select_bandwidth)
+from .classifiers import Classifier, ModelSpec, _loo_predict, posterior, posterior_batch
 from .embeddings import (DiachronicEmbeddings, EmbeddingSpace, average_vector,
                          read_table)
 from .errors import DataError, ParseError
@@ -67,22 +66,15 @@ def chance_level(tier: str) -> float:
     return 1.0 / len(tier_classes(tier))
 
 
-def _resolve_spec(spec: ModelSpec, class_vectors) -> ModelSpec:
-    # Pin an auto-selected bandwidth once so every LOO fold uses the same h.
-    if spec.kind == "kde" and spec.h is None:
-        h = select_bandwidth(class_vectors)
-        return ModelSpec(kind=spec.kind, k=spec.k, h=h,
-                         variance_floor=spec.variance_floor)
-    return spec
-
-
 def loo_accuracy(spec: ModelSpec, lexicon: SeedLexicon, space: EmbeddingSpace,
                  tier: str) -> AccuracyReport:
-    """Classify each seed with the model refit on all other seeds.
+    """Classify each seed with the model fit on all other seeds.
 
-    Seeds without embeddings are excluded from both training and
-    evaluation. Every class must retain at least one seed under any
-    single removal, i.e. hold two or more embedded seeds.
+    The leave-one-out is closed-form or masked, not refit (kNN and KDE
+    mask the seed's own distance; centroid and naive Bayes remove it
+    from its class moments); ``h=None`` picks the KDE bandwidth in the
+    same pass. Seeds without embeddings are excluded from both training
+    and evaluation. Every class must hold two or more embedded seeds.
     """
     class_vectors = seed_vectors(lexicon, space, tier)
     for label, matrix in class_vectors.items():
@@ -90,23 +82,15 @@ def loo_accuracy(spec: ModelSpec, lexicon: SeedLexicon, space: EmbeddingSpace,
             raise DataError(
                 f"class {label!r} has {matrix.shape[0]} embedded seed(s) in decade "
                 f"{space.decade}; leave-one-out would empty it")
-    spec = _resolve_spec(spec, class_vectors)
-
+    spec, predicted = _loo_predict(spec, class_vectors)
     labels = list(class_vectors)
     confusion = {t: {p: 0 for p in labels} for t in labels}
-    n = 0
-    for label in labels:
-        matrix = class_vectors[label]
-        for i in range(matrix.shape[0]):
-            fold = dict(class_vectors)
-            fold[label] = np.delete(matrix, i, axis=0)
-            model = fit(spec, fold, tier=tier)
-            predicted = classify(model, matrix[i])
-            confusion[label][predicted] += 1
-            n += 1
+    truth = [label for label, matrix in class_vectors.items() for _ in matrix]
+    for t, p in zip(truth, predicted):
+        confusion[t][labels[p]] += 1
     correct = sum(confusion[c][c] for c in labels)
     return AccuracyReport(tier=tier, model=spec, decade=space.decade,
-                          accuracy=correct / n, confusion=confusion, n=n)
+                          accuracy=correct / len(truth), confusion=confusion, n=len(truth))
 
 
 def loo_accuracy_historical(spec: ModelSpec, lexicon: SeedLexicon,

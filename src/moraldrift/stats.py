@@ -364,6 +364,9 @@ def permutation_control(
 
     ``permutations`` overrides the seeded shuffles (for controls/tests).
     """
+    n_shuffles = n_shuffles if permutations is None else len(permutations)
+    if n_shuffles < 1:
+        raise ValueError(f"need at least one shuffle, got {n_shuffles}")
     values = np.asarray(matrix.values, dtype=np.float64)
     n_dec = values.shape[1]
     if n_dec < 5:
@@ -379,7 +382,6 @@ def permutation_control(
         permutations = [np.random.default_rng(c).permutation(n_dec) for c in children]
     else:
         permutations = [np.asarray(p) for p in permutations]
-        n_shuffles = len(permutations)
 
     control = {name: np.empty(n_shuffles) for name in REGRESSION_FACTORS}
     for i, perm in enumerate(permutations):

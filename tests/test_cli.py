@@ -387,3 +387,28 @@ class TestNormalization:
                      "--normalize-embeddings")[1]
         assert json.loads(base)["_meta"]["config_hash"] != \
             json.loads(normed)["_meta"]["config_hash"]
+
+
+class TestCountOptionsBelowOne:
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_retrieve_top_below_one(self, capsys, world_files, matrix_dir,
+                                    tmp_path, top):
+        code, _, err = run(capsys, "retrieve", *data_args(world_files),
+                           "--matrix", str(matrix_dir / "matrix_relevance.json"),
+                           "--direction", "toward-relevance", "--top", top,
+                           "--out-dir", str(tmp_path))
+        assert code == 2
+        assert f"top_n must be at least 1, got {top}" in err
+        assert not (tmp_path / "retrieve_toward-relevance.csv").exists()
+
+    @pytest.mark.parametrize("shuffles", ["0", "-3"])
+    def test_permute_shuffles_below_one(self, capsys, changer_files, tmp_path,
+                                        shuffles):
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "permute", "--matrix", str(changer_files.matrix),
+                           "--norms", str(changer_files.norms),
+                           "--wordlist", str(changer_files.wordlist),
+                           "--shuffles", shuffles, "--out-dir", str(out))
+        assert code == 2
+        assert f"need at least one shuffle, got {shuffles}" in err
+        assert not out.exists()

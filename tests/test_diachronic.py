@@ -319,3 +319,28 @@ class TestWordlist:
         path.write_text("token,count\na,1\n")
         with pytest.raises(ParseError, match="header"):
             load_wordlist(path)
+
+
+class TestRetrieveBatchedCategories:
+    @pytest.mark.parametrize("top_n", [0, -1])
+    def test_top_below_one_rejected(self, world, relevance_matrix, top_n):
+        with pytest.raises(ValueError, match="top_n"):
+            retrieve_changing(relevance_matrix, world.lexicon, world.diachronic,
+                              SPEC, "toward-relevance", top_n=top_n)
+
+    def test_categories_match_single_word_time_courses(self, world, relevance_matrix):
+        records = retrieve_changing(relevance_matrix, world.lexicon,
+                                    world.diachronic, SPEC,
+                                    "toward-relevance", top_n=10)
+        lo, hi = 1900, 1999
+        for r in records:
+            tc = time_course(world.diachronic, world.lexicon, SPEC, r.word, "category")
+            present = ~tc.missing
+            modern = present & np.array([lo <= d <= hi for d in tc.decades])
+            expected = (tc.class_labels[int(np.argmax(tc.scores[modern].mean(axis=0)))]
+                        if modern.any() else None)
+            assert r.modern_category == expected, r.word
+            rel = relevance_matrix.values[relevance_matrix.words.index(r.word)]
+            early = [i for i in np.flatnonzero(present) if rel[i] > 0.5]
+            expected = tc.class_labels[int(np.argmax(tc.scores[early[0]]))] if early else None
+            assert r.early_category == expected, r.word

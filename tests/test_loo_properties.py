@@ -1,0 +1,137 @@
+"""Property tests for the seed-distance paths of the classifiers.
+
+Leave-one-out (LOO) predictions come from one masked or closed-form pass
+instead of one refit per seed, and the bandwidth search reuses that pass
+for the whole grid. Both are checked against the brute-force oracles in
+``reference.py``. The posteriors are checked for the invariances that
+cross-decade comparison after Procrustes alignment relies on.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from moraldrift import ModelSpec, classify, fit, posterior_batch, select_bandwidth
+from moraldrift.classifiers import BANDWIDTH_GRID, _loo_predict
+
+import reference
+
+# A naive-Bayes floor that keeps the reference's direct density products
+# (no log space) clear of underflow in up to four dimensions.
+NB_FLOOR = 0.1
+
+
+@st.composite
+def seed_sets(draw, integer=False):
+    """1-4 dims, 2-3 classes, 2-8 seeds per class, drawn with numpy."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(2, 8), min_size=2, max_size=3))
+    if integer:  # a small grid, so many distances tie exactly
+        return {f"c{i}": rng.integers(0, 3, size=(n, dim)).astype(float)
+                for i, n in enumerate(sizes)}
+    centers = 2.0 * rng.standard_normal((len(sizes), dim))
+    return {f"c{i}": centers[i] + rng.standard_normal((n, dim))
+            for i, n in enumerate(sizes)}
+
+
+def loo_accuracy(spec, class_vectors):
+    _, predicted = _loo_predict(spec, class_vectors)
+    truth = np.repeat(np.arange(len(class_vectors)),
+                      [len(v) for v in class_vectors.values()])
+    return float(np.mean(predicted == truth))
+
+
+class TestLooAgainstReference:
+    @settings(max_examples=60, deadline=None)
+    @given(seed_sets(), st.integers(1, 3), st.sampled_from(BANDWIDTH_GRID))
+    def test_all_kinds_match_brute_force_loo(self, class_vectors, k, h):
+        oracles = {
+            ModelSpec("centroid"): reference.centroid_posterior,
+            ModelSpec("naive_bayes", variance_floor=NB_FLOOR):
+                lambda q, cv: reference.naive_bayes_posterior(q, cv, NB_FLOOR),
+            ModelSpec("knn", k=k): lambda q, cv: reference.knn_posterior(q, cv, k),
+            ModelSpec("kde", h=h): lambda q, cv: reference.kde_posterior(q, cv, h),
+        }
+        for spec, oracle in oracles.items():
+            assert loo_accuracy(spec, class_vectors) == pytest.approx(
+                reference.loo_accuracy(oracle, class_vectors)), spec.kind
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed_sets())
+    def test_select_bandwidth_is_brute_force_argmax(self, class_vectors):
+        accuracies = [
+            reference.loo_accuracy(
+                lambda q, cv, h=h: reference.kde_posterior(q, cv, h), class_vectors)
+            for h in BANDWIDTH_GRID]
+        best = max(accuracies)
+        smallest_best = next(h for h, a in zip(BANDWIDTH_GRID, accuracies) if a == best)
+        assert select_bandwidth(class_vectors) == smallest_best
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed_sets(integer=True), st.integers(1, 5))
+    def test_knn_with_tied_distances_matches_refit(self, class_vectors, k):
+        k = min(k, sum(len(v) for v in class_vectors.values()) - 1)
+        spec = ModelSpec("knn", k=k)
+        labels = list(class_vectors)
+        refit = []
+        for label, matrix in class_vectors.items():
+            for i in range(len(matrix)):
+                fold = dict(class_vectors)
+                fold[label] = np.delete(matrix, i, axis=0)
+                refit.append(labels.index(classify(fit(spec, fold), matrix[i])))
+        _, predicted = _loo_predict(spec, class_vectors)
+        assert predicted.tolist() == refit
+
+
+SPECS = [ModelSpec("centroid"), ModelSpec("naive_bayes"), ModelSpec("knn", k=3),
+         ModelSpec("kde", h=0.5)]
+
+
+def queries_for(class_vectors, rng):
+    dim = next(iter(class_vectors.values())).shape[1]
+    return 2.0 * rng.standard_normal((6, dim))
+
+
+def assert_same_posteriors(spec, before, after, q_before, q_after):
+    np.testing.assert_allclose(posterior_batch(fit(spec, after), q_after),
+                               posterior_batch(fit(spec, before), q_before),
+                               rtol=0, atol=1e-9)
+
+
+class TestPosteriorInvariance:
+    @settings(max_examples=50, deadline=None)
+    @given(seed_sets(), st.sampled_from(SPECS), st.integers(0, 2**32 - 1))
+    def test_seed_order_within_class(self, class_vectors, spec, seed):
+        rng = np.random.default_rng(seed)
+        q = queries_for(class_vectors, rng)
+        shuffled = {c: rng.permutation(v) for c, v in class_vectors.items()}
+        assert_same_posteriors(spec, class_vectors, shuffled, q, q)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed_sets(), st.sampled_from(SPECS), st.integers(0, 2**32 - 1),
+           st.floats(0.0, 10.0))
+    def test_joint_translation(self, class_vectors, spec, seed, length):
+        rng = np.random.default_rng(seed)
+        q = queries_for(class_vectors, rng)
+        t = rng.standard_normal(q.shape[1])
+        t *= length / np.linalg.norm(t)
+        moved = {c: v + t for c, v in class_vectors.items()}
+        assert_same_posteriors(spec, class_vectors, moved, q, q + t)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed_sets(), st.sampled_from(SPECS), st.integers(0, 2**32 - 1))
+    def test_joint_orthogonal_map(self, class_vectors, spec, seed):
+        # Naive Bayes keeps a diagonal covariance, so only the orthogonal
+        # maps that permute and flip axes leave it unchanged; the other
+        # kinds depend on distances alone and take any orthogonal map.
+        rng = np.random.default_rng(seed)
+        q = queries_for(class_vectors, rng)
+        dim = q.shape[1]
+        if spec.kind == "naive_bayes":
+            rotation = np.eye(dim)[rng.permutation(dim)] * rng.choice([-1.0, 1.0], dim)
+        else:
+            rotation, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+            rotation *= np.sign(np.diag(r))
+        rotated = {c: v @ rotation for c, v in class_vectors.items()}
+        assert_same_posteriors(spec, class_vectors, rotated, q, q @ rotation)

@@ -470,3 +470,18 @@ class TestFisherProjection:
             w = result.axes[:, j]
             ratio = (s_b @ w) / (s_w @ w)
             assert np.allclose(ratio, eigvals[j], rtol=1e-6)
+
+
+class TestPermutationControlRejectsNoShuffles:
+    @pytest.mark.parametrize("n_shuffles", [0, -3])
+    def test_shuffle_count_below_one(self, n_shuffles):
+        matrix, norms, frequencies = changer_inputs(n_words=80, seed=17,
+                                                     decade_noise=0.02)
+        with pytest.raises(ValueError, match="at least one shuffle"):
+            permutation_control(matrix, norms, frequencies, n_shuffles=n_shuffles)
+
+    def test_empty_permutations(self):
+        matrix, norms, frequencies = changer_inputs(n_words=80, seed=17,
+                                                     decade_noise=0.02)
+        with pytest.raises(ValueError, match="at least one shuffle"):
+            permutation_control(matrix, norms, frequencies, permutations=[])
