@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .embeddings import EmbeddingSpace, QueryVector
 from .errors import DataError
@@ -183,6 +182,8 @@ def _kde_log_likelihoods(sq: np.ndarray, seed_labels: np.ndarray,
                          sizes: np.ndarray, h: float, dim: int) -> np.ndarray:
     """Per-class log kernel densities from squared distances ``sq`` (n, S).
     Class ``sizes`` are shared (C,) or per row (n, C); +inf adds no mass."""
+    from scipy.special import logsumexp  # 0.3 s to import; most commands never call this
+
     log_norm = -0.5 * dim * (_LOG_2PI + np.log(h))
     out = np.empty((sq.shape[0], sizes.shape[-1]))
     for c in range(sizes.shape[-1]):

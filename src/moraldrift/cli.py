@@ -29,7 +29,7 @@ from .classifiers import MODEL_KINDS, ModelSpec, fit_tier, posterior
 from .diachronic import (DIRECTIONS, MIN_SLOPE_DECADES, load_wordlist,
                          matrix_from_json, matrix_to_json_dict,
                          prediction_matrix, retrieve_changing, time_course)
-from .embeddings import (DiachronicEmbeddings, align_diachronic,
+from .embeddings import (NPY_FORMAT, DiachronicEmbeddings, align_diachronic,
                          load_diachronic, lookup, save_embedding_space)
 from .errors import CoverageError, DataError, MoraldriftError, ParseError
 from .evaluate import (load_survey, loo_accuracy, loo_accuracy_historical,
@@ -217,9 +217,9 @@ def _cmd_align(args) -> int:
     meta = _meta(args)
     manifest_rows = []
     for space in aligned:
-        name = f"aligned_{space.decade}.txt"
-        save_embedding_space(space, out / name, format="text-word2vec")
-        manifest_rows.append((space.decade, name, "text-word2vec"))
+        name = f"aligned_{space.decade}.npy"
+        save_embedding_space(space, out / name, format=NPY_FORMAT)
+        manifest_rows.append((space.decade, name, NPY_FORMAT))
     _write_csv(out / "aligned_manifest.csv", meta,
                ["decade", "path", "format"], manifest_rows)
     _write_json(out / "align.json", meta, {

@@ -1,14 +1,16 @@
 """Decade-binned word embedding spaces: loading, lookup, and alignment.
 
-Spaces are read from word2vec-style files (text or binary), indexed by
-word, and optionally rotated into a common coordinate system with
-orthogonal Procrustes alignment so that vectors are comparable across
-decades.
+Spaces are read from word2vec-style files (text or binary) or from an
+``npy`` store (a float64 array plus a vocabulary file, memory-mapped at
+load), indexed by word, and optionally rotated into a common coordinate
+system with orthogonal Procrustes alignment so that vectors are
+comparable across decades.
 """
 from __future__ import annotations
 
 import csv
 import logging
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -21,7 +23,10 @@ logger = logging.getLogger(__name__)
 
 TEXT_FORMAT = "text-word2vec"
 BINARY_FORMAT = "binary-word2vec"
-FORMATS = (TEXT_FORMAT, BINARY_FORMAT)
+NPY_FORMAT = "npy"
+FORMATS = (TEXT_FORMAT, BINARY_FORMAT, NPY_FORMAT)
+# The npy store holds the matrix in this dtype, so loading maps it as is.
+NPY_DTYPE = np.dtype("<f8")
 
 # 17 significant digits round-trip any IEEE-754 double exactly.
 FLOAT_FORMAT = "%.17g"
@@ -273,51 +278,117 @@ def _load_binary(path: Path) -> tuple[list[str], np.ndarray, int]:
     return words, np.vstack(vectors), n_dup
 
 
+def _vocab_path(path: Path) -> Path:
+    return path.with_suffix(".vocab")
+
+
+def _load_npy(path: Path) -> tuple[list[str], np.ndarray, int]:
+    """Map ``path`` read-only and read the words of ``<stem>.vocab``.
+
+    Rows are not checked here: the EmbeddingSpace checks (finite values,
+    one row per word, no empty or duplicate word) apply to the map.
+    """
+    try:
+        matrix = np.load(path, mmap_mode="r", allow_pickle=False)
+    except ValueError as exc:  # pickled or object data, truncated file
+        raise ParseError(f"{path}: {exc}") from None
+    if not isinstance(matrix, np.ndarray):  # an .npz archive
+        matrix.close()
+        raise ParseError(f"{path}: not a single .npy array")
+    if matrix.dtype != NPY_DTYPE or matrix.ndim != 2:
+        raise ParseError(f"{path}: expected a 2-D {NPY_DTYPE.str} array, got "
+                         f"{matrix.ndim}-D {matrix.dtype.str}")
+    vocab = _vocab_path(path)
+    try:
+        text = vocab.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ParseError(f"{path}: vocabulary file {vocab} not found") from None
+    words = text.split("\n")
+    if words[-1] == "":
+        words.pop()
+    return words, matrix, 0
+
+
 def load_embedding_space(path: str | Path, format: str, decade: int,
                          normalize: bool = False) -> EmbeddingSpace:
-    """Load one decade's embedding space from a word2vec-style file.
+    """Load one decade's embedding space from a word2vec-style file or an
+    npy store.
 
-    Duplicate words keep their first occurrence; the number of dropped
-    duplicates is recorded on the returned space. With ``normalize``,
-    every vector is scaled to unit L2 norm after loading.
+    Duplicate words in word2vec files keep their first occurrence; the
+    number of dropped duplicates is recorded on the returned space. An
+    npy store is mapped read-only, not copied, and must not repeat a
+    word. With ``normalize``, every vector is scaled to unit L2 norm
+    after loading (into a new in-memory matrix).
     """
     path = Path(path)
     if format == TEXT_FORMAT:
         words, matrix, n_dup = _load_text(path)
     elif format == BINARY_FORMAT:
         words, matrix, n_dup = _load_binary(path)
+    elif format == NPY_FORMAT:
+        words, matrix, n_dup = _load_npy(path)
     else:
         raise ValueError(f"unknown embedding format {format!r}; expected one of {FORMATS}")
     if n_dup:
         logger.warning("%s: dropped %d duplicate vocabulary entries", path, n_dup)
     if normalize:
         matrix = _normalize_rows(matrix)
-    return EmbeddingSpace(decade, words, matrix, n_duplicates=n_dup)
+    try:
+        return EmbeddingSpace(decade, words, matrix, n_duplicates=n_dup)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
+def _check_words(words: Sequence[str], path: Path, format: str) -> None:
+    """Refuse a word that ``format`` cannot store and read back: a line
+    break in the npy vocabulary, any whitespace in word2vec files."""
+    npy = format == NPY_FORMAT
+    for word in words:
+        if (word.splitlines() if npy else word.split()) != [word]:
+            what = "a line break" if npy else "whitespace"
+            raise DataError(f"{path}: word {word!r} contains {what}, which the "
+                            f"{format} format cannot store")
 
 
 def save_embedding_space(space: EmbeddingSpace, path: str | Path,
                          format: str = TEXT_FORMAT) -> None:
-    """Write a space back out in word2vec text or binary format.
+    """Write a space out in word2vec text or binary format or as an npy
+    store.
 
     Text mode formats floats with 17 significant digits so that a
     load -> save -> load cycle reproduces every vector bit-for-bit.
-    Binary mode casts to 32-bit floats, as the format requires.
+    Binary mode casts to 32-bit floats, as the format requires. The npy
+    store writes the float64 matrix to ``path`` (no pickle) and one word
+    per line to ``<stem>.vocab``; it reproduces every vector bit-for-bit.
+    A word the format cannot store (whitespace in word2vec formats, a
+    line break in npy) raises DataError before anything is written.
     """
     path = Path(path)
-    if format == TEXT_FORMAT:
+    if format not in FORMATS:
+        raise ValueError(f"unknown embedding format {format!r}; expected one of {FORMATS}")
+    _check_words(space.words, path, format)
+    if format == NPY_FORMAT:
+        # Write beside and rename: ``space`` may be a map of ``path``
+        # itself, which truncating in place would pull from under it.
+        tmp = path.with_name(path.name + ".tmp")
+        with open(tmp, "wb") as fh:
+            np.save(fh, np.ascontiguousarray(space.matrix, dtype=NPY_DTYPE),
+                    allow_pickle=False)
+        os.replace(tmp, path)
+        with open(_vocab_path(path), "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(f"{w}\n" for w in space.words)
+    elif format == TEXT_FORMAT:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(f"{len(space)} {space.dim}\n")
             for word, row in zip(space.words, space.matrix):
                 values = " ".join(FLOAT_FORMAT % x for x in row)
                 fh.write(f"{word} {values}\n")
-    elif format == BINARY_FORMAT:
+    else:
         with open(path, "wb") as fh:
             fh.write(f"{len(space)} {space.dim}\n".encode("utf-8"))
             for word, row in zip(space.words, space.matrix):
                 fh.write(word.encode("utf-8") + b" ")
                 fh.write(row.astype("<f4").tobytes())
-    else:
-        raise ValueError(f"unknown embedding format {format!r}; expected one of {FORMATS}")
 
 
 def lookup(space: EmbeddingSpace, word: str) -> QueryVector | None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -87,6 +88,19 @@ class SeedLexicon:
         if tier == CATEGORY:
             return {category_label(c): self.categories[c] for c in range(1, 11)}
         raise ValueError(f"unknown tier {tier!r}; expected one of {TIERS}")
+
+    def _sorted_classes(self, tier: str) -> dict[str, tuple[str, ...]]:
+        """``classes_for`` with each seed set sorted, once per tier:
+        ``seed_vectors`` gathers rows in this order on every fit."""
+        cache = self._sorted_cache
+        if tier not in cache:
+            cache[tier] = {label: tuple(sorted(words))
+                           for label, words in self.classes_for(tier).items()}
+        return cache[tier]
+
+    @cached_property
+    def _sorted_cache(self) -> dict[str, dict[str, tuple[str, ...]]]:
+        return {}
 
 
 def load_mfd(path: str | Path) -> list[SeedEntry]:
@@ -238,8 +252,8 @@ def seed_vectors(lexicon: SeedLexicon, space: EmbeddingSpace,
     coverage error naming the class and decade.
     """
     out: dict[str, np.ndarray] = {}
-    for label, words in lexicon.classes_for(tier).items():
-        matrix, found, missing = space.rows(sorted(words))
+    for label, words in lexicon._sorted_classes(tier).items():
+        matrix, found, missing = space.rows(words)
         if not found:
             raise CoverageError(
                 f"class {label!r} has no seed embeddings in decade {space.decade}")

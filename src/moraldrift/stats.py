@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
-from scipy.special import stdtr
 
 from .embeddings import QueryVector
 from .errors import DataError
@@ -138,6 +137,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationReport:
 
 def _two_sided_p(t_stat, df):
     """Two-sided Student-t p-value, 2 * P(T_df > |t|)."""
+    from scipy.special import stdtr  # 0.3 s to import; most commands never call this
+
     return 2.0 * stdtr(df, -np.abs(t_stat))
 
 

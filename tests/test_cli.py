@@ -1,9 +1,17 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from moraldrift import load_diachronic
+import moraldrift
+from moraldrift import load_diachronic, save_embedding_space
 from moraldrift.cli import dispatch
+
+from conftest import WORLD_DECADES
 
 
 def run(capsys, *argv):
@@ -346,6 +354,58 @@ class TestAlign:
             "--out-dir", str(tmp_path))
         first = (tmp_path / "aligned_manifest.csv").read_text().splitlines()[0]
         assert first.startswith("# tool=moraldrift")
+
+    def test_npy_store_gives_the_text_outputs(self, capsys, world_files, tmp_path):
+        store, out = tmp_path / "aligned", tmp_path / "out"
+        manifest = store / "aligned_manifest.csv"
+        run(capsys, "align", "--manifest", str(world_files.manifest),
+            "--out-dir", str(store))
+        lines = manifest.read_text().splitlines()
+        assert lines[2:] == [f"{d},aligned_{d}.npy,npy" for d in WORLD_DECADES]
+
+        lex = ["--manifest", str(manifest), "--mfd", str(world_files.mfd),
+               "--norms", str(world_files.norms), "--out-dir", str(out)]
+        relevance = str(out / "matrix_relevance.json")
+        commands = [
+            ["matrix", *lex, "--wordlist", str(world_files.wordlist), "--kind", "relevance"],
+            ["matrix", *lex, "--wordlist", str(world_files.wordlist), "--kind", "polarity",
+             "--model", "kde"],
+            ["evaluate", *lex, "--tier", "category", "--historical"],
+            ["evaluate", *lex, "--tier", "polarity", "--historical", "--model", "knn"],
+            ["timecourse", *lex, "--word", "riser", "--tier", "category"],
+            ["timecourse", *lex, "--word", "riser", "--tier", "relevance",
+             "--normalize-embeddings"],
+            ["retrieve", *lex, "--matrix", relevance, "--direction", "toward-relevance"],
+        ]
+
+        def outputs():
+            streams = [run(capsys, *argv) for argv in commands]
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            shutil.rmtree(out)
+            return streams, files
+
+        from_npy = outputs()
+        aligned = load_diachronic(manifest)
+        for space in aligned:
+            save_embedding_space(space, store / f"aligned_{space.decade}.txt")
+        del aligned
+        for path in store.glob("aligned_*.npy"):
+            path.unlink()
+        manifest.write_text("decade,path,format\n" + "".join(
+            f"{d},aligned_{d}.txt,text-word2vec\n" for d in WORLD_DECADES))
+        from_text = outputs()
+
+        assert all(code == 0 for code, _, _ in from_npy[0])
+        assert len(from_npy[1]) == 13
+        assert from_npy == from_text
+
+
+def test_import_leaves_out_scipy_special():
+    src = Path(moraldrift.__file__).resolve().parents[1]
+    probe = "import sys, moraldrift.cli; print('scipy.special' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert result.stdout.strip() == "False"
 
 
 class TestProject:

@@ -234,6 +234,21 @@ class TestSeedVectors:
         assert list(vectors) == list(tier_classes("category"))
         assert all(m.shape == (3, world.dim) for m in vectors.values())
 
+    def test_rows_follow_sorted_seed_words(self, world):
+        space = world.spaces[0]
+        vectors = seed_vectors(world.lexicon, space, "category")
+        for label, words in world.lexicon.classes_for("category").items():
+            expected = np.array([space.vector(w) for w in sorted(words)])
+            np.testing.assert_array_equal(vectors[label], expected)
+
+    def test_seed_words_sorted_once(self):
+        lexicon = self._lexicon()
+        first = lexicon._sorted_classes("relevance")
+        assert first == {"irrelevant": ("chair", "table"), "relevant": ("bad", "good")}
+        assert lexicon._sorted_classes("relevance") is first
+        with pytest.raises(ValueError, match="unknown tier"):
+            lexicon._sorted_classes("moral")
+
 
 class TestLabels:
     def test_category_label_table(self):
