@@ -26,9 +26,9 @@ import numpy as np
 
 from . import __version__
 from .classifiers import MODEL_KINDS, ModelSpec, fit_tier, posterior
-from .diachronic import (DIRECTIONS, MIN_SLOPE_DECADES, load_wordlist,
-                         matrix_from_json, matrix_to_json_dict,
-                         prediction_matrix, retrieve_changing, time_course)
+from .diachronic import (DIRECTIONS, load_wordlist, matrix_from_json,
+                         matrix_to_json_dict, prediction_matrix,
+                         retrieve_changing, time_course)
 from .embeddings import (NPY_FORMAT, DiachronicEmbeddings, align_diachronic,
                          load_diachronic, lookup, save_embedding_space)
 from .errors import CoverageError, DataError, MoraldriftError, ParseError
@@ -38,7 +38,7 @@ from .lexicon import (TIERS, NormEntry, SeedLexicon, build_irrelevant_seeds,
                       build_tiers, category_label, load_mfd, load_norms,
                       relevant_words)
 from .stats import (changed_word_fit, factor_tables, fisher_projection,
-                    partial_correlation, permutation_control, slope_rows)
+                    partial_correlation, permutation_control)
 
 logger = logging.getLogger(__name__)
 
@@ -401,17 +401,11 @@ def _load_regression_inputs(args):
 
 def _cmd_regress(args) -> int:
     matrix, norms, frequencies = _load_regression_inputs(args)
-    concreteness, log_frequency = factor_tables(norms, frequencies)
-    fit, words = changed_word_fit(matrix.values, list(matrix.words), concreteness,
-                                   log_frequency, MIN_SLOPE_DECADES)
-    row_of = {w: i for i, w in enumerate(matrix.words)}
-    slopes, _ = slope_rows(matrix.values[[row_of[w] for w in words]])
+    fit, words, slopes, factors = changed_word_fit(
+        matrix.values, list(matrix.words), *factor_tables(norms, frequencies))
     partial = partial_correlation(
-        slopes,
-        [concreteness[w] for w in words],
-        {"frequency": [log_frequency[w] for w in words],
-         "length": [float(len(w)) for w in words]},
-    )
+        slopes, factors["concreteness"],
+        {"frequency": factors["frequency"], "length": factors["length"]})
     meta = _meta(args)
     out = _out_dir(args)
     _write_json(out / "regress.json", meta, {
@@ -452,16 +446,11 @@ def _cmd_project(args) -> int:
     seed_decade = _pick_decade(args, diachronic)
     lexicon = _build_lexicon(args, diachronic)
     space = diachronic.space(seed_decade)
-
-    def found_rows(word_set):
-        matrix, found, _ = space.rows(sorted(word_set))
-        return matrix, found
-
     classes = {}
     for label, word_set in (("positive", lexicon.positive),
                             ("negative", lexicon.negative),
                             ("irrelevant", lexicon.irrelevant)):
-        matrix, found = found_rows(word_set)
+        matrix, found, _ = space.rows(sorted(word_set))
         if len(found) < 2:
             raise CoverageError(f"class {label!r} has {len(found)} seed embeddings "
                                 f"in decade {seed_decade}; need >= 2")
@@ -469,7 +458,7 @@ def _cmd_project(args) -> int:
 
     anchors = {}
     for cid, word_set in sorted(lexicon.categories.items()):
-        matrix, found = found_rows(word_set)
+        matrix, found, _ = space.rows(sorted(word_set))
         if found:
             anchors[category_label(cid)] = matrix
 

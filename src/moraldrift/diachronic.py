@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -12,10 +13,10 @@ from typing import Sequence
 import numpy as np
 
 from .classifiers import ModelSpec, fit_tier, posterior_batch
-from .embeddings import DiachronicEmbeddings, read_table
+from .embeddings import DiachronicEmbeddings, parse_cell, read_table
 from .errors import CoverageError, DataError, ParseError
 from .lexicon import CATEGORY, POLARITY, RELEVANCE, SeedLexicon, tier_classes
-from .stats import slope_rows
+from .stats import MIN_SLOPE_DECADES, slope_rows
 
 logger = logging.getLogger(__name__)
 
@@ -25,7 +26,6 @@ TOWARD_NEGATIVE = "toward-negative"
 DIRECTIONS = (TOWARD_RELEVANCE, TOWARD_POSITIVE, TOWARD_NEGATIVE)
 
 MODERN_RANGE = (1900, 1999)
-MIN_SLOPE_DECADES = 5
 
 # The binary-tier score column tracks one pole of the class pair.
 _SCORE_CLASS = {RELEVANCE: "relevant", POLARITY: "positive"}
@@ -282,21 +282,11 @@ def retrieve_changing(matrix: PredictionMatrix, lexicon: SeedLexicon,
 
 def load_wordlist(path: str | Path) -> list[tuple[str, float]]:
     """Parse a word,frequency CSV; words are lowercased, order kept."""
-    path = Path(path)
     out: list[tuple[str, float]] = []
     seen: set[str] = set()
-    _, rows = read_table(path, [["word", "frequency"]])
-    for lineno, row in rows:
-        word = row[0].strip().lower()
-        if not word:
-            raise ParseError(f"{path}:{lineno}: empty word")
-        if word in seen:
-            raise ParseError(f"{path}:{lineno}: duplicate word {word!r}")
-        seen.add(word)
-        try:
-            freq = float(row[1])
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: non-numeric frequency {row[1]!r}") from None
+    for where, row in read_table(path, [["word", "frequency"]]):
+        word = parse_cell(row[0], where, "word", seen=seen)
+        freq = parse_cell(row[1], where, "frequency", float)
         out.append((word, freq))
     if not out:
         raise ParseError(f"{path}: no entries")
@@ -316,17 +306,23 @@ def matrix_to_json_dict(matrix: PredictionMatrix) -> dict:
 
 
 def matrix_from_json(path: str | Path) -> PredictionMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    """Read a prediction matrix written as ``matrix_to_json_dict``; a
+    malformed file raises a ParseError naming ``path``."""
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
         kind = data["kind"]
         decades = tuple(int(d) for d in data["decades"])
         words = tuple(data["words"])
-        rows = data["values"]
+        values = np.array([[np.nan if v is None else float(v) for v in row]
+                           for row in data["values"]], dtype=np.float64)
+        repeated = [w for w, n in Counter(words).items() if n > 1]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed prediction-matrix JSON: {exc}") from exc
-    values = np.array([[np.nan if v is None else float(v) for v in row]
-                       for row in rows], dtype=np.float64)
+    if kind not in (RELEVANCE, POLARITY):
+        raise ParseError(f"{path}: unknown matrix kind {kind!r}")
+    if repeated:
+        raise ParseError(f"{path}: duplicate word {repeated[0]!r}")
     if values.shape != (len(words), len(decades)):
         raise ParseError(f"{path}: values shape {values.shape} does not match "
                          f"{len(words)} words x {len(decades)} decades")

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import os
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -143,14 +145,14 @@ class DiachronicEmbeddings:
 
 
 def read_table(path: str | Path, headers: Sequence[Sequence[str]]
-               ) -> tuple[list[str], list[tuple[int, list[str]]]]:
+               ) -> list[tuple[str, list[str]]]:
     """Read a CSV table whose header is one of ``headers``.
 
     Lines starting with ``#`` and blank rows are skipped. Header cells
-    are compared stripped and lowercased. Returns the matched header and
-    ``(lineno, cells)`` per data row, where ``lineno`` is the row's line
-    in the file. A row whose column count differs from the header's
-    raises a ParseError naming ``path:lineno``.
+    are compared stripped and lowercased. Returns ``(where, cells)`` per
+    data row, where ``where`` is ``path:lineno`` with the row's line in
+    the file; ``parse_cell`` parses the cells. A row whose column count
+    differs from the header's raises a ParseError naming ``path:lineno``.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         kept = [(n, line) for n, line in enumerate(fh, start=1)
@@ -171,8 +173,38 @@ def read_table(path: str | Path, headers: Sequence[Sequence[str]]
         if len(row) != len(normalized):
             raise ParseError(f"{path}:{lineno}: expected {len(normalized)} columns, "
                              f"got {len(row)}")
-        rows.append((lineno, row))
-    return normalized, rows
+        rows.append((f"{path}:{lineno}", row))
+    return rows
+
+
+def parse_cell(text: str, where: str, column: str, kind: type = str, *,
+               bounds: tuple | None = None, blank: bool = False,
+               seen: set[str] | None = None):
+    """One cell of a ``read_table`` row; errors start with ``where`` and
+    name ``column``. A word cell (``kind`` str) is stripped, lowercased,
+    not empty and, with ``seen``, not in ``seen`` (it is added). A number
+    cell is parsed by ``kind`` (int or float), lies in the closed interval
+    ``bounds`` when given, and is None if blank and ``blank``."""
+    if kind is str:
+        word = text.strip().lower()
+        if not word:
+            raise ParseError(f"{where}: empty {column}")
+        if seen is not None:
+            if word in seen:
+                raise ParseError(f"{where}: duplicate {column} {word!r}")
+            seen.add(word)
+        return word
+    if blank and not text.strip():
+        return None
+    try:
+        value = kind(text)
+    except ValueError:
+        what = "non-integer" if kind is int else "non-numeric"
+        raise ParseError(f"{where}: {what} {column} {text!r}") from None
+    if bounds is not None and not bounds[0] <= value <= bounds[1]:
+        raise ParseError(f"{where}: {column} {value} outside "
+                         f"[{bounds[0]}, {bounds[1]}]")
+    return value
 
 
 def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
@@ -181,101 +213,92 @@ def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
     return matrix / norms
 
 
-def _parse_header(line: str, lineno: int, path: str) -> tuple[int, int]:
+def _parse_header(line: str, path: Path) -> tuple[int, int]:
+    """The entry count and dimension on a word2vec file's first line."""
     parts = line.split()
     if len(parts) != 2:
-        raise ParseError(f"{path}:{lineno}: malformed header {line!r}")
-    try:
-        count, dim = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParseError(f"{path}:{lineno}: non-integer header {line!r}") from None
-    if count <= 0 or dim <= 0:
-        raise ParseError(f"{path}:{lineno}: header counts must be positive")
-    return count, dim
+        raise ParseError(f"{path}:1: malformed header {line!r}")
+    return tuple(parse_cell(part, f"{path}:1", f"header {name}", int, bounds=(1, math.inf))
+                 for part, name in zip(parts, ("entry count", "dimension")))
+
+
+def _first_rows(path: Path, count: int, words: list[str], matrix: np.ndarray,
+                lines: Sequence[int] | None = None) -> tuple[list[str], np.ndarray, int]:
+    """The checks and dedupe shared by both word2vec readers: the entries
+    must number ``count`` and be finite, duplicates included (errors name
+    the word, and in text its line from ``lines``). Each word keeps its
+    first row; returns the words, their rows and the duplicates dropped."""
+    if len(words) != count:
+        raise ParseError(f"{path}: header declares {count} entries, found {len(words)}"
+                         + (" (truncated file)" if len(words) < count else ""))
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        where = f"{path}:{lines[i]}" if lines else f"{path}"
+        raise ParseError(f"{where}: non-finite vector for word {words[i]!r}")
+    first: dict[str, int] = {}
+    for i, word in enumerate(words):
+        first.setdefault(word, i)
+    n_dup = len(words) - len(first)
+    if n_dup:
+        words, matrix = list(first), matrix[list(first.values())]
+    return words, matrix, n_dup
 
 
 def _load_text(path: Path) -> tuple[list[str], np.ndarray, int]:
+    words: list[str] = []
+    lines: list[int] = []
+    values = array("d")
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.strip():
-            raise ParseError(f"{path}:1: missing header line")
-        count, dim = _parse_header(header, 1, str(path))
-        words: list[str] = []
-        seen: dict[str, int] = {}
-        vectors: list[np.ndarray] = []
-        n_dup = 0
-        lineno = 1
-        for line in fh:
-            lineno += 1
-            if not line.strip():
-                continue
+        count, dim = _parse_header(fh.readline(), path)
+        for lineno, line in enumerate(fh, start=2):
             parts = line.split()
+            if not parts:
+                continue
             if len(parts) != dim + 1:
                 raise ParseError(
                     f"{path}:{lineno}: expected {dim} values for word "
                     f"{parts[0]!r}, got {len(parts) - 1}")
-            word = parts[0]
             try:
-                vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+                values.extend(map(float, parts[1:]))
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: non-numeric vector entry") from None
-            if not np.all(np.isfinite(vec)):
-                raise ParseError(f"{path}:{lineno}: non-finite vector entry")
-            if word in seen:
-                n_dup += 1
-                continue
-            seen[word] = len(words)
-            words.append(word)
-            vectors.append(vec)
-        if len(words) + n_dup != count:
-            raise ParseError(
-                f"{path}: header declares {count} entries, found {len(words) + n_dup}")
-    if not words:
-        raise DataError(f"{path}: empty vocabulary")
-    return words, np.vstack(vectors), n_dup
-
-
-def _read_binary_word(fh, path: str) -> str | None:
-    chunks = bytearray()
-    while True:
-        ch = fh.read(1)
-        if not ch:
-            return None if not chunks else chunks.decode("utf-8")
-        if ch == b" ":
-            break
-        if ch == b"\n" and not chunks:
-            continue  # tolerate newline separators between entries
-        chunks.extend(ch)
-    return chunks.decode("utf-8")
+            words.append(parts[0])
+            lines.append(lineno)
+    matrix = np.frombuffer(values, dtype=np.float64).reshape(len(words), dim)
+    return _first_rows(path, count, words, matrix, lines)
 
 
 def _load_binary(path: Path) -> tuple[list[str], np.ndarray, int]:
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("utf-8")
-        count, dim = _parse_header(header, 1, str(path))
-        words: list[str] = []
-        seen: set[str] = set()
-        vectors: list[np.ndarray] = []
-        n_dup = 0
-        for i in range(count):
-            word = _read_binary_word(fh, str(path))
-            if word is None:
-                raise ParseError(f"{path}: truncated file at entry {i + 1} of {count}")
-            raw = fh.read(4 * dim)
-            if len(raw) != 4 * dim:
-                raise ParseError(f"{path}: truncated vector for word {word!r}")
-            vec = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-            if not np.all(np.isfinite(vec)):
-                raise ParseError(f"{path}: non-finite vector for word {word!r}")
-            if word in seen:
-                n_dup += 1
-                continue
-            seen.add(word)
-            words.append(word)
-            vectors.append(vec)
-    if not words:
-        raise DataError(f"{path}: empty vocabulary")
-    return words, np.vstack(vectors), n_dup
+    """Walk the file in one buffer: a word runs to the next space and is
+    followed by exactly 4 * dim vector bytes, so vector bytes are never
+    taken for separators. Newlines before a word are skipped."""
+    buf = path.read_bytes()
+    pos = buf.find(b"\n")
+    pos = len(buf) if pos < 0 else pos
+    count, dim = _parse_header(buf[:pos].decode("utf-8", "replace"), path)
+    pos += 1
+    words: list[str] = []
+    vectors = bytearray()
+    while True:
+        while buf.startswith(b"\n", pos):
+            pos += 1
+        if pos >= len(buf):
+            break
+        end = buf.find(b" ", pos)
+        end = len(buf) if end < 0 else end
+        try:
+            word = buf[pos:end].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: entry {len(words) + 1}: word is not valid "
+                             f"UTF-8 ({exc.reason})") from None
+        pos = end + 1 + 4 * dim
+        if pos > len(buf):
+            raise ParseError(f"{path}: truncated vector for word {word!r}")
+        words.append(word)
+        vectors += buf[end + 1:pos]
+    matrix = np.frombuffer(vectors, dtype="<f4").reshape(len(words), dim)
+    return _first_rows(path, count, words, matrix.astype(np.float64))
 
 
 def _vocab_path(path: Path) -> Path:
@@ -314,21 +337,18 @@ def load_embedding_space(path: str | Path, format: str, decade: int,
     """Load one decade's embedding space from a word2vec-style file or an
     npy store.
 
-    Duplicate words in word2vec files keep their first occurrence; the
-    number of dropped duplicates is recorded on the returned space. An
-    npy store is mapped read-only, not copied, and must not repeat a
-    word. With ``normalize``, every vector is scaled to unit L2 norm
-    after loading (into a new in-memory matrix).
+    A word2vec file must hold exactly the entries its header counts.
+    Duplicate words keep their first occurrence; the number of dropped
+    duplicates is recorded on the returned space. An npy store is
+    mapped read-only, not copied, and must not repeat a word. With
+    ``normalize``, every vector is scaled to unit L2 norm after loading
+    (into a new in-memory matrix).
     """
-    path = Path(path)
-    if format == TEXT_FORMAT:
-        words, matrix, n_dup = _load_text(path)
-    elif format == BINARY_FORMAT:
-        words, matrix, n_dup = _load_binary(path)
-    elif format == NPY_FORMAT:
-        words, matrix, n_dup = _load_npy(path)
-    else:
+    readers = {TEXT_FORMAT: _load_text, BINARY_FORMAT: _load_binary, NPY_FORMAT: _load_npy}
+    if format not in readers:
         raise ValueError(f"unknown embedding format {format!r}; expected one of {FORMATS}")
+    path = Path(path)
+    words, matrix, n_dup = readers[format](path)
     if n_dup:
         logger.warning("%s: dropped %d duplicate vocabulary entries", path, n_dup)
     if normalize:
@@ -452,30 +472,19 @@ def load_diachronic(manifest: str | Path, normalize: bool = False) -> Diachronic
     All spaces must share one dimensionality.
     """
     manifest = Path(manifest)
-    base = manifest.parent
-    rows: list[tuple[int, Path, str]] = []
-    _, table = read_table(manifest, [["decade", "path", "format"]])
-    for lineno, row in table:
-        try:
-            decade = int(row[0])
-        except ValueError:
-            raise ParseError(f"{manifest}:{lineno}: bad decade {row[0]!r}") from None
+    spaces = []
+    for where, row in read_table(manifest, [["decade", "path", "format"]]):
+        decade = parse_cell(row[0], where, "decade", int)
         fmt = row[2].strip()
         if fmt not in FORMATS:
-            raise ParseError(f"{manifest}:{lineno}: unknown format {fmt!r}")
-        p = Path(row[1].strip())
-        rows.append((decade, p if p.is_absolute() else base / p, fmt))
-    if not rows:
-        raise ParseError(f"{manifest}: no entries")
-    spaces = []
-    for decade, path, fmt in rows:
+            raise ParseError(f"{where}: unknown format {fmt!r}")
+        path = manifest.parent / row[1].strip()  # an absolute path stays as is
         try:
             spaces.append(load_embedding_space(path, fmt, decade, normalize=normalize))
         except (OSError, ParseError, DataError) as exc:
             raise DataError(f"decade {decade}: {exc}") from exc
-    dims = {s.dim for s in spaces}
-    if len(dims) != 1:
-        raise DataError(f"manifest spaces disagree on dimensionality: {sorted(dims)}")
+    if not spaces:
+        raise ParseError(f"{manifest}: no entries")
     return DiachronicEmbeddings(spaces)
 
 

@@ -11,8 +11,8 @@ import numpy as np
 
 from .classifiers import Classifier, ModelSpec, _loo_predict, posterior, posterior_batch
 from .embeddings import (DiachronicEmbeddings, EmbeddingSpace, average_vector,
-                         read_table)
-from .errors import DataError, ParseError
+                         parse_cell, read_table)
+from .errors import DataError
 from .lexicon import NormEntry, SeedLexicon, seed_vectors, tier_classes
 from .stats import CorrelationReport, pearson
 
@@ -127,20 +127,13 @@ def load_survey(path: str | Path) -> list[tuple[list[str], float, float]]:
     Topics may contain several space-separated tokens; proportions must
     lie in [0, 1].
     """
-    path = Path(path)
     rows: list[tuple[list[str], float, float]] = []
-    _, table = read_table(path, [["topic", "frac_not_moral", "frac_acceptable"]])
-    for lineno, row in table:
-        tokens = row[0].strip().lower().split()
-        if not tokens:
-            raise ParseError(f"{path}:{lineno}: empty topic")
-        try:
-            not_moral, acceptable = float(row[1]), float(row[2])
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: non-numeric proportion") from None
-        for v in (not_moral, acceptable):
-            if not 0.0 <= v <= 1.0:
-                raise ParseError(f"{path}:{lineno}: proportion {v} outside [0, 1]")
+    for where, row in read_table(path, [["topic", "frac_not_moral", "frac_acceptable"]]):
+        tokens = parse_cell(row[0], where, "topic").split()
+        not_moral = parse_cell(row[1], where, "proportion frac_not_moral", float,
+                               bounds=(0.0, 1.0))
+        acceptable = parse_cell(row[2], where, "proportion frac_acceptable", float,
+                                bounds=(0.0, 1.0))
         rows.append((tokens, not_moral, acceptable))
     return rows
 

@@ -15,8 +15,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, read_table
-from .errors import CoverageError, DataError, ParseError
+from .embeddings import EmbeddingSpace, parse_cell, read_table
+from .errors import CoverageError, DataError
 
 logger = logging.getLogger(__name__)
 
@@ -109,20 +109,11 @@ def load_mfd(path: str | Path) -> list[SeedEntry]:
     Words are lowercased. Multi-token entries cannot be matched against
     single-token embedding vocabularies and are skipped with a warning.
     """
-    path = Path(path)
-    _, rows = read_table(path, [["word", "category"]])
     entries: list[SeedEntry] = []
     skipped = 0
-    for lineno, row in rows:
-        word = row[0].strip().lower()
-        if not word:
-            raise ParseError(f"{path}:{lineno}: empty word")
-        try:
-            category = int(row[1])
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: non-integer category {row[1]!r}") from None
-        if not 1 <= category <= 10:
-            raise ParseError(f"{path}:{lineno}: category {category} outside 1..10")
+    for where, row in read_table(path, [["word", "category"]]):
+        word = parse_cell(row[0], where, "word")
+        category = parse_cell(row[1], where, "category", int, bounds=(1, 10))
         if " " in word:
             skipped += 1
             continue
@@ -134,36 +125,16 @@ def load_mfd(path: str | Path) -> list[SeedEntry]:
 
 def load_norms(path: str | Path) -> list[NormEntry]:
     """Parse the ratings CSV (word,valence[,concreteness]); rejects duplicates."""
-    path = Path(path)
-    header, rows = read_table(
-        path, [["word", "valence"], ["word", "valence", "concreteness"]])
-    has_concreteness = len(header) == 3
     entries: list[NormEntry] = []
     seen: set[str] = set()
-    for lineno, row in rows:
-        word = row[0].strip().lower()
-        if not word:
-            raise ParseError(f"{path}:{lineno}: empty word")
-        if word in seen:
-            raise ParseError(f"{path}:{lineno}: duplicate word {word!r}")
-        seen.add(word)
-        try:
-            valence = float(row[1])
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: non-numeric valence {row[1]!r}") from None
-        if not VALENCE_RANGE[0] <= valence <= VALENCE_RANGE[1]:
-            raise ParseError(f"{path}:{lineno}: valence {valence} outside "
-                             f"[{VALENCE_RANGE[0]}, {VALENCE_RANGE[1]}]")
+    for where, row in read_table(
+            path, [["word", "valence"], ["word", "valence", "concreteness"]]):
+        word = parse_cell(row[0], where, "word", seen=seen)
+        valence = parse_cell(row[1], where, "valence", float, bounds=VALENCE_RANGE)
         concreteness = None
-        if has_concreteness and row[2].strip():
-            try:
-                concreteness = float(row[2])
-            except ValueError:
-                raise ParseError(
-                    f"{path}:{lineno}: non-numeric concreteness {row[2]!r}") from None
-            if not CONCRETENESS_RANGE[0] <= concreteness <= CONCRETENESS_RANGE[1]:
-                raise ParseError(f"{path}:{lineno}: concreteness {concreteness} outside "
-                                 f"[{CONCRETENESS_RANGE[0]}, {CONCRETENESS_RANGE[1]}]")
+        if len(row) == 3:
+            concreteness = parse_cell(row[2], where, "concreteness", float,
+                                      bounds=CONCRETENESS_RANGE, blank=True)
         entries.append(NormEntry(word=word, valence=valence, concreteness=concreteness))
     return entries
 

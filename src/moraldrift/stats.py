@@ -24,6 +24,8 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 REGRESSION_FACTORS = ("frequency", "length", "concreteness")
+# A word needs this many scored decades for a change slope.
+MIN_SLOPE_DECADES = 5
 
 
 @dataclass(frozen=True)
@@ -269,14 +271,16 @@ def partial_correlation(target: Sequence[float], factor: Sequence[float],
 
 def changed_word_fit(values: np.ndarray, words: Sequence[str],
                      concreteness: Mapping[str, float],
-                     log_frequency: Mapping[str, float],
-                     min_decades: int) -> tuple[RegressionFit, list[str]]:
+                     log_frequency: Mapping[str, float]
+                     ) -> tuple[RegressionFit, list[str], np.ndarray, dict[str, np.ndarray]]:
     """The change regression on a words x decades score array, given the
-    factor tables of ``factor_tables``; see psycholinguistic_regression."""
+    factor tables of ``factor_tables``; see psycholinguistic_regression.
+    Returns the fit, the words that entered it, and their slopes and
+    factor columns."""
     present = np.isfinite(values)
     n_words, n_dec = values.shape
     counts = present.sum(axis=1)
-    usable = counts >= min_decades
+    usable = counts >= MIN_SLOPE_DECADES
 
     first_idx = np.argmax(present, axis=1)
     last_idx = n_dec - 1 - np.argmax(present[:, ::-1], axis=1)
@@ -285,13 +289,9 @@ def changed_word_fit(values: np.ndarray, words: Sequence[str],
     last_val = np.where(usable, values[rows, last_idx], np.nan)
     changed = usable & ((first_val > 0.5) != (last_val > 0.5))
 
-    selected: list[int] = []
-    kept_words: list[str] = []
-    for i in np.flatnonzero(changed):
-        w = words[i]
-        if w in concreteness and w in log_frequency:
-            selected.append(i)
-            kept_words.append(w)
+    selected = [i for i in np.flatnonzero(changed)
+                if words[i] in concreteness and words[i] in log_frequency]
+    kept_words = [words[i] for i in selected]
     if len(selected) <= len(REGRESSION_FACTORS) + 1:
         raise DataError(
             f"only {len(selected)} words qualify for the change regression; "
@@ -303,7 +303,7 @@ def changed_word_fit(values: np.ndarray, words: Sequence[str],
         "length": np.array([float(len(w)) for w in kept_words]),
         "concreteness": np.array([concreteness[w] for w in kept_words]),
     }
-    return multiple_regression(slopes, factors), kept_words
+    return multiple_regression(slopes, factors), kept_words, slopes, factors
 
 
 def factor_tables(norms: Sequence[NormEntry],
@@ -329,7 +329,6 @@ def psycholinguistic_regression(
     matrix: "PredictionMatrix",
     norms: Sequence[NormEntry],
     frequencies: Mapping[str, float] | Sequence[tuple[str, float]],
-    min_decades: int = 5,
 ) -> tuple[RegressionFit, list[str]]:
     """Regress per-word relevance-change slopes on log frequency, word
     length, and concreteness.
@@ -339,10 +338,10 @@ def psycholinguistic_regression(
     words that changed relevance in either direction. Returns the fit
     and the words that entered it.
     """
-    concreteness, log_frequency = factor_tables(norms, frequencies)
-    return changed_word_fit(np.asarray(matrix.values, dtype=np.float64),
-                            list(matrix.words), concreteness, log_frequency,
-                            min_decades)
+    fit, words, _, _ = changed_word_fit(np.asarray(matrix.values, dtype=np.float64),
+                                        list(matrix.words),
+                                        *factor_tables(norms, frequencies))
+    return fit, words
 
 
 def permutation_control(
@@ -351,7 +350,6 @@ def permutation_control(
     frequencies: Mapping[str, float] | Sequence[tuple[str, float]],
     n_shuffles: int = 1000,
     seed: int = 0,
-    min_decades: int = 5,
     permutations: Sequence[np.ndarray] | None = None,
 ) -> PermutationReport:
     """Decade-shuffled control for the change regression.
@@ -370,13 +368,12 @@ def permutation_control(
         raise ValueError(f"need at least one shuffle, got {n_shuffles}")
     values = np.asarray(matrix.values, dtype=np.float64)
     n_dec = values.shape[1]
-    if n_dec < 5:
-        raise DataError(f"need at least 5 decades, got {n_dec}")
+    if n_dec < MIN_SLOPE_DECADES:
+        raise DataError(f"need at least {MIN_SLOPE_DECADES} decades, got {n_dec}")
     concreteness, log_frequency = factor_tables(norms, frequencies)
     words = list(matrix.words)
 
-    base_fit, _ = changed_word_fit(values, words, concreteness,
-                                   log_frequency, min_decades)
+    base_fit, *_ = changed_word_fit(values, words, concreteness, log_frequency)
 
     if permutations is None:
         children = np.random.SeedSequence(seed).spawn(n_shuffles)
@@ -387,8 +384,8 @@ def permutation_control(
     control = {name: np.empty(n_shuffles) for name in REGRESSION_FACTORS}
     for i, perm in enumerate(permutations):
         try:
-            fit_i, _ = changed_word_fit(values[:, perm], words, concreteness,
-                                        log_frequency, min_decades)
+            fit_i, *_ = changed_word_fit(values[:, perm], words, concreteness,
+                                         log_frequency)
         except DataError as exc:
             raise DataError(f"shuffle {i}: {exc}") from exc
         for name in REGRESSION_FACTORS:

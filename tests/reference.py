@@ -96,3 +96,78 @@ def loo_accuracy(posterior_fn, class_vectors):
                 correct += 1
             total += 1
     return correct / total
+
+
+# ---------------------------------------------------------------------------
+# word2vec readers, row by row (the readers before the one-buffer rewrite)
+# ---------------------------------------------------------------------------
+
+def _word2vec_header(line):
+    parts = line.split()
+    if len(parts) != 2:
+        raise ValueError(f"malformed header {line!r}")
+    count, dim = int(parts[0]), int(parts[1])
+    if count <= 0 or dim <= 0:
+        raise ValueError("header counts must be positive")
+    return count, dim
+
+
+def word2vec_text(path):
+    """(words, float64 matrix, duplicates dropped); ValueError if rejected."""
+    with open(path, "r", encoding="utf-8") as fh:
+        count, dim = _word2vec_header(fh.readline())
+        words, seen, vectors, n_dup = [], set(), [], 0
+        for line in fh:
+            if not line.strip():
+                continue
+            parts = line.split()
+            if len(parts) != dim + 1:
+                raise ValueError(f"expected {dim} values, got {len(parts) - 1}")
+            vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+            if not np.all(np.isfinite(vec)):
+                raise ValueError("non-finite vector entry")
+            if parts[0] in seen:
+                n_dup += 1
+                continue
+            seen.add(parts[0])
+            words.append(parts[0])
+            vectors.append(vec)
+    if len(words) + n_dup != count:
+        raise ValueError(f"header declares {count} entries, found {len(words) + n_dup}")
+    return words, np.vstack(vectors), n_dup
+
+
+def _binary_word(fh):
+    chunks = bytearray()
+    while True:
+        ch = fh.read(1)
+        if not ch:
+            return chunks.decode("utf-8") if chunks else None
+        if ch == b" ":
+            return chunks.decode("utf-8")
+        if ch == b"\n" and not chunks:
+            continue  # newline separators between entries
+        chunks.extend(ch)
+
+
+def word2vec_binary(path):
+    """(words, float64 matrix, duplicates dropped); ValueError if rejected.
+    Reads exactly the header's count of entries, one byte at a time."""
+    with open(path, "rb") as fh:
+        count, dim = _word2vec_header(fh.readline().decode("utf-8"))
+        words, seen, vectors, n_dup = [], set(), [], 0
+        for _ in range(count):
+            word = _binary_word(fh)
+            raw = fh.read(4 * dim)
+            if word is None or len(raw) != 4 * dim:
+                raise ValueError("truncated file")
+            vec = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+            if not np.all(np.isfinite(vec)):
+                raise ValueError(f"non-finite vector for word {word!r}")
+            if word in seen:
+                n_dup += 1
+                continue
+            seen.add(word)
+            words.append(word)
+            vectors.append(vec)
+    return words, np.vstack(vectors), n_dup
