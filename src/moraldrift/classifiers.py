@@ -173,9 +173,14 @@ def _query_matrix(model: Classifier, queries) -> np.ndarray:
 
 
 def _nb_log_likelihood(q: np.ndarray, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
-    """Diagonal-Gaussian log density of each row of ``q``; moments (d,) or per row."""
+    """Diagonal-Gaussian log density of each row of ``q``; moments (d,) or per row.
+    One n x d buffer, updated in place (addition commutes, so the terms
+    are the same bits as log(2 pi) + log(var) + dev^2 / var)."""
     dev = q - mean
-    return -0.5 * np.sum(_LOG_2PI + np.log(var) + dev * dev / var, axis=1)
+    dev *= dev
+    dev /= var
+    dev += _LOG_2PI + np.log(var)
+    return -0.5 * np.sum(dev, axis=1)
 
 
 def _kde_log_likelihoods(sq: np.ndarray, seed_labels: np.ndarray,

@@ -154,9 +154,12 @@ def read_table(path: str | Path, headers: Sequence[Sequence[str]]
     the file; ``parse_cell`` parses the cells. A row whose column count
     differs from the header's raises a ParseError naming ``path:lineno``.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        kept = [(n, line) for n, line in enumerate(fh, start=1)
-                if not line.startswith("#")]
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            kept = [(n, line) for n, line in enumerate(fh, start=1)
+                    if not line.startswith("#")]
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     reader = csv.reader(line for _, line in kept)
     header = next(reader, None)
     if header is None:
@@ -175,6 +178,19 @@ def read_table(path: str | Path, headers: Sequence[Sequence[str]]
                              f"got {len(row)}")
         rows.append((f"{path}:{lineno}", row))
     return rows
+
+
+def _not_utf8(path: str | Path) -> ParseError:
+    """The refusal of a text file that is not valid UTF-8, naming the line
+    of its first invalid byte (text reads decode in chunks, so the line is
+    found again from the raw bytes)."""
+    raw = Path(path).read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        return ParseError(f"{path}:{line}: not valid UTF-8 ({exc.reason})")
+    return ParseError(f"{path}: not valid UTF-8")
 
 
 def parse_cell(text: str, where: str, column: str, kind: type = str, *,
@@ -249,22 +265,25 @@ def _load_text(path: Path) -> tuple[list[str], np.ndarray, int]:
     words: list[str] = []
     lines: list[int] = []
     values = array("d")
-    with open(path, "r", encoding="utf-8") as fh:
-        count, dim = _parse_header(fh.readline(), path)
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != dim + 1:
-                raise ParseError(
-                    f"{path}:{lineno}: expected {dim} values for word "
-                    f"{parts[0]!r}, got {len(parts) - 1}")
-            try:
-                values.extend(map(float, parts[1:]))
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric vector entry") from None
-            words.append(parts[0])
-            lines.append(lineno)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            count, dim = _parse_header(fh.readline(), path)
+            for lineno, line in enumerate(fh, start=2):
+                parts = line.split()
+                if not parts:
+                    continue
+                if len(parts) != dim + 1:
+                    raise ParseError(
+                        f"{path}:{lineno}: expected {dim} values for word "
+                        f"{parts[0]!r}, got {len(parts) - 1}")
+                try:
+                    values.extend(map(float, parts[1:]))
+                except ValueError:
+                    raise ParseError(f"{path}:{lineno}: non-numeric vector entry") from None
+                words.append(parts[0])
+                lines.append(lineno)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     matrix = np.frombuffer(values, dtype=np.float64).reshape(len(words), dim)
     return _first_rows(path, count, words, matrix, lines)
 
@@ -298,7 +317,9 @@ def _load_binary(path: Path) -> tuple[list[str], np.ndarray, int]:
         words.append(word)
         vectors += buf[end + 1:pos]
     matrix = np.frombuffer(vectors, dtype="<f4").reshape(len(words), dim)
-    return _first_rows(path, count, words, matrix.astype(np.float64))
+    with np.errstate(invalid="ignore"):  # a signalling NaN; _first_rows refuses it
+        matrix = matrix.astype(np.float64)
+    return _first_rows(path, count, words, matrix)
 
 
 def _vocab_path(path: Path) -> Path:
@@ -326,6 +347,8 @@ def _load_npy(path: Path) -> tuple[list[str], np.ndarray, int]:
         text = vocab.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ParseError(f"{path}: vocabulary file {vocab} not found") from None
+    except UnicodeDecodeError:
+        raise _not_utf8(vocab) from None
     words = text.split("\n")
     if words[-1] == "":
         words.pop()

@@ -154,7 +154,25 @@ def slope_rows(values: np.ndarray, t_values: np.ndarray | None = None
     Every row needs at least 3 finite entries. Degenerate zero-residual
     fits use the convention p=0 for a nonzero slope and p=1 for a zero
     slope.
+
+    The row sums follow the input's memory layout, so the last bits of a
+    slope depend on it: callers pass C-ordered rows (a column gather such
+    as ``values[:, perm]`` is Fortran-ordered).
     """
+    slopes, tc, yc, k, sxx = _slopes(values, t_values)
+    resid = yc - slopes[:, None] * tc
+    with np.errstate(divide="ignore", invalid="ignore"):
+        se = np.sqrt(np.sum(resid * resid, axis=1) / (k - 2) / sxx)
+        p = _two_sided_p(slopes / se, k - 2)
+    degenerate = se == 0.0
+    p[degenerate] = np.where(slopes[degenerate] == 0.0, 1.0, 0.0)
+    return slopes, p
+
+
+def _slopes(values: np.ndarray, t_values: np.ndarray | None = None):
+    """The slopes of ``slope_rows`` without their p-values; also returns
+    the centred abscissa and values, the finite counts and the abscissa
+    sums of squares that the p-values need."""
     values = np.asarray(values, dtype=np.float64)
     if t_values is None:
         t_values = np.arange(1, values.shape[1] + 1, dtype=np.float64)
@@ -167,14 +185,7 @@ def slope_rows(values: np.ndarray, t_values: np.ndarray | None = None
     sxx = np.sum(tc * tc, axis=1)
     if np.any(sxx == 0.0):
         raise DataError("abscissa has zero variance")
-    slopes = np.sum(tc * yc, axis=1) / sxx
-    resid = yc - slopes[:, None] * tc
-    with np.errstate(divide="ignore", invalid="ignore"):
-        se = np.sqrt(np.sum(resid * resid, axis=1) / (k - 2) / sxx)
-        p = _two_sided_p(slopes / se, k - 2)
-    degenerate = se == 0.0
-    p[degenerate] = np.where(slopes[degenerate] == 0.0, 1.0, 0.0)
-    return slopes, p
+    return np.sum(tc * yc, axis=1) / sxx, tc, yc, k, sxx
 
 
 def slope_test(y: Sequence[float], t_values: Sequence[float] | None = None
@@ -202,6 +213,13 @@ def _design(factors: Mapping[str, Sequence[float]], n: int) -> tuple[np.ndarray,
     return np.column_stack(cols), names
 
 
+def _solve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients of ``y`` on the full-rank design ``x``."""
+    if np.linalg.matrix_rank(x) < x.shape[1]:
+        raise DataError("design matrix is rank-deficient (collinear factors)")
+    return np.linalg.lstsq(x, y, rcond=None)[0]
+
+
 def multiple_regression(y: Sequence[float],
                         factors: Mapping[str, Sequence[float]]) -> RegressionFit:
     """OLS with intercept; two-sided t-test p-value per coefficient."""
@@ -211,9 +229,7 @@ def multiple_regression(y: Sequence[float],
         raise DataError(f"need more than {len(factors) + 1} samples, got {n}")
     x, names = _design(factors, n)
     p_cols = x.shape[1]
-    if np.linalg.matrix_rank(x) < p_cols:
-        raise DataError("design matrix is rank-deficient (collinear factors)")
-    beta, _, _, _ = np.linalg.lstsq(x, ya, rcond=None)
+    beta = _solve(x, ya)
     resid = ya - x @ beta
     rss = float(resid @ resid)
     dof = n - p_cols
@@ -269,6 +285,69 @@ def partial_correlation(target: Sequence[float], factor: Sequence[float],
 # Broad-scale change regression and its shuffled control
 # ---------------------------------------------------------------------------
 
+class _ChangeSample:
+    """The rows that can enter the change regression, found once for any
+    number of decade shuffles: words with at least ``MIN_SLOPE_DECADES``
+    scored decades and an entry in both factor tables. Holds their score
+    rows (C-ordered) and factor columns, and the design matrix (intercept,
+    then ``REGRESSION_FACTORS``)."""
+
+    def __init__(self, values: np.ndarray, words: Sequence[str],
+                 concreteness: Mapping[str, float], log_frequency: Mapping[str, float]):
+        values = np.asarray(values, dtype=np.float64)
+        usable = np.isfinite(values).sum(axis=1) >= MIN_SLOPE_DECADES
+        rows = [i for i in np.flatnonzero(usable)
+                if words[i] in concreteness and words[i] in log_frequency]
+        self.words = [words[i] for i in rows]
+        self.values = values[rows]
+        self.factors = {
+            "frequency": np.array([log_frequency[w] for w in self.words]),
+            "length": np.array([float(len(w)) for w in self.words]),
+            "concreteness": np.array([concreteness[w] for w in self.words]),
+        }
+        self.design = np.column_stack([np.ones(len(rows)), *self.factors.values()])
+
+    def changed(self, perms: np.ndarray) -> np.ndarray:
+        """(rows, shuffles) booleans: the word's relevance class (score vs
+        0.5) differs between its first and last scored decade once the
+        decade columns are reordered by that row of ``perms``.
+
+        A row without gaps starts at column ``perm[0]`` and ends at
+        ``perm[-1]`` under every shuffle, so its filter is one gather; a
+        row with gaps finds its first and last scored decade per shuffle."""
+        high = self.values > 0.5
+        changed = high[:, perms[:, 0]] != high[:, perms[:, -1]]
+        gappy = np.flatnonzero(~np.isfinite(self.values).all(axis=1))
+        if gappy.size:
+            present, high = np.isfinite(self.values[gappy]), high[gappy]
+            rows, last = np.arange(gappy.size), perms.shape[1] - 1
+            for i, perm in enumerate(perms):
+                shuffled = present[:, perm]
+                first_col = perm[np.argmax(shuffled, axis=1)]
+                last_col = perm[last - np.argmax(shuffled[:, ::-1], axis=1)]
+                changed[gappy, i] = high[rows, first_col] != high[rows, last_col]
+        return changed
+
+    def slopes(self, changed: np.ndarray, perm: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """The rows one shuffle selects (one column of ``changed``) and
+        their change slopes over the decades in ``perm`` order."""
+        sel = np.flatnonzero(changed)
+        if sel.size <= len(REGRESSION_FACTORS) + 1:
+            raise DataError(
+                f"only {sel.size} words qualify for the change regression; "
+                f"need more than {len(REGRESSION_FACTORS) + 1}")
+        return sel, _slopes(self.values[sel[:, None], perm])[0]  # C-ordered gather
+
+    def fit(self) -> tuple[RegressionFit, list[str], np.ndarray, dict[str, np.ndarray]]:
+        """The unshuffled regression: see ``changed_word_fit``."""
+        identity = np.arange(self.values.shape[1])
+        sel, slopes = self.slopes(self.changed(identity[None, :])[:, 0], identity)
+        factors = {name: col[sel] for name, col in self.factors.items()}
+        return (multiple_regression(slopes, factors), [self.words[i] for i in sel],
+                slopes, factors)
+
+
 def changed_word_fit(values: np.ndarray, words: Sequence[str],
                      concreteness: Mapping[str, float],
                      log_frequency: Mapping[str, float]
@@ -277,33 +356,7 @@ def changed_word_fit(values: np.ndarray, words: Sequence[str],
     factor tables of ``factor_tables``; see psycholinguistic_regression.
     Returns the fit, the words that entered it, and their slopes and
     factor columns."""
-    present = np.isfinite(values)
-    n_words, n_dec = values.shape
-    counts = present.sum(axis=1)
-    usable = counts >= MIN_SLOPE_DECADES
-
-    first_idx = np.argmax(present, axis=1)
-    last_idx = n_dec - 1 - np.argmax(present[:, ::-1], axis=1)
-    rows = np.arange(n_words)
-    first_val = np.where(usable, values[rows, first_idx], np.nan)
-    last_val = np.where(usable, values[rows, last_idx], np.nan)
-    changed = usable & ((first_val > 0.5) != (last_val > 0.5))
-
-    selected = [i for i in np.flatnonzero(changed)
-                if words[i] in concreteness and words[i] in log_frequency]
-    kept_words = [words[i] for i in selected]
-    if len(selected) <= len(REGRESSION_FACTORS) + 1:
-        raise DataError(
-            f"only {len(selected)} words qualify for the change regression; "
-            f"need more than {len(REGRESSION_FACTORS) + 1}")
-    idx = np.array(selected)
-    slopes, _ = slope_rows(values[idx])
-    factors = {
-        "frequency": np.array([log_frequency[w] for w in kept_words]),
-        "length": np.array([float(len(w)) for w in kept_words]),
-        "concreteness": np.array([concreteness[w] for w in kept_words]),
-    }
-    return multiple_regression(slopes, factors), kept_words, slopes, factors
+    return _ChangeSample(values, words, concreteness, log_frequency).fit()
 
 
 def factor_tables(norms: Sequence[NormEntry],
@@ -355,13 +408,21 @@ def permutation_control(
     """Decade-shuffled control for the change regression.
 
     Each shuffle applies one shared permutation of the decade columns to
-    every word's time course, then re-runs the complete regression
-    pipeline (slopes, change filter, factor fit). The empirical p per
-    factor is the two-sided fraction of control coefficients at least as
-    large in magnitude as the diachronic one, with the +1/(n+1)
-    finite-sample correction. Deterministic under a fixed seed.
+    every word's time course, then re-runs the regression pipeline
+    (change filter, slopes, factor fit). The empirical p per factor is
+    the two-sided fraction of control coefficients at least as large in
+    magnitude as the diachronic one, with the +1/(n+1) finite-sample
+    correction. Deterministic under a fixed seed.
 
-    ``permutations`` overrides the seeded shuffles (for controls/tests).
+    The candidate words, their factor columns and the design matrix do
+    not depend on the shuffle and are found once. The change filter for
+    all shuffles is one gather (see ``_ChangeSample.changed``); each
+    shuffle then fits slopes on the rows it selects and solves the
+    least-squares problem. The coefficients equal, bit for bit, a
+    ``changed_word_fit`` run on each shuffled matrix.
+
+    ``permutations`` overrides the seeded shuffles (for controls/tests);
+    each must be a permutation of ``range(n_decades)``.
     """
     n_shuffles = n_shuffles if permutations is None else len(permutations)
     if n_shuffles < 1:
@@ -370,31 +431,35 @@ def permutation_control(
     n_dec = values.shape[1]
     if n_dec < MIN_SLOPE_DECADES:
         raise DataError(f"need at least {MIN_SLOPE_DECADES} decades, got {n_dec}")
-    concreteness, log_frequency = factor_tables(norms, frequencies)
-    words = list(matrix.words)
-
-    base_fit, *_ = changed_word_fit(values, words, concreteness, log_frequency)
-
     if permutations is None:
         children = np.random.SeedSequence(seed).spawn(n_shuffles)
-        permutations = [np.random.default_rng(c).permutation(n_dec) for c in children]
+        perms = np.stack([np.random.default_rng(c).permutation(n_dec) for c in children])
     else:
-        permutations = [np.asarray(p) for p in permutations]
+        perms = [np.asarray(p) for p in permutations]
+        for i, perm in enumerate(perms):
+            if perm.dtype.kind not in "iu" or not np.array_equal(np.sort(perm),
+                                                                 np.arange(n_dec)):
+                raise ValueError(f"shuffle {i}: not a permutation of the "
+                                 f"{n_dec} decade columns")
+        perms = np.stack(perms)
 
-    control = {name: np.empty(n_shuffles) for name in REGRESSION_FACTORS}
-    for i, perm in enumerate(permutations):
+    sample = _ChangeSample(values, list(matrix.words), *factor_tables(norms, frequencies))
+    base_fit = sample.fit()[0]
+    changed = sample.changed(perms)
+    control = np.empty((len(REGRESSION_FACTORS), n_shuffles))
+    for i, perm in enumerate(perms):
         try:
-            fit_i, *_ = changed_word_fit(values[:, perm], words, concreteness,
-                                         log_frequency)
+            sel, slopes = sample.slopes(changed[:, i], perm)
+            x = sample.design[sel]
+            for name, col in zip(("y",) + REGRESSION_FACTORS, (slopes, *x.T[1:])):
+                _column(name, col)  # the refusals of multiple_regression
+            control[:, i] = _solve(x, slopes)[1:]
         except DataError as exc:
             raise DataError(f"shuffle {i}: {exc}") from exc
-        for name in REGRESSION_FACTORS:
-            control[name][i] = fit_i.coefficients[name]
 
     factors: dict[str, FactorControl] = {}
-    for name in REGRESSION_FACTORS:
+    for name, ctrl in zip(REGRESSION_FACTORS, control):
         observed = base_fit.coefficients[name]
-        ctrl = control[name]
         extreme = int(np.count_nonzero(np.abs(ctrl) >= abs(observed)))
         factors[name] = FactorControl(
             diachronic_coefficient=observed,

@@ -39,6 +39,13 @@ def naive_bayes_scores(q, class_vectors, variance_floor=1e-8):
     return scores
 
 
+def nb_log_likelihood(q, mean, var):
+    """The diagonal-Gaussian log density as one expression, with a new
+    n x d array per operation (the kernel before it worked in place)."""
+    dev = q - mean
+    return -0.5 * np.sum(math.log(2.0 * math.pi) + np.log(var) + dev * dev / var, axis=1)
+
+
 def naive_bayes_posterior(q, class_vectors, variance_floor=1e-8):
     return _normalize(naive_bayes_scores(q, class_vectors, variance_floor))
 
@@ -171,3 +178,72 @@ def word2vec_binary(path):
             words.append(word)
             vectors.append(vec)
     return words, np.vstack(vectors), n_dup
+
+
+# ---------------------------------------------------------------------------
+# The change regression and its shuffled control, one full pass per shuffle
+# (the loop before the batched change filter)
+# ---------------------------------------------------------------------------
+
+def changed_word_fit(values, words, concreteness, log_frequency):
+    """The change regression's coefficients, found row by row from the
+    first and last scored decade of each word."""
+    from moraldrift.errors import DataError
+    from moraldrift.stats import MIN_SLOPE_DECADES, multiple_regression, slope_rows
+
+    present = np.isfinite(values)
+    selected = []
+    for i, row in enumerate(values):
+        cols = np.flatnonzero(present[i])
+        if cols.size < MIN_SLOPE_DECADES:
+            continue
+        if (row[cols[0]] > 0.5) != (row[cols[-1]] > 0.5) \
+                and words[i] in concreteness and words[i] in log_frequency:
+            selected.append(i)
+    if len(selected) <= 4:
+        raise DataError(f"only {len(selected)} words qualify for the change "
+                        f"regression; need more than 4")
+    kept = [words[i] for i in selected]
+    slopes, _ = slope_rows(values[np.array(selected)])
+    return multiple_regression(slopes, {
+        "frequency": np.array([log_frequency[w] for w in kept]),
+        "length": np.array([float(len(w)) for w in kept]),
+        "concreteness": np.array([concreteness[w] for w in kept]),
+    })
+
+
+def permutation_control_loop(matrix, norms, frequencies, n_shuffles=1000, seed=0,
+                             permutations=None):
+    """(PermutationReport, control coefficients (shuffles, 3)): the
+    change regression re-run on each decade-shuffled copy of the matrix."""
+    from moraldrift.errors import DataError
+    from moraldrift.stats import (REGRESSION_FACTORS, FactorControl,
+                                  PermutationReport, factor_tables)
+
+    values = np.asarray(matrix.values, dtype=np.float64)
+    tables = factor_tables(norms, frequencies)
+    words = list(matrix.words)
+    base = changed_word_fit(values, words, *tables)
+    if permutations is None:
+        children = np.random.SeedSequence(seed).spawn(n_shuffles)
+        permutations = [np.random.default_rng(c).permutation(values.shape[1])
+                        for c in children]
+    n_shuffles = len(permutations)
+    control = np.empty((n_shuffles, len(REGRESSION_FACTORS)))
+    for i, perm in enumerate(permutations):
+        try:
+            fit = changed_word_fit(values[:, perm], words, *tables)
+        except DataError as exc:
+            raise DataError(f"shuffle {i}: {exc}") from exc
+        control[i] = [fit.coefficients[name] for name in REGRESSION_FACTORS]
+    factors = {}
+    for j, name in enumerate(REGRESSION_FACTORS):
+        observed = base.coefficients[name]
+        ctrl = control[:, j].copy()
+        factors[name] = FactorControl(
+            diachronic_coefficient=observed,
+            control_mean=float(ctrl.mean()),
+            control_stdev=float(ctrl.std(ddof=1)) if n_shuffles > 1 else 0.0,
+            empirical_p=(1 + int(np.count_nonzero(np.abs(ctrl) >= abs(observed))))
+            / (n_shuffles + 1))
+    return PermutationReport(factors=factors, n_shuffles=n_shuffles, seed=seed), control

@@ -21,6 +21,7 @@ from moraldrift import (DataError, MoraldriftError, ParseError, load_diachronic,
                         load_embedding_space, load_mfd, load_norms, load_survey,
                         load_wordlist, matrix_from_json)
 from moraldrift.embeddings import BINARY_FORMAT, TEXT_FORMAT
+from moraldrift.embeddings import NPY_FORMAT, EmbeddingSpace, save_embedding_space
 from moraldrift.stats import changed_word_fit, factor_tables, slope_rows
 
 # Words both word2vec formats can hold: no whitespace, no surrogates.
@@ -223,3 +224,49 @@ def test_changed_word_fit_returns_its_slopes_and_factors(changer_files):
     np.testing.assert_array_equal(factors["frequency"], [log_frequency[w] for w in words])
     np.testing.assert_array_equal(factors["length"], [len(w) for w in words])
     assert fit.n == len(words)
+
+
+class TestNotUtf8:
+    """A text input that is not valid UTF-8 is refused with its path and
+    the line of the first invalid byte."""
+
+    def test_wordlist(self, tmp_path):
+        path = tmp_path / "wordlist.csv"
+        path.write_bytes(b"word,frequency\ncafe,10\ncaf\xe9,3\n")
+        with pytest.raises(ParseError, match=re.escape(
+                f"{path}:3: not valid UTF-8 (invalid continuation byte)")):
+            load_wordlist(path)
+
+    def test_line_beyond_the_first_read_chunk(self, tmp_path):
+        path = tmp_path / "wordlist.csv"
+        rows = b"".join(b"w%d,%d\n" % (i, i + 1) for i in range(5000))
+        path.write_bytes(b"word,frequency\n" + rows + b"\xff,1\n")
+        with pytest.raises(ParseError, match=re.escape(f"{path}:5002: not valid UTF-8")):
+            load_wordlist(path)
+
+    def test_text_decade_through_manifest(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_bytes(b"2 2\na 1.0 2.0\ncaf\xe9 3.0 4.0\n")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(f"decade,path,format\n1900,v.txt,{TEXT_FORMAT}\n")
+        with pytest.raises(DataError, match=re.escape(
+                f"decade 1900: {path}:3: not valid UTF-8")):
+            load_diachronic(manifest)
+
+    def test_npy_vocabulary(self, tmp_path):
+        path = tmp_path / "v.npy"
+        save_embedding_space(EmbeddingSpace(1900, ["a", "b"], np.eye(2)), path, NPY_FORMAT)
+        path.with_suffix(".vocab").write_bytes(b"a\n\xe9\n")
+        with pytest.raises(ParseError, match=re.escape(
+                f"{path.with_suffix('.vocab')}:2: not valid UTF-8")):
+            load_embedding_space(path, NPY_FORMAT, 1900)
+
+
+@pytest.mark.filterwarnings("error")
+def test_signalling_nan_refused_without_a_warning(tmp_path):
+    path = tmp_path / "v.bin"
+    snan = b"\x01\x00\xa0\x7f"  # float32 0x7fa00001
+    path.write_bytes(b"2 2\na " + np.float32([1, 2]).tobytes()
+                     + b"b " + snan + np.float32([4]).tobytes())
+    with pytest.raises(ParseError, match=re.escape(f"{path}: non-finite vector for word 'b'")):
+        load_embedding_space(path, BINARY_FORMAT, 1900)
