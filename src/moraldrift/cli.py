@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 usage error, 2 data or validation error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import logging
@@ -29,8 +30,9 @@ from .classifiers import MODEL_KINDS, ModelSpec, fit_tier, posterior
 from .diachronic import (DIRECTIONS, load_wordlist, matrix_from_json,
                          matrix_to_json_dict, prediction_matrix,
                          retrieve_changing, time_course)
-from .embeddings import (NPY_FORMAT, DiachronicEmbeddings, align_diachronic,
-                         load_diachronic, lookup, save_embedding_space)
+from .embeddings import (NPY_FORMAT, DiachronicEmbeddings, EmbeddingSpace,
+                         _not_utf8, align_diachronic, load_diachronic, lookup,
+                         save_embedding_space)
 from .errors import CoverageError, DataError, MoraldriftError, ParseError
 from .evaluate import (load_survey, loo_accuracy, loo_accuracy_historical,
                        survey_correlation, valence_correlation)
@@ -97,21 +99,24 @@ def _config_defaults(path: Path, parser: argparse.ArgumentParser) -> dict:
     """
     actions = {a.dest: a for a in parser._actions
                if a.option_strings and a.dest not in ("help", "config")}
+    try:
+        lines = path.read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     defaults = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ParseError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            action = actions.get(key.strip().lower().replace("-", "_"))
-            if action is None:
-                raise DataError(f"{path}:{lineno}: unknown option {key.strip()!r} "
-                                f"for {parser.prog}")
-            defaults[action.dest] = _config_value(action, value.strip(),
-                                                  f"{path}:{lineno}")
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ParseError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        action = actions.get(key.strip().lower().replace("-", "_"))
+        if action is None:
+            raise DataError(f"{path}:{lineno}: unknown option {key.strip()!r} "
+                            f"for {parser.prog}")
+        defaults[action.dest] = _config_value(action, value.strip(),
+                                              f"{path}:{lineno}")
     return defaults
 
 
@@ -143,21 +148,14 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# Shared loading and serialization helpers
+# Shared loading and output helpers
 # ---------------------------------------------------------------------------
 
-def _model_spec(args: argparse.Namespace) -> ModelSpec:
-    return ModelSpec(kind=args.model, k=args.k, h=args.bandwidth,
-                     variance_floor=args.variance_floor)
-
-
-def _load_spaces(args: argparse.Namespace) -> DiachronicEmbeddings:
-    return load_diachronic(_path(args, "manifest"),
-                           normalize=args.normalize_embeddings)
-
-
-def _build_lexicon(args: argparse.Namespace, diachronic: DiachronicEmbeddings,
-                   norms: Sequence[NormEntry] | None = None) -> SeedLexicon:
+def _seed_inputs(args: argparse.Namespace, norms: Sequence[NormEntry] | None = None
+                 ) -> tuple[DiachronicEmbeddings, SeedLexicon]:
+    """The decades of --manifest and the seed lexicon of --mfd and ``norms``."""
+    diachronic = load_diachronic(_path(args, "manifest"),
+                                 normalize=args.normalize_embeddings)
     entries = load_mfd(_path(args, "mfd"))
     if norms is None:
         norms = load_norms(_path(args, "norms"))
@@ -168,14 +166,23 @@ def _build_lexicon(args: argparse.Namespace, diachronic: DiachronicEmbeddings,
         for space in diachronic.spaces[1:]:
             vocabulary &= set(space.words)
     irrelevant = build_irrelevant_seeds(norms, words, vocabulary=vocabulary)
-    return build_tiers(entries, irrelevant)
+    return diachronic, build_tiers(entries, irrelevant)
 
 
-def _pick_decade(args: argparse.Namespace, diachronic: DiachronicEmbeddings) -> int:
+def _model_inputs(args: argparse.Namespace, norms: Sequence[NormEntry] | None = None
+                  ) -> tuple[ModelSpec, DiachronicEmbeddings, SeedLexicon]:
+    """The model spec and the ``_seed_inputs`` that classifying commands read."""
+    spec = ModelSpec(kind=args.model, k=args.k, h=args.bandwidth,
+                     variance_floor=args.variance_floor)
+    return (spec, *_seed_inputs(args, norms))
+
+
+def _pick_space(args: argparse.Namespace, diachronic: DiachronicEmbeddings) -> EmbeddingSpace:
+    """The space of --decade, by default the latest one."""
     decade = diachronic.decades[-1] if args.decade is None else args.decade
     if decade not in diachronic.decades:
         raise DataError(f"decade {decade} not in manifest (have {list(diachronic.decades)})")
-    return decade
+    return diachronic.space(decade)
 
 
 def _fmt(value) -> str:
@@ -186,20 +193,30 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_json(path: Path, meta: dict, body: dict) -> None:
-    payload = {"_meta": meta, **body}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+def _write_json(fh, meta: dict, body: dict) -> None:
+    json.dump({"_meta": meta, **body}, fh, indent=2)
+    fh.write("\n")
 
 
-def _write_csv(path: Path, meta: dict, header: Sequence[str],
-               rows: Sequence[Sequence]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+def _write_csv(fh, meta: dict, table: tuple[Sequence[str], Sequence[Sequence]]) -> None:
+    header, rows = table
+    fh.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
+    fh.write(",".join(header) + "\n")
+    for row in rows:
+        fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def _write_outputs(args: argparse.Namespace, outputs: dict) -> None:
+    """Write a handler's ``name -> body`` outputs in order, each with the
+    command's ``_meta``: a dict for ``.json``, a ``(header, rows)`` pair for
+    ``.csv``, a dict for ``-`` (JSON on stdout). --out-dir is made on demand."""
+    meta = _meta(args)
+    for name, body in outputs.items():
+        if name == "-":
+            _write_json(sys.stdout, meta, body)
+            continue
+        with open(_out_dir(args) / name, "w", encoding="utf-8", newline="\n") as fh:
+            (_write_json if name.endswith(".json") else _write_csv)(fh, meta, body)
 
 
 def _score_list(values: np.ndarray) -> list:
@@ -207,56 +224,44 @@ def _score_list(values: np.ndarray) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers: each returns its outputs for _write_outputs
 # ---------------------------------------------------------------------------
 
-def _cmd_align(args) -> int:
-    diachronic = _load_spaces(args)
+def _cmd_align(args) -> dict:
+    diachronic = load_diachronic(_path(args, "manifest"),
+                                 normalize=args.normalize_embeddings)
     out = _out_dir(args)
     aligned = align_diachronic(diachronic, direction=args.alignment_direction)
-    meta = _meta(args)
     manifest_rows = []
     for space in aligned:
         name = f"aligned_{space.decade}.npy"
         save_embedding_space(space, out / name, format=NPY_FORMAT)
         manifest_rows.append((space.decade, name, NPY_FORMAT))
-    _write_csv(out / "aligned_manifest.csv", meta,
-               ["decade", "path", "format"], manifest_rows)
-    _write_json(out / "align.json", meta, {
-        "direction": args.alignment_direction,
-        "decades": list(aligned.decades),
-        "dim": aligned.dim,
-    })
-    return 0
+    return {
+        "aligned_manifest.csv": (["decade", "path", "format"], manifest_rows),
+        "align.json": {"direction": args.alignment_direction,
+                       "decades": list(aligned.decades), "dim": aligned.dim},
+    }
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> dict:
     word = _required(args, "word").lower()
     tier = _required(args, "tier")
-    spec = _model_spec(args)
-    diachronic = _load_spaces(args)
-    decade = _pick_decade(args, diachronic)
-    lexicon = _build_lexicon(args, diachronic)
-    space = diachronic.space(decade)
+    spec, diachronic, lexicon = _model_inputs(args)
+    space = _pick_space(args, diachronic)
     model = fit_tier(spec, lexicon, space, tier)
     q = lookup(space, word)
     if q is None:
-        raise CoverageError(f"word {word!r} has no embedding in decade {decade}")
+        raise CoverageError(f"word {word!r} has no embedding in decade {space.decade}")
     post = posterior(model, q)
-    payload = {"_meta": _meta(args), "word": word, "tier": tier, "decade": decade,
-               "posterior": {label: post[label] for label in model.classes}}
-    print(json.dumps(payload, indent=2))
-    return 0
+    return {"-": {"word": word, "tier": tier, "decade": space.decade,
+                  "posterior": {label: post[label] for label in model.classes}}}
 
 
-def _cmd_timecourse(args) -> int:
+def _cmd_timecourse(args) -> dict:
     word = _required(args, "word").lower()
     tier = _required(args, "tier")
-    spec = _model_spec(args)
-    diachronic = _load_spaces(args)
-    lexicon = _build_lexicon(args, diachronic)
-    out = _out_dir(args)
-    meta = _meta(args)
+    spec, diachronic, lexicon = _model_inputs(args)
     tc = time_course(diachronic, lexicon, spec, word, tier)
     body: dict = {"word": word, "tier": tier, "decades": list(tc.decades),
                   "missing": [bool(b) for b in tc.missing]}
@@ -267,127 +272,95 @@ def _cmd_timecourse(args) -> int:
         rows = [(d, label, (float(tc.scores[i, j]) if not tc.missing[i] else None))
                 for i, d in enumerate(tc.decades)
                 for j, label in enumerate(tc.class_labels)]
-        _write_csv(out / f"timecourse_{word}_{tier}.csv", meta,
-                   ["decade", "label", "probability"], rows)
+        table = (["decade", "label", "probability"], rows)
     else:
         body["scores"] = _score_list(tc.scores)
         clamped = np.clip(tc.scores, 1e-6, 1.0 - 1e-6)
         odds = np.log(clamped / (1.0 - clamped))
         body["log_odds"] = _score_list(odds)
-        rows = [(d, body["scores"][i], body["log_odds"][i])
-                for i, d in enumerate(tc.decades)]
-        _write_csv(out / f"timecourse_{word}_{tier}.csv", meta,
-                   ["decade", "score", "log_odds"], rows)
-    _write_json(out / f"timecourse_{word}_{tier}.json", meta, body)
-    return 0
+        table = (["decade", "score", "log_odds"],
+                 list(zip(tc.decades, body["scores"], body["log_odds"])))
+    stem = f"timecourse_{word}_{tier}"
+    return {f"{stem}.csv": table, f"{stem}.json": body}
 
 
-def _cmd_matrix(args) -> int:
+def _cmd_matrix(args) -> dict:
     kind = _required(args, "kind")
     wordlist_path = _path(args, "wordlist")
-    spec = _model_spec(args)
-    diachronic = _load_spaces(args)
-    lexicon = _build_lexicon(args, diachronic)
-    out = _out_dir(args)
+    spec, diachronic, lexicon = _model_inputs(args)
     words = [w for w, _ in load_wordlist(wordlist_path)]
     matrix = prediction_matrix(diachronic, lexicon, spec, words, kind)
-    meta = _meta(args)
-    _write_json(out / f"matrix_{kind}.json", meta, matrix_to_json_dict(matrix))
     rows = [(w, d, (float(matrix.values[i, j]) if np.isfinite(matrix.values[i, j]) else None))
             for i, w in enumerate(matrix.words)
             for j, d in enumerate(matrix.decades)]
-    _write_csv(out / f"matrix_{kind}.csv", meta, ["word", "decade", "score"], rows)
-    return 0
+    return {f"matrix_{kind}.json": matrix_to_json_dict(matrix),
+            f"matrix_{kind}.csv": (["word", "decade", "score"], rows)}
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args) -> dict:
     tier = _required(args, "tier")
-    spec = _model_spec(args)
-    diachronic = _load_spaces(args)
-    lexicon = _build_lexicon(args, diachronic)
-    out = _out_dir(args)
-    meta = _meta(args)
+    spec, diachronic, lexicon = _model_inputs(args)
     if args.historical:
         report = loo_accuracy_historical(spec, lexicon, diachronic, tier)
         stem = f"evaluate_{tier}_{spec.kind}_historical"
         rows = [(r.tier, r.model.kind, r.decade, r.accuracy, r.n)
                 for r in report.reports]
     else:
-        decade = _pick_decade(args, diachronic)
-        report = loo_accuracy(spec, lexicon, diachronic.space(decade), tier)
+        report = loo_accuracy(spec, lexicon, _pick_space(args, diachronic), tier)
         stem = f"evaluate_{tier}_{spec.kind}"
         rows = [(report.tier, report.model.kind, report.decade,
                  report.accuracy, report.n)]
-    _write_json(out / f"{stem}.json", meta, report.to_dict())
-    _write_csv(out / f"{stem}.csv", meta,
-               ["tier", "model", "decade", "accuracy", "n"], rows)
-    return 0
+    return {f"{stem}.json": report.to_dict(),
+            f"{stem}.csv": (["tier", "model", "decade", "accuracy", "n"], rows)}
 
 
-def _cmd_valence_corr(args) -> int:
-    spec = _model_spec(args)
-    diachronic = _load_spaces(args)
-    decade = _pick_decade(args, diachronic)
+def _cmd_valence_corr(args) -> dict:
     norms = load_norms(_path(args, "norms"))
-    lexicon = _build_lexicon(args, diachronic, norms)
-    space = diachronic.space(decade)
+    spec, diachronic, lexicon = _model_inputs(args, norms)
+    space = _pick_space(args, diachronic)
     model = fit_tier(spec, lexicon, space, "polarity")
     report = valence_correlation(model, space, norms)
-    meta = _meta(args)
-    out = _out_dir(args)
-    _write_json(out / "valence_corr.json", meta,
-                {"decade": decade, **report.to_dict()})
-    _write_csv(out / "valence_corr.csv", meta, ["decade", "r", "p", "n"],
-               [(decade, report.r, report.p, report.n)])
-    return 0
+    return {"valence_corr.json": {"decade": space.decade, **dataclasses.asdict(report)},
+            "valence_corr.csv": (["decade", "r", "p", "n"],
+                                 [(space.decade, report.r, report.p, report.n)])}
 
 
-def _cmd_survey_corr(args) -> int:
+def _cmd_survey_corr(args) -> dict:
     survey_path = _path(args, "survey")
-    spec = _model_spec(args)
-    diachronic = _load_spaces(args)
-    decade = _pick_decade(args, diachronic)
-    lexicon = _build_lexicon(args, diachronic)
-    space = diachronic.space(decade)
+    spec, diachronic, lexicon = _model_inputs(args)
+    space = _pick_space(args, diachronic)
     survey = load_survey(survey_path)
     relevance_model = fit_tier(spec, lexicon, space, "relevance")
     polarity_model = fit_tier(spec, lexicon, space, "polarity")
     irrelevance, acceptability = survey_correlation(
         relevance_model, polarity_model, space, survey)
-    meta = _meta(args)
-    out = _out_dir(args)
-    _write_json(out / "survey_corr.json", meta, {
-        "decade": decade,
-        "irrelevance": irrelevance.to_dict(),
-        "acceptability": acceptability.to_dict(),
-    })
-    _write_csv(out / "survey_corr.csv", meta, ["measure", "r", "p", "n"],
-               [("irrelevance", irrelevance.r, irrelevance.p, irrelevance.n),
-                ("acceptability", acceptability.r, acceptability.p,
-                 acceptability.n)])
-    return 0
+    return {
+        "survey_corr.json": {"decade": space.decade,
+                             "irrelevance": dataclasses.asdict(irrelevance),
+                             "acceptability": dataclasses.asdict(acceptability)},
+        "survey_corr.csv": (["measure", "r", "p", "n"],
+                            [("irrelevance", irrelevance.r, irrelevance.p, irrelevance.n),
+                             ("acceptability", acceptability.r, acceptability.p,
+                              acceptability.n)]),
+    }
 
 
-def _cmd_retrieve(args) -> int:
+def _cmd_retrieve(args) -> dict:
     direction = _required(args, "direction")
     matrix = matrix_from_json(_path(args, "matrix"))
     relevance_matrix = None
     if args.relevance_matrix is not None:
         relevance_matrix = matrix_from_json(_path(args, "relevance_matrix"))
-    spec = _model_spec(args)
-    diachronic = _load_spaces(args)
-    lexicon = _build_lexicon(args, diachronic)
+    spec, diachronic, lexicon = _model_inputs(args)
     records = retrieve_changing(matrix, lexicon, diachronic, spec, direction,
                                 top_n=args.top, relevance_matrix=relevance_matrix,
                                 bonferroni_family=args.bonferroni_family)
     rows = [(r.word, r.slope, r.p_raw, r.p_bonferroni, r.mean_relevance,
              r.switching_decade, r.early_category, r.modern_category)
             for r in records]
-    _write_csv(_out_dir(args) / f"retrieve_{direction}.csv", _meta(args),
-               ["word", "slope", "p_raw", "p_bonferroni", "mean_relevance",
-                "switching_decade", "early_category", "modern_category"],
-               rows)
-    return 0
+    return {f"retrieve_{direction}.csv": (
+        ["word", "slope", "p_raw", "p_bonferroni", "mean_relevance",
+         "switching_decade", "early_category", "modern_category"], rows)}
 
 
 def _load_regression_inputs(args):
@@ -399,53 +372,45 @@ def _load_regression_inputs(args):
     return matrix, norms, frequencies
 
 
-def _cmd_regress(args) -> int:
+def _cmd_regress(args) -> dict:
     matrix, norms, frequencies = _load_regression_inputs(args)
     fit, words, slopes, factors = changed_word_fit(
         matrix.values, list(matrix.words), *factor_tables(norms, frequencies))
     partial = partial_correlation(
         slopes, factors["concreteness"],
         {"frequency": factors["frequency"], "length": factors["length"]})
-    meta = _meta(args)
-    out = _out_dir(args)
-    _write_json(out / "regress.json", meta, {
-        "fit": fit.to_dict(),
-        "partial_concreteness": partial.to_dict(),
-        "words": words,
-    })
-    _write_csv(out / "regress.csv", meta,
-               ["factor", "coefficient", "std_error", "t_stat", "p_value"],
-               [(name, fit.coefficients[name], fit.std_errors[name],
-                 fit.t_stats[name], fit.p_values[name])
-                for name in fit.coefficients])
-    return 0
+    return {
+        "regress.json": {"fit": dataclasses.asdict(fit),
+                         "partial_concreteness": dataclasses.asdict(partial),
+                         "words": words},
+        "regress.csv": (["factor", "coefficient", "std_error", "t_stat", "p_value"],
+                        [(name, fit.coefficients[name], fit.std_errors[name],
+                          fit.t_stats[name], fit.p_values[name])
+                         for name in fit.coefficients]),
+    }
 
 
-def _cmd_permute(args) -> int:
+def _cmd_permute(args) -> dict:
     matrix, norms, frequencies = _load_regression_inputs(args)
     report = permutation_control(matrix, norms, frequencies,
                                  n_shuffles=args.shuffles, seed=args.seed)
-    meta = _meta(args)
-    out = _out_dir(args)
-    _write_json(out / "permute.json", meta, report.to_dict())
-    _write_csv(out / "permute.csv", meta,
-               ["factor", "diachronic_coefficient", "control_mean",
-                "control_stdev", "empirical_p"],
-               [(name, fc.diachronic_coefficient, fc.control_mean,
-                 fc.control_stdev, fc.empirical_p)
-                for name, fc in report.factors.items()])
-    return 0
+    return {
+        "permute.json": dataclasses.asdict(report),
+        "permute.csv": (["factor", "diachronic_coefficient", "control_mean",
+                         "control_stdev", "empirical_p"],
+                        [(name, fc.diachronic_coefficient, fc.control_mean,
+                          fc.control_stdev, fc.empirical_p)
+                         for name, fc in report.factors.items()]),
+    }
 
 
-def _cmd_project(args) -> int:
+def _cmd_project(args) -> dict:
     words = [w.strip().lower() for w in _required(args, "words").split(",")
              if w.strip()]
     if not words:
         raise DataError("--words must name at least one query word")
-    diachronic = _load_spaces(args)
-    seed_decade = _pick_decade(args, diachronic)
-    lexicon = _build_lexicon(args, diachronic)
-    space = diachronic.space(seed_decade)
+    diachronic, lexicon = _seed_inputs(args)
+    space = _pick_space(args, diachronic)
     classes = {}
     for label, word_set in (("positive", lexicon.positive),
                             ("negative", lexicon.negative),
@@ -453,7 +418,7 @@ def _cmd_project(args) -> int:
         matrix, found, _ = space.rows(sorted(word_set))
         if len(found) < 2:
             raise CoverageError(f"class {label!r} has {len(found)} seed embeddings "
-                                f"in decade {seed_decade}; need >= 2")
+                                f"in decade {space.decade}; need >= 2")
         classes[label] = matrix
 
     anchors = {}
@@ -464,7 +429,7 @@ def _cmd_project(args) -> int:
 
     query_rows = []
     query_keys = []
-    decades = diachronic.decades if args.all_decades else (seed_decade,)
+    decades = diachronic.decades if args.all_decades else (space.decade,)
     for word in words:
         for decade in decades:
             vec = diachronic.space(decade).vector(word)
@@ -485,9 +450,7 @@ def _cmd_project(args) -> int:
         rows.append(("anchor", label, None, float(xy[0]), float(xy[1])))
     for (word, decade), xy in zip(query_keys, result.query_coords):
         rows.append(("query", word, decade, float(xy[0]), float(xy[1])))
-    _write_csv(_out_dir(args) / "project.csv", _meta(args),
-               ["kind", "label", "decade", "x", "y"], rows)
-    return 0
+    return {"project.csv": (["kind", "label", "decade", "x", "y"], rows)}
 
 
 _HANDLERS = {
@@ -607,18 +570,15 @@ def build_parser() -> _Parser:
                    choices=["filtered", "all-words"], default="filtered",
                    help="correction multiplier family (default: filtered)")
 
-    p = sub.add_parser("regress",
-                       help="regress relevance-change slopes on psycholinguistic factors")
-    _add_common(p, manifest=False)
-    p.add_argument("--matrix", help="relevance prediction-matrix JSON")
-    p.add_argument("--norms", help="ratings CSV with concreteness column")
-    p.add_argument("--wordlist", help="word,frequency CSV")
-
-    p = sub.add_parser("permute", help="decade-shuffled control for the change regression")
-    _add_common(p, manifest=False)
-    p.add_argument("--matrix", help="relevance prediction-matrix JSON")
-    p.add_argument("--norms", help="ratings CSV with concreteness column")
-    p.add_argument("--wordlist", help="word,frequency CSV")
+    for name, help_text in (
+            ("regress", "regress relevance-change slopes on psycholinguistic factors"),
+            ("permute", "decade-shuffled control for the change regression")):
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p, manifest=False)
+        p.add_argument("--matrix", help="relevance prediction-matrix JSON")
+        p.add_argument("--norms", help="ratings CSV with concreteness column")
+        p.add_argument("--wordlist", help="word,frequency CSV")
+    # The loop ends on permute's parser, which alone takes these two.
     p.add_argument("--shuffles", type=int, default=1000,
                    help="number of shuffles (default: 1000)")
     p.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
@@ -655,7 +615,8 @@ def dispatch(argv: Sequence[str]) -> int:
             command = parser.commands[args.command]
             command.set_defaults(**_config_defaults(Path(args.config), command))
             args = parser.parse_args(list(argv))
-        return _HANDLERS[args.command](args)
+        _write_outputs(args, _HANDLERS[args.command](args))
+        return 0
     except (MoraldriftError, OSError, ValueError, KeyError) as exc:
         print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
         return 2

@@ -200,7 +200,8 @@ def parse_cell(text: str, where: str, column: str, kind: type = str, *,
     name ``column``. A word cell (``kind`` str) is stripped, lowercased,
     not empty and, with ``seen``, not in ``seen`` (it is added). A number
     cell is parsed by ``kind`` (int or float), lies in the closed interval
-    ``bounds`` when given, and is None if blank and ``blank``."""
+    ``bounds`` when given, is finite if a float, and is None if blank and
+    ``blank``."""
     if kind is str:
         word = text.strip().lower()
         if not word:
@@ -220,6 +221,8 @@ def parse_cell(text: str, where: str, column: str, kind: type = str, *,
     if bounds is not None and not bounds[0] <= value <= bounds[1]:
         raise ParseError(f"{where}: {column} {value} outside "
                          f"[{bounds[0]}, {bounds[1]}]")
+    if kind is float and not math.isfinite(value):
+        raise ParseError(f"{where}: non-finite {column} {text!r}")
     return value
 
 
@@ -316,6 +319,9 @@ def _load_binary(path: Path) -> tuple[list[str], np.ndarray, int]:
             raise ParseError(f"{path}: truncated vector for word {word!r}")
         words.append(word)
         vectors += buf[end + 1:pos]
+    bad = _unstorable(words, BINARY_FORMAT)
+    if bad is not None:
+        raise ParseError(f"{path}: entry {bad + 1}: word {words[bad]!r} contains whitespace")
     matrix = np.frombuffer(vectors, dtype="<f4").reshape(len(words), dim)
     with np.errstate(invalid="ignore"):  # a signalling NaN; _first_rows refuses it
         matrix = matrix.astype(np.float64)
@@ -327,7 +333,8 @@ def _vocab_path(path: Path) -> Path:
 
 
 def _load_npy(path: Path) -> tuple[list[str], np.ndarray, int]:
-    """Map ``path`` read-only and read the words of ``<stem>.vocab``.
+    """Map ``path`` read-only and read the words of ``<stem>.vocab``, one
+    per line; a word the writer refuses (a U+2028 inside it) is refused.
 
     Rows are not checked here: the EmbeddingSpace checks (finite values,
     one row per word, no empty or duplicate word) apply to the map.
@@ -352,6 +359,9 @@ def _load_npy(path: Path) -> tuple[list[str], np.ndarray, int]:
     words = text.split("\n")
     if words[-1] == "":
         words.pop()
+    bad = _unstorable(words, NPY_FORMAT)
+    if bad is not None:
+        raise ParseError(f"{vocab}:{bad + 1}: word {words[bad]!r} contains a line break")
     return words, matrix, 0
 
 
@@ -382,15 +392,16 @@ def load_embedding_space(path: str | Path, format: str, decade: int,
         raise DataError(f"{path}: {exc}") from None
 
 
-def _check_words(words: Sequence[str], path: Path, format: str) -> None:
-    """Refuse a word that ``format`` cannot store and read back: a line
-    break in the npy vocabulary, any whitespace in word2vec files."""
-    npy = format == NPY_FORMAT
-    for word in words:
-        if (word.splitlines() if npy else word.split()) != [word]:
-            what = "a line break" if npy else "whitespace"
-            raise DataError(f"{path}: word {word!r} contains {what}, which the "
-                            f"{format} format cannot store")
+def _unstorable(words: Sequence[str], format: str) -> int | None:
+    """Index of the first word that ``format`` cannot store and read back,
+    or None: a word holding a line break in the npy vocabulary, or any
+    whitespace in word2vec files. Empty words are left to EmbeddingSpace.
+    One split of the joined words clears a clean vocabulary; only a
+    failing one is searched word by word."""
+    split, sep = (str.splitlines, "\n") if format == NPY_FORMAT else (str.split, " ")
+    if split(sep.join(words)) == list(words):
+        return None
+    return next((i for i, w in enumerate(words) if w and split(w) != [w]), None)
 
 
 def save_embedding_space(space: EmbeddingSpace, path: str | Path,
@@ -409,7 +420,11 @@ def save_embedding_space(space: EmbeddingSpace, path: str | Path,
     path = Path(path)
     if format not in FORMATS:
         raise ValueError(f"unknown embedding format {format!r}; expected one of {FORMATS}")
-    _check_words(space.words, path, format)
+    bad = _unstorable(space.words, format)
+    if bad is not None:
+        what = "a line break" if format == NPY_FORMAT else "whitespace"
+        raise DataError(f"{path}: word {space.words[bad]!r} contains {what}, which the "
+                        f"{format} format cannot store")
     if format == NPY_FORMAT:
         # Write beside and rename: ``space`` may be a map of ``path``
         # itself, which truncating in place would pull from under it.
@@ -519,17 +534,11 @@ def align_diachronic(diachronic: DiachronicEmbeddings,
     earlier space onto its (already aligned) successor; 'forward' anchors
     the earliest decade and rotates each later space onto its predecessor.
     """
-    spaces = list(diachronic.spaces)
-    if direction == "forward":
-        aligned = [spaces[0]]
-        for sp in spaces[1:]:
-            _, a = align_procrustes(sp, aligned[-1])
-            aligned.append(a)
-    elif direction == "backward":
-        aligned = [spaces[-1]]
-        for sp in reversed(spaces[:-1]):
-            _, a = align_procrustes(sp, aligned[0])
-            aligned.insert(0, a)
-    else:
+    if direction not in ("forward", "backward"):
         raise ValueError(f"unknown alignment direction {direction!r}")
+    # Backward is forward over the reversed decades; the result sorts by decade.
+    spaces = diachronic.spaces if direction == "forward" else diachronic.spaces[::-1]
+    aligned = [spaces[0]]
+    for sp in spaces[1:]:
+        aligned.append(align_procrustes(sp, aligned[-1])[1])
     return DiachronicEmbeddings(aligned)

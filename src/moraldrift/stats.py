@@ -36,9 +36,6 @@ class CorrelationReport:
     p: float
     n: int
 
-    def to_dict(self) -> dict:
-        return {"r": self.r, "p": self.p, "n": self.n}
-
 
 @dataclass(frozen=True)
 class RegressionFit:
@@ -51,16 +48,6 @@ class RegressionFit:
     n: int
     r_squared: float
 
-    def to_dict(self) -> dict:
-        return {
-            "coefficients": self.coefficients,
-            "std_errors": self.std_errors,
-            "t_stats": self.t_stats,
-            "p_values": self.p_values,
-            "n": self.n,
-            "r_squared": self.r_squared,
-        }
-
 
 @dataclass(frozen=True)
 class FactorControl:
@@ -71,27 +58,12 @@ class FactorControl:
     control_stdev: float
     empirical_p: float
 
-    def to_dict(self) -> dict:
-        return {
-            "diachronic_coefficient": self.diachronic_coefficient,
-            "control_mean": self.control_mean,
-            "control_stdev": self.control_stdev,
-            "empirical_p": self.empirical_p,
-        }
-
 
 @dataclass(frozen=True)
 class PermutationReport:
     factors: dict[str, FactorControl]
     n_shuffles: int
     seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "factors": {name: fc.to_dict() for name, fc in self.factors.items()},
-            "n_shuffles": self.n_shuffles,
-            "seed": self.seed,
-        }
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import moraldrift
 from moraldrift import load_diachronic, save_embedding_space
-from moraldrift.cli import dispatch
+from moraldrift.cli import build_parser, dispatch
 
 from conftest import WORLD_DECADES
 
@@ -166,6 +167,14 @@ class TestConfigFile:
                      "--word", "riser", "--tier", "relevance",
                      "--config", str(config))[1]
         assert json.loads(plain)["posterior"] != json.loads(normed)["posterior"]
+
+    def test_config_not_utf8_names_file_and_line(self, capsys, world_files, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"tier=polarity\n# caf\xe9\n")
+        code, _, err = run(capsys, "classify", *data_args(world_files),
+                           "--word", "riser", "--config", str(config))
+        assert code == 2
+        assert f"{config}:2: not valid UTF-8 (invalid continuation byte)" in err
 
     def test_bad_boolean_value_rejected(self, capsys, world_files, tmp_path):
         config = tmp_path / "run.cfg"
@@ -324,6 +333,20 @@ class TestRegressAndPermute:
         assert set(payload["factors"]) == {"frequency", "length", "concreteness"}
         capsys.readouterr()
 
+    def test_regress_refuses_infinite_frequency_by_file(self, capsys, changer_files,
+                                                         tmp_path):
+        wordlist = tmp_path / "wordlist.csv"
+        lines = changer_files.wordlist.read_text().splitlines()
+        word = lines[2].split(",")[0]
+        lines[2] = f"{word},inf"
+        wordlist.write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, "regress", "--matrix", str(changer_files.matrix),
+                           "--norms", str(changer_files.norms),
+                           "--wordlist", str(wordlist), "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert f"{wordlist}:3: non-finite frequency 'inf'" in err
+        assert not (tmp_path / "out").exists()
+
     def test_permute_rejects_polarity_matrix(self, capsys, changer_files, tmp_path):
         bad = tmp_path / "polarity.json"
         payload = json.loads(changer_files.matrix.read_text())
@@ -354,6 +377,22 @@ class TestAlign:
             "--out-dir", str(tmp_path))
         first = (tmp_path / "aligned_manifest.csv").read_text().splitlines()[0]
         assert first.startswith("# tool=moraldrift")
+
+    def test_unstorable_word_leaves_no_output(self, capsys, tmp_path):
+        # The later decade holds a word the npy store cannot hold (U+2028
+        # is a line break); it is refused at load, before any file is written.
+        rows = np.arange(6, dtype="<f4").reshape(3, 2)
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("decade,path,format\n1900,a.bin,binary-word2vec\n"
+                            "1910,b.bin,binary-word2vec\n")
+        for name, words in (("a.bin", ["a", "b", "c"]), ("b.bin", ["a", "b", "odd\u2028word"])):
+            (tmp_path / name).write_bytes(b"3 2\n" + b"".join(
+                w.encode() + b" " + row.tobytes() for w, row in zip(words, rows)))
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "align", "--manifest", str(manifest), "--out-dir", str(out))
+        assert code == 2
+        assert f"{tmp_path / 'b.bin'}: entry 3: word 'odd\\u2028word' contains whitespace" in err
+        assert not out.exists()
 
     def test_npy_store_gives_the_text_outputs(self, capsys, world_files, tmp_path):
         store, out = tmp_path / "aligned", tmp_path / "out"
@@ -472,3 +511,49 @@ class TestCountOptionsBelowOne:
         assert code == 2
         assert f"need at least one shuffle, got {shuffles}" in err
         assert not out.exists()
+
+
+def _meta_argv(command, world, changers, matrix_dir):
+    data = data_args(world)
+    regression = ["--matrix", str(changers.matrix), "--norms", str(changers.norms),
+                  "--wordlist", str(changers.wordlist)]
+    return {
+        "align": ["--manifest", str(world.manifest)],
+        "classify": [*data, "--word", "riser", "--tier", "relevance"],
+        "timecourse": [*data, "--word", "riser", "--tier", "category"],
+        "matrix": [*data, "--wordlist", str(world.wordlist), "--kind", "polarity"],
+        "evaluate": [*data, "--tier", "polarity", "--historical"],
+        "valence-corr": data,
+        "survey-corr": [*data, "--survey", str(world.survey)],
+        "retrieve": [*data, "--matrix", str(matrix_dir / "matrix_relevance.json"),
+                     "--direction", "toward-relevance"],
+        "regress": regression,
+        "permute": [*regression, "--shuffles", "5"],
+        "project": [*data, "--words", "riser"],
+    }[command]
+
+
+@pytest.mark.parametrize("command", sorted(build_parser().commands))
+def test_every_output_carries_the_command_meta(capsys, world_files, changer_files,
+                                               matrix_dir, tmp_path, command):
+    out = tmp_path / "out"
+    code, stdout, _ = run(capsys, command,
+                          *_meta_argv(command, world_files, changer_files, matrix_dir),
+                          "--out-dir", str(out))
+    assert code == 0
+    metas = [json.loads(stdout)["_meta"]] if stdout else []
+    for path in sorted(out.iterdir()) if out.exists() else []:
+        if path.suffix == ".json":
+            metas.append(json.loads(path.read_text())["_meta"])
+        elif path.suffix == ".csv":
+            first = path.read_text().splitlines()[0]
+            assert first.startswith("# ")
+            metas.append(dict(item.split("=", 1) for item in first[2:].split(" ")))
+        else:
+            assert path.suffix in (".npy", ".vocab")
+    assert metas
+    config_hash = metas[0]["config_hash"]
+    assert config_hash
+    assert all(meta == {"tool": "moraldrift", "version": moraldrift.__version__,
+                        "command": command, "config_hash": config_hash}
+               for meta in metas)

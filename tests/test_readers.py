@@ -141,6 +141,35 @@ class TestWord2vecFaults:
             load_embedding_space(path, BINARY_FORMAT, 1900)
 
 
+class TestUnstorableWordsAtLoad:
+    """A word that its format's writer refuses is refused at load too,
+    naming the file and the entry (binary) or the vocabulary line (npy)."""
+
+    @pytest.mark.parametrize("word", ["tab\there", "line\nbreak", "nel\x85x", "sep\u2028x"])
+    def test_binary_word_with_whitespace(self, tmp_path, word):
+        path = tmp_path / "v.bin"
+        write_binary(path, ["a", word], np.zeros((2, 2), dtype=np.float32))
+        with pytest.raises(ParseError, match=re.escape(
+                f"{path}: entry 2: word {word!r} contains whitespace")):
+            load_embedding_space(path, BINARY_FORMAT, 1900)
+
+    @pytest.mark.parametrize("word", ["sep\u2028x", "par\u2029x", "nel\x85x", "vt\x0bx"])
+    def test_npy_word_with_a_line_break(self, tmp_path, word):
+        path = tmp_path / "v.npy"
+        save_embedding_space(EmbeddingSpace(1900, ["a", "b"], np.eye(2)), path, NPY_FORMAT)
+        vocab = path.with_suffix(".vocab")
+        vocab.write_text(f"a\n{word}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=re.escape(
+                f"{vocab}:2: word {word!r} contains a line break")):
+            load_embedding_space(path, NPY_FORMAT, 1900)
+
+    def test_crlf_npy_vocabulary_reads_its_words(self, tmp_path):
+        path = tmp_path / "v.npy"
+        save_embedding_space(EmbeddingSpace(1900, ["a", "b"], np.eye(2)), path, NPY_FORMAT)
+        path.with_suffix(".vocab").write_bytes(b"a\r\nb\r\n")
+        assert load_embedding_space(path, NPY_FORMAT, 1900).words == ("a", "b")
+
+
 # reader -> (header, a row with one fault, the message after "path:line: ",
 #            which names the column)
 TABLE_FAULTS = {
@@ -164,6 +193,23 @@ def test_table_fault_names_line_and_column(tmp_path, name):
     with pytest.raises(ParseError) as info:
         load(path)
     assert str(info.value) == f"{path}:4: {message}"
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_non_finite_frequency_refused(tmp_path, value):
+    path = tmp_path / "wordlist.csv"
+    path.write_text(f"word,frequency\na,3\nb,{value}\n")
+    with pytest.raises(ParseError) as info:
+        load_wordlist(path)
+    assert str(info.value) == f"{path}:3: non-finite frequency {value!r}"
+
+
+def test_bounded_column_keeps_its_range_message_for_inf(tmp_path):
+    path = tmp_path / "norms.csv"
+    path.write_text("word,valence\ncalm,inf\n")
+    with pytest.raises(ParseError) as info:
+        load_norms(path)
+    assert str(info.value) == f"{path}:2: valence inf outside [1.0, 9.0]"
 
 
 def test_table_duplicate_word_refused(tmp_path):
