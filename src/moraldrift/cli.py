@@ -36,7 +36,7 @@ from .embeddings import (NPY_FORMAT, DiachronicEmbeddings, EmbeddingSpace,
 from .errors import CoverageError, DataError, MoraldriftError, ParseError
 from .evaluate import (load_survey, loo_accuracy, loo_accuracy_historical,
                        survey_correlation, valence_correlation)
-from .lexicon import (TIERS, NormEntry, SeedLexicon, build_irrelevant_seeds,
+from .lexicon import (TIERS, NormTable, SeedLexicon, build_irrelevant_seeds,
                       build_tiers, category_label, load_mfd, load_norms,
                       relevant_words)
 from .stats import (changed_word_fit, factor_tables, fisher_projection,
@@ -151,7 +151,7 @@ def _out_dir(args: argparse.Namespace) -> Path:
 # Shared loading and output helpers
 # ---------------------------------------------------------------------------
 
-def _seed_inputs(args: argparse.Namespace, norms: Sequence[NormEntry] | None = None
+def _seed_inputs(args: argparse.Namespace, norms: NormTable | None = None
                  ) -> tuple[DiachronicEmbeddings, SeedLexicon]:
     """The decades of --manifest and the seed lexicon of --mfd and ``norms``."""
     diachronic = load_diachronic(_path(args, "manifest"),
@@ -169,7 +169,7 @@ def _seed_inputs(args: argparse.Namespace, norms: Sequence[NormEntry] | None = N
     return diachronic, build_tiers(entries, irrelevant)
 
 
-def _model_inputs(args: argparse.Namespace, norms: Sequence[NormEntry] | None = None
+def _model_inputs(args: argparse.Namespace, norms: NormTable | None = None
                   ) -> tuple[ModelSpec, DiachronicEmbeddings, SeedLexicon]:
     """The model spec and the ``_seed_inputs`` that classifying commands read."""
     spec = ModelSpec(kind=args.model, k=args.k, h=args.bandwidth,
@@ -230,8 +230,8 @@ def _score_list(values: np.ndarray) -> list:
 def _cmd_align(args) -> dict:
     diachronic = load_diachronic(_path(args, "manifest"),
                                  normalize=args.normalize_embeddings)
-    out = _out_dir(args)
     aligned = align_diachronic(diachronic, direction=args.alignment_direction)
+    out = _out_dir(args)
     manifest_rows = []
     for space in aligned:
         name = f"aligned_{space.decade}.npy"

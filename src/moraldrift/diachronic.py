@@ -284,9 +284,11 @@ def load_wordlist(path: str | Path) -> list[tuple[str, float]]:
     """Parse a word,frequency CSV; words are lowercased, order kept."""
     out: list[tuple[str, float]] = []
     seen: set[str] = set()
-    for where, row in read_table(path, [["word", "frequency"]]):
-        word = parse_cell(row[0], where, "word", seen=seen)
-        freq = parse_cell(row[1], where, "frequency", float)
+    columns, lines = read_table(path, [["word", "frequency"]])
+    for line, word_cell, frequency in zip(lines, *columns):
+        where = f"{path}:{line}"
+        word = parse_cell(word_cell, where, "word", seen=seen)
+        freq = parse_cell(frequency, where, "frequency", float)
         out.append((word, freq))
     if not out:
         raise ParseError(f"{path}: no entries")

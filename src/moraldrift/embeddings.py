@@ -55,18 +55,22 @@ class EmbeddingSpace:
 
     def __init__(self, decade: int, words: Sequence[str], matrix: np.ndarray,
                  n_duplicates: int = 0):
-        if decade % 10 != 0:
-            raise DataError(f"decade must be a multiple of 10, got {decade}")
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2:
-            raise DataError("embedding matrix must be 2-dimensional")
-        if len(words) != matrix.shape[0]:
-            raise DataError(
-                f"{len(words)} words but {matrix.shape[0]} matrix rows")
-        if matrix.shape[0] == 0:
-            raise DataError("embedding space has empty vocabulary")
+        matrix = _shaped(decade, words, matrix)
         if not np.all(np.isfinite(matrix)):
             raise DataError("embedding matrix contains non-finite entries")
+        self._index_words(decade, words, matrix, n_duplicates)
+
+    @classmethod
+    def _of_finite(cls, decade: int, words: Sequence[str], matrix: np.ndarray,
+                   n_duplicates: int) -> EmbeddingSpace:
+        """The space without the finiteness pass over ``matrix``, for the
+        word2vec readers, which have checked every row (``_first_rows``)."""
+        space = cls.__new__(cls)
+        space._index_words(decade, words, _shaped(decade, words, matrix), n_duplicates)
+        return space
+
+    def _index_words(self, decade: int, words: Sequence[str], matrix: np.ndarray,
+                     n_duplicates: int) -> None:
         index: dict[str, int] = {}
         for i, w in enumerate(words):
             if not w:
@@ -111,6 +115,22 @@ class EmbeddingSpace:
         return mat, found, missing
 
 
+def _shaped(decade: int, words: Sequence[str], matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` as float64 once the decade and its shape (one row per
+    word, at least one) are checked."""
+    if decade % 10 != 0:
+        raise DataError(f"decade must be a multiple of 10, got {decade}")
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2:
+        raise DataError("embedding matrix must be 2-dimensional")
+    if len(words) != matrix.shape[0]:
+        raise DataError(
+            f"{len(words)} words but {matrix.shape[0]} matrix rows")
+    if matrix.shape[0] == 0:
+        raise DataError("embedding space has empty vocabulary")
+    return matrix
+
+
 class DiachronicEmbeddings:
     """Ordered sequence of embedding spaces with strictly increasing decades."""
 
@@ -145,22 +165,26 @@ class DiachronicEmbeddings:
 
 
 def read_table(path: str | Path, headers: Sequence[Sequence[str]]
-               ) -> list[tuple[str, list[str]]]:
-    """Read a CSV table whose header is one of ``headers``.
+               ) -> tuple[list[list[str]], list[int]]:
+    """Read a CSV table whose header is one of ``headers``, as columns.
 
     Lines starting with ``#`` and blank rows are skipped. Header cells
-    are compared stripped and lowercased. Returns ``(where, cells)`` per
-    data row, where ``where`` is ``path:lineno`` with the row's line in
-    the file; ``parse_cell`` parses the cells. A row whose column count
-    differs from the header's raises a ParseError naming ``path:lineno``.
+    are compared stripped and lowercased. Returns one list of cell
+    strings per header column and the line in the file of each kept row
+    (for a row with a quoted line break, its last line); ``parse_cell``
+    parses the cells, with ``path:line`` as ``where``. A row whose column
+    count differs from the header's raises a ParseError naming
+    ``path:line``.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            kept = [(n, line) for n, line in enumerate(fh, start=1)
-                    if not line.startswith("#")]
+            lines = fh.readlines()
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
-    reader = csv.reader(line for _, line in kept)
+    numbers = [n for n, line in enumerate(lines, start=1) if not line.startswith("#")]
+    if len(numbers) < len(lines):
+        lines = [lines[n - 1] for n in numbers]
+    reader = csv.reader(lines)
     header = next(reader, None)
     if header is None:
         raise ParseError(f"{path}: empty file")
@@ -168,16 +192,21 @@ def read_table(path: str | Path, headers: Sequence[Sequence[str]]
     if normalized not in [list(h) for h in headers]:
         want = " or ".join(",".join(h) for h in headers)
         raise ParseError(f"{path}: expected header '{want}', got {','.join(header)!r}")
-    rows = []
-    for row in reader:
-        if not any(cell.strip() for cell in row):
-            continue
-        lineno = kept[reader.line_num - 1][0]
-        if len(row) != len(normalized):
-            raise ParseError(f"{path}:{lineno}: expected {len(normalized)} columns, "
-                             f"got {len(row)}")
-        rows.append((f"{path}:{lineno}", row))
-    return rows
+    rows = list(reader)
+    if len(rows) + 1 < len(lines):  # a record spans lines: number each by its last
+        reader = csv.reader(lines)
+        numbers = [numbers[reader.line_num - 1] for _ in reader]
+    numbers = numbers[1:]
+    if not all(map(str.strip, map("".join, rows))):
+        kept = [i for i, row in enumerate(rows) if "".join(row).strip()]
+        rows, numbers = [rows[i] for i in kept], [numbers[i] for i in kept]
+    width = len(normalized)
+    bad = next((i for i, row in enumerate(rows) if len(row) != width), None)
+    if bad is not None:
+        raise ParseError(f"{path}:{numbers[bad]}: expected {width} columns, "
+                         f"got {len(rows[bad])}")
+    columns = [list(column) for column in zip(*rows)] if rows else [[] for _ in header]
+    return columns, numbers
 
 
 def _not_utf8(path: str | Path) -> ParseError:
@@ -334,7 +363,8 @@ def _vocab_path(path: Path) -> Path:
 
 def _load_npy(path: Path) -> tuple[list[str], np.ndarray, int]:
     """Map ``path`` read-only and read the words of ``<stem>.vocab``, one
-    per line; a word the writer refuses (a U+2028 inside it) is refused.
+    per ``\n``-ended line (a ``\r`` before the ``\n`` is dropped); a word
+    the writer refuses (a ``\r`` or U+2028 inside it) is refused.
 
     Rows are not checked here: the EmbeddingSpace checks (finite values,
     one row per word, no empty or duplicate word) apply to the map.
@@ -351,7 +381,7 @@ def _load_npy(path: Path) -> tuple[list[str], np.ndarray, int]:
                          f"{matrix.ndim}-D {matrix.dtype.str}")
     vocab = _vocab_path(path)
     try:
-        text = vocab.read_text(encoding="utf-8")
+        text = vocab.read_bytes().decode("utf-8")
     except FileNotFoundError:
         raise ParseError(f"{path}: vocabulary file {vocab} not found") from None
     except UnicodeDecodeError:
@@ -359,6 +389,8 @@ def _load_npy(path: Path) -> tuple[list[str], np.ndarray, int]:
     words = text.split("\n")
     if words[-1] == "":
         words.pop()
+    if "\r" in text:  # a CRLF line reads as its word; any other \r is refused below
+        words = [w[:-1] if w.endswith("\r") else w for w in words]
     bad = _unstorable(words, NPY_FORMAT)
     if bad is not None:
         raise ParseError(f"{vocab}:{bad + 1}: word {words[bad]!r} contains a line break")
@@ -386,8 +418,11 @@ def load_embedding_space(path: str | Path, format: str, decade: int,
         logger.warning("%s: dropped %d duplicate vocabulary entries", path, n_dup)
     if normalize:
         matrix = _normalize_rows(matrix)
+    # A map is checked for finite values here; the word2vec readers
+    # checked every row already.
+    make = EmbeddingSpace if format == NPY_FORMAT else EmbeddingSpace._of_finite
     try:
-        return EmbeddingSpace(decade, words, matrix, n_duplicates=n_dup)
+        return make(decade, words, matrix, n_dup)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 
@@ -511,12 +546,14 @@ def load_diachronic(manifest: str | Path, normalize: bool = False) -> Diachronic
     """
     manifest = Path(manifest)
     spaces = []
-    for where, row in read_table(manifest, [["decade", "path", "format"]]):
-        decade = parse_cell(row[0], where, "decade", int)
-        fmt = row[2].strip()
+    columns, lines = read_table(manifest, [["decade", "path", "format"]])
+    for line, decade_cell, path_cell, format_cell in zip(lines, *columns):
+        where = f"{manifest}:{line}"
+        decade = parse_cell(decade_cell, where, "decade", int)
+        fmt = format_cell.strip()
         if fmt not in FORMATS:
             raise ParseError(f"{where}: unknown format {fmt!r}")
-        path = manifest.parent / row[1].strip()  # an absolute path stays as is
+        path = manifest.parent / path_cell.strip()  # an absolute path stays as is
         try:
             spaces.append(load_embedding_space(path, fmt, decade, normalize=normalize))
         except (OSError, ParseError, DataError) as exc:

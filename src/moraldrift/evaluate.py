@@ -13,7 +13,7 @@ from .classifiers import Classifier, ModelSpec, _loo_predict, posterior, posteri
 from .embeddings import (DiachronicEmbeddings, EmbeddingSpace, average_vector,
                          parse_cell, read_table)
 from .errors import DataError
-from .lexicon import NormEntry, SeedLexicon, seed_vectors, tier_classes
+from .lexicon import NormEntry, NormTable, SeedLexicon, seed_vectors, tier_classes
 from .stats import CorrelationReport, pearson
 
 logger = logging.getLogger(__name__)
@@ -107,15 +107,15 @@ def loo_accuracy_historical(spec: ModelSpec, lexicon: SeedLexicon,
 
 
 def valence_correlation(polarity_model: Classifier, space: EmbeddingSpace,
-                        norms: Sequence[NormEntry]) -> CorrelationReport:
+                        norms: NormTable | Sequence[NormEntry]) -> CorrelationReport:
     """Correlate human valence ratings with predicted positive-polarity
     probability over all rated words that have embeddings."""
-    rated = [(e.word, e.valence) for e in norms if e.word in space]
+    table = NormTable.of(norms)
+    rated = [i for i, w in enumerate(table.words) if w in space]
     if len(rated) < 3:
         raise DataError(f"only {len(rated)} rated words have embeddings; need >= 3")
-    words = [w for w, _ in rated]
-    valences = np.array([v for _, v in rated])
-    matrix, _, _ = space.rows(words)
+    valences = table.valence[rated]
+    matrix, _, _ = space.rows(table.words[i] for i in rated)
     probs = posterior_batch(polarity_model, matrix)
     positive = probs[:, polarity_model.classes.index("positive")]
     return pearson(valences, positive)
@@ -128,11 +128,13 @@ def load_survey(path: str | Path) -> list[tuple[list[str], float, float]]:
     lie in [0, 1].
     """
     rows: list[tuple[list[str], float, float]] = []
-    for where, row in read_table(path, [["topic", "frac_not_moral", "frac_acceptable"]]):
-        tokens = parse_cell(row[0], where, "topic").split()
-        not_moral = parse_cell(row[1], where, "proportion frac_not_moral", float,
+    columns, lines = read_table(path, [["topic", "frac_not_moral", "frac_acceptable"]])
+    for line, topic, frac_not_moral, frac_acceptable in zip(lines, *columns):
+        where = f"{path}:{line}"
+        tokens = parse_cell(topic, where, "topic").split()
+        not_moral = parse_cell(frac_not_moral, where, "proportion frac_not_moral", float,
                                bounds=(0.0, 1.0))
-        acceptable = parse_cell(row[2], where, "proportion frac_acceptable", float,
+        acceptable = parse_cell(frac_acceptable, where, "proportion frac_acceptable", float,
                                 bounds=(0.0, 1.0))
         rows.append((tokens, not_moral, acceptable))
     return rows

@@ -8,10 +8,11 @@ the neutral midpoint that are not themselves moral seeds.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -69,6 +70,40 @@ class NormEntry:
     concreteness: float | None = None
 
 
+@dataclass(frozen=True, eq=False)
+class NormTable:
+    """A ratings table as columns, in file order: ``valence`` and
+    ``concreteness`` are float64 arrays aligned with ``words``, and a NaN
+    concreteness means no rating. Its length, indexing and iteration give
+    NormEntry rows."""
+
+    words: tuple[str, ...]
+    valence: np.ndarray
+    concreteness: np.ndarray
+
+    @classmethod
+    def of(cls, norms: NormTable | Iterable[NormEntry]) -> NormTable:
+        """``norms`` itself if a NormTable, else the table of its rows."""
+        if isinstance(norms, NormTable):
+            return norms
+        norms = list(norms)
+        return cls(tuple(e.word for e in norms),
+                   np.array([e.valence for e in norms], dtype=np.float64),
+                   np.array([math.nan if e.concreteness is None else e.concreteness
+                             for e in norms], dtype=np.float64))
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def __getitem__(self, i: int) -> NormEntry:
+        concreteness = float(self.concreteness[i])
+        return NormEntry(self.words[i], float(self.valence[i]),
+                         None if math.isnan(concreteness) else concreteness)
+
+    def __iter__(self) -> Iterator[NormEntry]:
+        return (self[i] for i in range(len(self)))
+
+
 @dataclass(frozen=True)
 class SeedLexicon:
     """The moral environment organized into the three tier views."""
@@ -111,9 +146,11 @@ def load_mfd(path: str | Path) -> list[SeedEntry]:
     """
     entries: list[SeedEntry] = []
     skipped = 0
-    for where, row in read_table(path, [["word", "category"]]):
-        word = parse_cell(row[0], where, "word")
-        category = parse_cell(row[1], where, "category", int, bounds=(1, 10))
+    columns, lines = read_table(path, [["word", "category"]])
+    for line, word_cell, category_cell in zip(lines, *columns):
+        where = f"{path}:{line}"
+        word = parse_cell(word_cell, where, "word")
+        category = parse_cell(category_cell, where, "category", int, bounds=(1, 10))
         if " " in word:
             skipped += 1
             continue
@@ -123,20 +160,55 @@ def load_mfd(path: str | Path) -> list[SeedEntry]:
     return entries
 
 
-def load_norms(path: str | Path) -> list[NormEntry]:
-    """Parse the ratings CSV (word,valence[,concreteness]); rejects duplicates."""
-    entries: list[NormEntry] = []
+def load_norms(path: str | Path) -> NormTable:
+    """Parse the ratings CSV (word,valence[,concreteness]); rejects
+    duplicates. Only a blank concreteness cell means no rating."""
+    columns, lines = read_table(
+        path, [["word", "valence"], ["word", "valence", "concreteness"]])
+    words = [cell.strip().lower() for cell in columns[0]]
+    valence = _number_column(columns[1], VALENCE_RANGE)
+    concreteness = (_number_column(columns[2], CONCRETENESS_RANGE, blank=True)
+                    if len(columns) == 3 else np.full(len(words), math.nan))
+    if (valence is None or concreteness is None or not all(words)
+            or len(set(words)) < len(words)):
+        _refuse_first_bad_row(path, columns, lines)
+    return NormTable(tuple(words), valence, concreteness)
+
+
+def _number_column(cells: list[str], bounds: tuple[float, float],
+                   blank: bool = False) -> np.ndarray | None:
+    """The cells as float64, NaN where blank if ``blank``; None if any
+    cell would fail ``parse_cell``: not a number, NaN or outside ``bounds``
+    (so not finite), or blank without ``blank``."""
+    n_blank = 0
+    if blank:
+        cells = [cell.strip() for cell in cells]
+        n_blank = cells.count("")
+    try:
+        values = np.array([float(c) if c else math.nan for c in cells] if n_blank
+                          else list(map(float, cells)), dtype=np.float64)
+    except ValueError:
+        return None
+    missing = np.isnan(values)
+    inside = (values >= bounds[0]) & (values <= bounds[1])
+    if np.count_nonzero(missing) != n_blank or not np.all(inside | missing):
+        return None
+    return values
+
+
+def _refuse_first_bad_row(path: str | Path, columns: list[list[str]],
+                          lines: list[int]) -> NoReturn:
+    """Raise the ParseError of the first refused row, in file order, by
+    parsing the rows one by one with ``parse_cell``."""
     seen: set[str] = set()
-    for where, row in read_table(
-            path, [["word", "valence"], ["word", "valence", "concreteness"]]):
-        word = parse_cell(row[0], where, "word", seen=seen)
-        valence = parse_cell(row[1], where, "valence", float, bounds=VALENCE_RANGE)
-        concreteness = None
-        if len(row) == 3:
-            concreteness = parse_cell(row[2], where, "concreteness", float,
-                                      bounds=CONCRETENESS_RANGE, blank=True)
-        entries.append(NormEntry(word=word, valence=valence, concreteness=concreteness))
-    return entries
+    for line, *cells in zip(lines, *columns):
+        where = f"{path}:{line}"
+        parse_cell(cells[0], where, "word", seen=seen)
+        parse_cell(cells[1], where, "valence", float, bounds=VALENCE_RANGE)
+        if len(cells) == 3:
+            parse_cell(cells[2], where, "concreteness", float,
+                       bounds=CONCRETENESS_RANGE, blank=True)
+    raise RuntimeError(f"{path}: a column check refused a row that parse_cell accepts")
 
 
 def relevant_words(entries: Iterable[SeedEntry]) -> list[str]:
@@ -150,8 +222,8 @@ def relevant_words(entries: Iterable[SeedEntry]) -> list[str]:
     return out
 
 
-def build_irrelevant_seeds(norms: Sequence[NormEntry], mfd_words: Iterable[str],
-                           count: int | None = None,
+def build_irrelevant_seeds(norms: NormTable | Sequence[NormEntry],
+                           mfd_words: Iterable[str], count: int | None = None,
                            vocabulary: Iterable[str] | None = None) -> set[str]:
     """Select the ``count`` most valence-neutral non-seed words.
 
@@ -160,18 +232,28 @@ def build_irrelevant_seeds(norms: Sequence[NormEntry], mfd_words: Iterable[str],
     relevant and irrelevant sets end up the same size. ``vocabulary``,
     when given, restricts candidates to words with embeddings.
     """
+    table = NormTable.of(norms)
     mfd = set(mfd_words)
     if count is None:
         count = len(mfd)
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
     vocab = set(vocabulary) if vocabulary is not None else None
-    candidates = [e for e in norms
-                  if e.word not in mfd and (vocab is None or e.word in vocab)]
-    if count > len(candidates):
+    rows = [i for i, w in enumerate(table.words)
+            if w not in mfd and (vocab is None or w in vocab)]
+    if count > len(rows):
         raise DataError(
-            f"requested {count} irrelevant seeds but only {len(candidates)} "
+            f"requested {count} irrelevant seeds but only {len(rows)} "
             f"non-seed candidate words are available")
-    ranked = sorted(candidates, key=lambda e: (abs(e.valence - VALENCE_MIDPOINT), e.word))
-    return {e.word for e in ranked[:count]}
+    if count == 0:
+        return set()
+    distance = np.abs(table.valence[rows] - VALENCE_MIDPOINT)
+    # The count-th smallest distance: every word nearer is chosen, and the
+    # words at it fill the remaining places in word order.
+    cut = np.partition(distance, count - 1)[count - 1]
+    chosen = [table.words[rows[i]] for i in np.flatnonzero(distance < cut)]
+    tied = sorted(table.words[rows[i]] for i in np.flatnonzero(distance == cut))
+    return set(chosen + tied[:count - len(chosen)])
 
 
 def build_tiers(mfd: Sequence[SeedEntry], irrelevant: Iterable[str]) -> SeedLexicon:

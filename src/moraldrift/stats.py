@@ -16,7 +16,7 @@ import numpy as np
 
 from .embeddings import QueryVector
 from .errors import DataError
-from .lexicon import NormEntry
+from .lexicon import NormEntry, NormTable
 
 if TYPE_CHECKING:
     from .diachronic import PredictionMatrix
@@ -331,12 +331,15 @@ def changed_word_fit(values: np.ndarray, words: Sequence[str],
     return _ChangeSample(values, words, concreteness, log_frequency).fit()
 
 
-def factor_tables(norms: Sequence[NormEntry],
+def factor_tables(norms: NormTable | Sequence[NormEntry],
                   frequencies: Mapping[str, float] | Sequence[tuple[str, float]]
                   ) -> tuple[dict[str, float], dict[str, float]]:
     """Word -> concreteness and word -> log frequency; words without a
     concreteness rating or with a non-positive frequency are left out."""
-    concreteness = {e.word: e.concreteness for e in norms if e.concreteness is not None}
+    table = NormTable.of(norms)
+    rated = np.flatnonzero(~np.isnan(table.concreteness))
+    concreteness = dict(zip([table.words[i] for i in rated],
+                            table.concreteness[rated].tolist()))
     freq_map = dict(frequencies)
     log_frequency = {}
     skipped = 0
@@ -352,7 +355,7 @@ def factor_tables(norms: Sequence[NormEntry],
 
 def psycholinguistic_regression(
     matrix: "PredictionMatrix",
-    norms: Sequence[NormEntry],
+    norms: NormTable | Sequence[NormEntry],
     frequencies: Mapping[str, float] | Sequence[tuple[str, float]],
 ) -> tuple[RegressionFit, list[str]]:
     """Regress per-word relevance-change slopes on log frequency, word
@@ -371,7 +374,7 @@ def psycholinguistic_regression(
 
 def permutation_control(
     matrix: "PredictionMatrix",
-    norms: Sequence[NormEntry],
+    norms: NormTable | Sequence[NormEntry],
     frequencies: Mapping[str, float] | Sequence[tuple[str, float]],
     n_shuffles: int = 1000,
     seed: int = 0,

@@ -247,3 +247,79 @@ def permutation_control_loop(matrix, norms, frequencies, n_shuffles=1000, seed=0
             empirical_p=(1 + int(np.count_nonzero(np.abs(ctrl) >= abs(observed))))
             / (n_shuffles + 1))
     return PermutationReport(factors=factors, n_shuffles=n_shuffles, seed=seed), control
+
+
+# ---------------------------------------------------------------------------
+# The norms table, row by row (the loader and ranking before the columnar
+# NormTable)
+# ---------------------------------------------------------------------------
+
+def read_table_rows(path, headers):
+    """``(path:line, cells)`` per kept data row of a CSV table."""
+    import csv
+
+    from moraldrift.embeddings import _not_utf8
+    from moraldrift.errors import ParseError
+
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            kept = [(n, line) for n, line in enumerate(fh, start=1)
+                    if not line.startswith("#")]
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+    reader = csv.reader(line for _, line in kept)
+    header = next(reader, None)
+    if header is None:
+        raise ParseError(f"{path}: empty file")
+    normalized = [h.strip().lower() for h in header]
+    if normalized not in [list(h) for h in headers]:
+        want = " or ".join(",".join(h) for h in headers)
+        raise ParseError(f"{path}: expected header '{want}', got {','.join(header)!r}")
+    rows = []
+    for row in reader:
+        if not any(cell.strip() for cell in row):
+            continue
+        lineno = kept[reader.line_num - 1][0]
+        if len(row) != len(normalized):
+            raise ParseError(f"{path}:{lineno}: expected {len(normalized)} columns, "
+                             f"got {len(row)}")
+        rows.append((f"{path}:{lineno}", row))
+    return rows
+
+
+def load_norms(path):
+    """A list of NormEntry, one per row, each cell parsed on its own."""
+    from moraldrift.embeddings import parse_cell
+    from moraldrift.lexicon import CONCRETENESS_RANGE, VALENCE_RANGE, NormEntry
+
+    entries = []
+    seen = set()
+    for where, row in read_table_rows(
+            path, [["word", "valence"], ["word", "valence", "concreteness"]]):
+        word = parse_cell(row[0], where, "word", seen=seen)
+        valence = parse_cell(row[1], where, "valence", float, bounds=VALENCE_RANGE)
+        concreteness = None
+        if len(row) == 3:
+            concreteness = parse_cell(row[2], where, "concreteness", float,
+                                      bounds=CONCRETENESS_RANGE, blank=True)
+        entries.append(NormEntry(word=word, valence=valence, concreteness=concreteness))
+    return entries
+
+
+def build_irrelevant_seeds(norms, mfd_words, count=None, vocabulary=None):
+    """The ``count`` most neutral non-seed words by one full sort on
+    (distance from 5.0, word)."""
+    from moraldrift.errors import DataError
+
+    mfd = set(mfd_words)
+    if count is None:
+        count = len(mfd)
+    vocab = set(vocabulary) if vocabulary is not None else None
+    candidates = [e for e in norms
+                  if e.word not in mfd and (vocab is None or e.word in vocab)]
+    if count > len(candidates):
+        raise DataError(
+            f"requested {count} irrelevant seeds but only {len(candidates)} "
+            f"non-seed candidate words are available")
+    ranked = sorted(candidates, key=lambda e: (abs(e.valence - 5.0), e.word))
+    return {e.word for e in ranked[:count]}

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import moraldrift
-from moraldrift import load_diachronic, save_embedding_space
+from moraldrift import EmbeddingSpace, load_diachronic, save_embedding_space
 from moraldrift.cli import build_parser, dispatch
 
 from conftest import WORLD_DECADES
@@ -360,6 +360,32 @@ class TestRegressAndPermute:
         assert "relevance" in err
 
 
+class TestBadNormsCell:
+    @pytest.mark.parametrize("command", ["classify", "valence-corr", "regress"])
+    def test_exit_2_naming_the_line(self, capsys, world_files, changer_files, tmp_path,
+                                    command):
+        source = changer_files.norms if command == "regress" else world_files.norms
+        lines = source.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[1] = "9.5"
+        lines[3] = ",".join(cells)
+        norms = tmp_path / "norms.csv"
+        norms.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        if command == "regress":
+            argv = ["--matrix", str(changer_files.matrix), "--wordlist",
+                    str(changer_files.wordlist)]
+        else:
+            argv = ["--manifest", str(world_files.manifest), "--mfd", str(world_files.mfd)]
+            if command == "classify":
+                argv += ["--word", "riser", "--tier", "relevance"]
+        code, stdout, err = run(capsys, command, *argv, "--norms", str(norms),
+                                "--out-dir", str(out))
+        assert (code, stdout) == (2, "")
+        assert err == f"moraldrift: error: {norms}:4: valence 9.5 outside [1.0, 9.0]\n"
+        assert not out.exists()
+
+
 class TestAlign:
     def test_align_writes_consistent_spaces(self, capsys, world_files, tmp_path):
         code, _, _ = run(capsys, "align", "--manifest", str(world_files.manifest),
@@ -392,6 +418,20 @@ class TestAlign:
         code, _, err = run(capsys, "align", "--manifest", str(manifest), "--out-dir", str(out))
         assert code == 2
         assert f"{tmp_path / 'b.bin'}: entry 3: word 'odd\\u2028word' contains whitespace" in err
+        assert not out.exists()
+
+    def test_failed_alignment_leaves_no_out_dir(self, capsys, tmp_path):
+        # Two 3-d decades share one word: too few for a rotation.
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("decade,path,format\n1900,a.txt,text-word2vec\n"
+                            "1910,b.txt,text-word2vec\n")
+        for name, decade, words in (("a.txt", 1900, ["a", "b", "c"]),
+                                    ("b.txt", 1910, ["a", "x", "y"])):
+            save_embedding_space(EmbeddingSpace(decade, words, np.eye(3)), tmp_path / name)
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "align", "--manifest", str(manifest), "--out-dir", str(out))
+        assert code == 2
+        assert "shared vocabulary has 1 words; need at least dim=3" in err
         assert not out.exists()
 
     def test_npy_store_gives_the_text_outputs(self, capsys, world_files, tmp_path):

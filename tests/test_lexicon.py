@@ -55,7 +55,7 @@ class TestLoadNorms:
         path = write_csv(tmp_path / "norms.csv",
                          "word,valence,concreteness\ncalm,5.0,3.1\n")
         entries = load_norms(path)
-        assert entries == [NormEntry(word="calm", valence=5.0, concreteness=3.1)]
+        assert list(entries) == [NormEntry(word="calm", valence=5.0, concreteness=3.1)]
 
     def test_duplicate_word_named(self, tmp_path):
         path = write_csv(tmp_path / "norms.csv",
@@ -134,6 +134,10 @@ class TestBuildIrrelevantSeeds:
         others = [by_word[e.word] for e in norms
                   if e.word not in selected and e.word not in mfd]
         assert all(worst_selected <= d + 1e-12 for d in others)
+
+    def test_negative_count_refused(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            build_irrelevant_seeds([NormEntry("calm", 5.0)], set(), count=-1)
 
     def test_vocabulary_filter(self):
         norms = [NormEntry("invocab", 5.2), NormEntry("outvocab", 5.0)]

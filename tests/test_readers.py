@@ -140,6 +140,22 @@ class TestWord2vecFaults:
         with pytest.raises(ParseError, match="truncated vector for word 'b'"):
             load_embedding_space(path, BINARY_FORMAT, 1900)
 
+    @pytest.mark.parametrize("format, write, where", [
+        (TEXT_FORMAT, write_text, ":3: "), (BINARY_FORMAT, write_binary, ": ")])
+    def test_non_finite_kept_row_named(self, tmp_path, format, write, where):
+        # The reader checks each row once, naming it; the space adds no pass.
+        rows = np.array([[1, 2], [np.nan, 4]], dtype=np.float32)
+        path = tmp_path / "v"
+        write(path, ["a", "b"], rows)
+        with pytest.raises(ParseError) as info:
+            load_embedding_space(path, format, 1900)
+        assert str(info.value) == f"{path}{where}non-finite vector for word 'b'"
+
+    def test_direct_construction_refuses_non_finite(self):
+        with pytest.raises(DataError) as info:
+            EmbeddingSpace(1900, ["a", "b"], np.array([[0.0, 1.0], [np.nan, 2.0]]))
+        assert str(info.value) == "embedding matrix contains non-finite entries"
+
 
 class TestUnstorableWordsAtLoad:
     """A word that its format's writer refuses is refused at load too,
@@ -162,6 +178,15 @@ class TestUnstorableWordsAtLoad:
         with pytest.raises(ParseError, match=re.escape(
                 f"{vocab}:2: word {word!r} contains a line break")):
             load_embedding_space(path, NPY_FORMAT, 1900)
+
+    def test_lone_cr_in_npy_vocabulary_named(self, tmp_path):
+        path = tmp_path / "s.npy"
+        np.save(path, np.zeros((2, 2)))
+        vocab = path.with_suffix(".vocab")
+        vocab.write_bytes(b"cr\rhere\nb\n")
+        with pytest.raises(ParseError) as info:
+            load_embedding_space(path, NPY_FORMAT, 1900)
+        assert str(info.value) == f"{vocab}:1: word 'cr\\rhere' contains a line break"
 
     def test_crlf_npy_vocabulary_reads_its_words(self, tmp_path):
         path = tmp_path / "v.npy"
