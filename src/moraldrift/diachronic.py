@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .classifiers import ModelSpec, fit_tier, posterior_batch
-from .embeddings import DiachronicEmbeddings, parse_cell, read_table
+from .embeddings import Column, DiachronicEmbeddings, read_table
 from .errors import CoverageError, DataError, ParseError
 from .lexicon import CATEGORY, POLARITY, RELEVANCE, SeedLexicon, tier_classes
 from .stats import MIN_SLOPE_DECADES, slope_rows
@@ -282,17 +282,11 @@ def retrieve_changing(matrix: PredictionMatrix, lexicon: SeedLexicon,
 
 def load_wordlist(path: str | Path) -> list[tuple[str, float]]:
     """Parse a word,frequency CSV; words are lowercased, order kept."""
-    out: list[tuple[str, float]] = []
-    seen: set[str] = set()
-    columns, lines = read_table(path, [["word", "frequency"]])
-    for line, word_cell, frequency in zip(lines, *columns):
-        where = f"{path}:{line}"
-        word = parse_cell(word_cell, where, "word", seen=seen)
-        freq = parse_cell(frequency, where, "frequency", float)
-        out.append((word, freq))
-    if not out:
+    words, frequencies = read_table(path, [["word", "frequency"]],
+                                    [Column("word", unique=True), Column("frequency", float)])
+    if not words:
         raise ParseError(f"{path}: no entries")
-    return out
+    return list(zip(words, frequencies.tolist()))
 
 
 def matrix_to_json_dict(matrix: PredictionMatrix) -> dict:

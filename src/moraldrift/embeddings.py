@@ -164,17 +164,88 @@ class DiachronicEmbeddings:
         raise DataError(f"no embedding space for decade {decade}")
 
 
-def read_table(path: str | Path, headers: Sequence[Sequence[str]]
-               ) -> tuple[list[list[str]], list[int]]:
-    """Read a CSV table whose header is one of ``headers``, as columns.
+@dataclass(frozen=True)
+class Column:
+    """How ``read_table`` checks one column; errors call it ``name``.
+    ``kind`` str: a word, stripped and lowercased, not empty. int or
+    float: a number parsed by ``kind``, in the closed interval ``bounds``
+    if given, else finite; NaN where blank if ``blank``. A tuple: the
+    stripped cell, one of its strings. None: the stripped cell. With
+    ``unique`` (words and ints), no value repeats an earlier one."""
+
+    name: str
+    kind: type | tuple[str, ...] | None = str
+    bounds: tuple[float, float] | None = None
+    blank: bool = False
+    unique: bool = False
+
+    def parse(self, cells: Sequence[str]) -> tuple[list | np.ndarray, tuple[int, str] | None]:
+        """The values (a float64 array for float) and the first refused
+        cell as ``(row, message)``, or None; a cell's first failed check
+        (parse, bounds or choice, repeat) names it."""
+        fault = None
+        if self.kind in (int, float):
+            values, fault = self._numbers(cells)
+        elif self.kind is str:
+            values = [c.strip().lower() for c in cells]
+            if "" in values:
+                fault = values.index(""), f"empty {self.name}"
+        else:
+            values = [c.strip() for c in cells]
+            if self.kind is not None and not set(values) <= set(self.kind):
+                bad = next(i for i, v in enumerate(values) if v not in self.kind)
+                fault = bad, f"unknown {self.name} {values[bad]!r}"
+        if self.unique and len(set(values)) < len(values):
+            first: dict = {}
+            i = next(i for i, v in enumerate(values) if first.setdefault(v, i) != i)
+            if fault is None or i < fault[0]:
+                fault = i, f"duplicate {self.name} {values[i]!r}"
+        return values, fault
+
+    def _numbers(self, cells: Sequence[str]) -> tuple[list | np.ndarray,
+                                                      tuple[int, str] | None]:
+        """``parse`` for an int or float column."""
+        parse = self.kind
+        if self.blank and not all(map(str.strip, cells)):
+            parse = lambda c: self.kind(c) if c.strip() else math.nan
+        fault = None
+        try:
+            values = list(map(parse, cells))
+        except ValueError:  # the cells before the first unparsable one are checked on
+            values = []
+            for cell in cells:
+                try:
+                    values.append(parse(cell))
+                except ValueError:
+                    break
+            what = "non-integer" if self.kind is int else "non-numeric"
+            fault = len(values), f"{what} {self.name} {cells[len(values)]!r}"
+        array = np.array(values, dtype=np.float64 if self.kind is float else object)
+        if self.bounds is not None:
+            lo, hi = self.bounds
+            refused = ~((array >= lo) & (array <= hi)).astype(bool)
+        else:
+            refused = ~np.isfinite(array) if self.kind is float else np.zeros(len(array), bool)
+        if self.blank:  # a blank cell is NaN; a "nan" cell is refused
+            refused[[i for i in np.flatnonzero(np.isnan(array)) if not cells[i].strip()]] = False
+        if refused.any():
+            i = int(np.argmax(refused))
+            fault = i, (f"{self.name} {values[i]} outside [{lo}, {hi}]" if self.bounds
+                        else f"non-finite {self.name} {cells[i]!r}")
+        return (array if self.kind is float else values), fault
+
+
+def read_table(path: str | Path, headers: Sequence[Sequence[str]],
+               columns: Sequence[Column]) -> list[list | np.ndarray]:
+    """The values of each column of a CSV table whose header is one of
+    ``headers``, checked by ``columns`` (one rule per header column; a
+    shorter header uses the first ones).
 
     Lines starting with ``#`` and blank rows are skipped. Header cells
-    are compared stripped and lowercased. Returns one list of cell
-    strings per header column and the line in the file of each kept row
-    (for a row with a quoted line break, its last line); ``parse_cell``
-    parses the cells, with ``path:line`` as ``where``. A row whose column
-    count differs from the header's raises a ParseError naming
-    ``path:line``.
+    are compared stripped and lowercased. A row of the wrong width, a
+    cell over the csv module's field limit, or the first cell its rule
+    refuses in file order raises a ParseError naming ``path:line`` (for
+    a row with a quoted line break, its last line).
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -185,14 +256,17 @@ def read_table(path: str | Path, headers: Sequence[Sequence[str]]
     if len(numbers) < len(lines):
         lines = [lines[n - 1] for n in numbers]
     reader = csv.reader(lines)
-    header = next(reader, None)
-    if header is None:
-        raise ParseError(f"{path}: empty file")
-    normalized = [h.strip().lower() for h in header]
-    if normalized not in [list(h) for h in headers]:
-        want = " or ".join(",".join(h) for h in headers)
-        raise ParseError(f"{path}: expected header '{want}', got {','.join(header)!r}")
-    rows = list(reader)
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(f"{path}: empty file")
+        normalized = [h.strip().lower() for h in header]
+        if normalized not in [list(h) for h in headers]:
+            want = " or ".join(",".join(h) for h in headers)
+            raise ParseError(f"{path}: expected header '{want}', got {','.join(header)!r}")
+        rows = list(reader)
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{numbers[reader.line_num - 1]}: {exc}") from None
     if len(rows) + 1 < len(lines):  # a record spans lines: number each by its last
         reader = csv.reader(lines)
         numbers = [numbers[reader.line_num - 1] for _ in reader]
@@ -205,8 +279,21 @@ def read_table(path: str | Path, headers: Sequence[Sequence[str]]
     if bad is not None:
         raise ParseError(f"{path}:{numbers[bad]}: expected {width} columns, "
                          f"got {len(rows[bad])}")
-    columns = [list(column) for column in zip(*rows)] if rows else [[] for _ in header]
-    return columns, numbers
+    cells = [list(column) for column in zip(*rows)] if rows else [[] for _ in header]
+    return _check_columns(path, cells, numbers, columns)
+
+
+def _check_columns(path: str | Path, cells: Sequence[Sequence[str]],
+                   lines: Sequence[int], columns: Sequence[Column]) -> list[list | np.ndarray]:
+    """Each column of ``cells`` parsed by its rule in ``columns``; the
+    first refused cell in file order (the earliest row, and in a row the
+    leftmost column) raises a ParseError naming ``path:`` its line."""
+    parsed = [rule.parse(column) for rule, column in zip(columns, cells)]
+    faults = [(fault[0], j, fault[1]) for j, (_, fault) in enumerate(parsed) if fault]
+    if faults:
+        row, _, message = min(faults)
+        raise ParseError(f"{path}:{lines[row]}: {message}")
+    return [values for values, _ in parsed]
 
 
 def _not_utf8(path: str | Path) -> ParseError:
@@ -222,39 +309,6 @@ def _not_utf8(path: str | Path) -> ParseError:
     return ParseError(f"{path}: not valid UTF-8")
 
 
-def parse_cell(text: str, where: str, column: str, kind: type = str, *,
-               bounds: tuple | None = None, blank: bool = False,
-               seen: set[str] | None = None):
-    """One cell of a ``read_table`` row; errors start with ``where`` and
-    name ``column``. A word cell (``kind`` str) is stripped, lowercased,
-    not empty and, with ``seen``, not in ``seen`` (it is added). A number
-    cell is parsed by ``kind`` (int or float), lies in the closed interval
-    ``bounds`` when given, is finite if a float, and is None if blank and
-    ``blank``."""
-    if kind is str:
-        word = text.strip().lower()
-        if not word:
-            raise ParseError(f"{where}: empty {column}")
-        if seen is not None:
-            if word in seen:
-                raise ParseError(f"{where}: duplicate {column} {word!r}")
-            seen.add(word)
-        return word
-    if blank and not text.strip():
-        return None
-    try:
-        value = kind(text)
-    except ValueError:
-        what = "non-integer" if kind is int else "non-numeric"
-        raise ParseError(f"{where}: {what} {column} {text!r}") from None
-    if bounds is not None and not bounds[0] <= value <= bounds[1]:
-        raise ParseError(f"{where}: {column} {value} outside "
-                         f"[{bounds[0]}, {bounds[1]}]")
-    if kind is float and not math.isfinite(value):
-        raise ParseError(f"{where}: non-finite {column} {text!r}")
-    return value
-
-
 def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
@@ -266,8 +320,10 @@ def _parse_header(line: str, path: Path) -> tuple[int, int]:
     parts = line.split()
     if len(parts) != 2:
         raise ParseError(f"{path}:1: malformed header {line!r}")
-    return tuple(parse_cell(part, f"{path}:1", f"header {name}", int, bounds=(1, math.inf))
-                 for part, name in zip(parts, ("entry count", "dimension")))
+    (count,), (dim,) = _check_columns(path, [[part] for part in parts], [1], [
+        Column(f"header {name}", int, bounds=(1, math.inf))
+        for name in ("entry count", "dimension")])
+    return count, dim
 
 
 def _first_rows(path: Path, count: int, words: list[str], matrix: np.ndarray,
@@ -541,25 +597,23 @@ def align_procrustes(source: EmbeddingSpace,
 def load_diachronic(manifest: str | Path, normalize: bool = False) -> DiachronicEmbeddings:
     """Load all spaces listed in a manifest CSV (header: decade,path,format).
 
-    Relative paths are resolved against the manifest's own directory.
-    All spaces must share one dimensionality.
+    Every row is checked (an integer decade, not repeated; a known
+    format) before any decade is loaded. Relative paths are resolved
+    against the manifest's own directory. All spaces must share one
+    dimensionality.
     """
     manifest = Path(manifest)
+    decades, paths, formats = read_table(manifest, [["decade", "path", "format"]], [
+        Column("decade", int, unique=True), Column("path", None), Column("format", FORMATS)])
+    if not decades:
+        raise ParseError(f"{manifest}: no entries")
     spaces = []
-    columns, lines = read_table(manifest, [["decade", "path", "format"]])
-    for line, decade_cell, path_cell, format_cell in zip(lines, *columns):
-        where = f"{manifest}:{line}"
-        decade = parse_cell(decade_cell, where, "decade", int)
-        fmt = format_cell.strip()
-        if fmt not in FORMATS:
-            raise ParseError(f"{where}: unknown format {fmt!r}")
-        path = manifest.parent / path_cell.strip()  # an absolute path stays as is
-        try:
-            spaces.append(load_embedding_space(path, fmt, decade, normalize=normalize))
+    for decade, path, fmt in zip(decades, paths, formats):
+        try:  # an absolute path stays as is
+            spaces.append(load_embedding_space(manifest.parent / path, fmt, decade,
+                                               normalize=normalize))
         except (OSError, ParseError, DataError) as exc:
             raise DataError(f"decade {decade}: {exc}") from exc
-    if not spaces:
-        raise ParseError(f"{manifest}: no entries")
     return DiachronicEmbeddings(spaces)
 
 

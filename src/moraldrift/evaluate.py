@@ -10,8 +10,8 @@ from typing import Sequence
 import numpy as np
 
 from .classifiers import Classifier, ModelSpec, _loo_predict, posterior, posterior_batch
-from .embeddings import (DiachronicEmbeddings, EmbeddingSpace, average_vector,
-                         parse_cell, read_table)
+from .embeddings import (Column, DiachronicEmbeddings, EmbeddingSpace, average_vector,
+                         read_table)
 from .errors import DataError
 from .lexicon import NormEntry, NormTable, SeedLexicon, seed_vectors, tier_classes
 from .stats import CorrelationReport, pearson
@@ -127,17 +127,11 @@ def load_survey(path: str | Path) -> list[tuple[list[str], float, float]]:
     Topics may contain several space-separated tokens; proportions must
     lie in [0, 1].
     """
-    rows: list[tuple[list[str], float, float]] = []
-    columns, lines = read_table(path, [["topic", "frac_not_moral", "frac_acceptable"]])
-    for line, topic, frac_not_moral, frac_acceptable in zip(lines, *columns):
-        where = f"{path}:{line}"
-        tokens = parse_cell(topic, where, "topic").split()
-        not_moral = parse_cell(frac_not_moral, where, "proportion frac_not_moral", float,
-                               bounds=(0.0, 1.0))
-        acceptable = parse_cell(frac_acceptable, where, "proportion frac_acceptable", float,
-                                bounds=(0.0, 1.0))
-        rows.append((tokens, not_moral, acceptable))
-    return rows
+    header = ["topic", "frac_not_moral", "frac_acceptable"]
+    proportions = [Column(f"proportion {name}", float, bounds=(0.0, 1.0)) for name in header[1:]]
+    topics, not_moral, acceptable = read_table(path, [header], [Column("topic"), *proportions])
+    return [(topic.split(), a, b)
+            for topic, a, b in zip(topics, not_moral.tolist(), acceptable.tolist())]
 
 
 def survey_correlation(relevance_model: Classifier, polarity_model: Classifier,

@@ -12,12 +12,12 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, parse_cell, read_table
-from .errors import CoverageError, DataError
+from .embeddings import Column, EmbeddingSpace, read_table
+from .errors import CoverageError, DataError, ParseError
 
 logger = logging.getLogger(__name__)
 
@@ -141,74 +141,31 @@ class SeedLexicon:
 def load_mfd(path: str | Path) -> list[SeedEntry]:
     """Parse the moral seed CSV (header word,category; categories 1-10).
 
-    Words are lowercased. Multi-token entries cannot be matched against
-    single-token embedding vocabularies and are skipped with a warning.
+    Words are lowercased. Entries holding whitespace cannot be matched
+    against single-token embedding vocabularies and are skipped with a
+    warning; a table left without a seed is refused.
     """
-    entries: list[SeedEntry] = []
-    skipped = 0
-    columns, lines = read_table(path, [["word", "category"]])
-    for line, word_cell, category_cell in zip(lines, *columns):
-        where = f"{path}:{line}"
-        word = parse_cell(word_cell, where, "word")
-        category = parse_cell(category_cell, where, "category", int, bounds=(1, 10))
-        if " " in word:
-            skipped += 1
-            continue
-        entries.append(SeedEntry(word=word, category=category))
-    if skipped:
-        logger.warning("%s: skipped %d multi-word seed entries", path, skipped)
+    words, categories = read_table(path, [["word", "category"]],
+                                   [Column("word"), Column("category", int, bounds=(1, 10))])
+    entries = [SeedEntry(word=w, category=c) for w, c in zip(words, categories)
+               if len(w.split()) == 1]
+    if len(entries) < len(words):
+        logger.warning("%s: skipped %d multi-word seed entries", path,
+                       len(words) - len(entries))
+    if not entries:
+        raise ParseError(f"{path}: no single-word seed entries")
     return entries
 
 
 def load_norms(path: str | Path) -> NormTable:
     """Parse the ratings CSV (word,valence[,concreteness]); rejects
     duplicates. Only a blank concreteness cell means no rating."""
-    columns, lines = read_table(
-        path, [["word", "valence"], ["word", "valence", "concreteness"]])
-    words = [cell.strip().lower() for cell in columns[0]]
-    valence = _number_column(columns[1], VALENCE_RANGE)
-    concreteness = (_number_column(columns[2], CONCRETENESS_RANGE, blank=True)
-                    if len(columns) == 3 else np.full(len(words), math.nan))
-    if (valence is None or concreteness is None or not all(words)
-            or len(set(words)) < len(words)):
-        _refuse_first_bad_row(path, columns, lines)
+    columns = read_table(path, [["word", "valence"], ["word", "valence", "concreteness"]], [
+        Column("word", unique=True), Column("valence", float, bounds=VALENCE_RANGE),
+        Column("concreteness", float, bounds=CONCRETENESS_RANGE, blank=True)])
+    words, valence = columns[:2]
+    concreteness = columns[2] if len(columns) == 3 else np.full(len(words), math.nan)
     return NormTable(tuple(words), valence, concreteness)
-
-
-def _number_column(cells: list[str], bounds: tuple[float, float],
-                   blank: bool = False) -> np.ndarray | None:
-    """The cells as float64, NaN where blank if ``blank``; None if any
-    cell would fail ``parse_cell``: not a number, NaN or outside ``bounds``
-    (so not finite), or blank without ``blank``."""
-    n_blank = 0
-    if blank:
-        cells = [cell.strip() for cell in cells]
-        n_blank = cells.count("")
-    try:
-        values = np.array([float(c) if c else math.nan for c in cells] if n_blank
-                          else list(map(float, cells)), dtype=np.float64)
-    except ValueError:
-        return None
-    missing = np.isnan(values)
-    inside = (values >= bounds[0]) & (values <= bounds[1])
-    if np.count_nonzero(missing) != n_blank or not np.all(inside | missing):
-        return None
-    return values
-
-
-def _refuse_first_bad_row(path: str | Path, columns: list[list[str]],
-                          lines: list[int]) -> NoReturn:
-    """Raise the ParseError of the first refused row, in file order, by
-    parsing the rows one by one with ``parse_cell``."""
-    seen: set[str] = set()
-    for line, *cells in zip(lines, *columns):
-        where = f"{path}:{line}"
-        parse_cell(cells[0], where, "word", seen=seen)
-        parse_cell(cells[1], where, "valence", float, bounds=VALENCE_RANGE)
-        if len(cells) == 3:
-            parse_cell(cells[2], where, "concreteness", float,
-                       bounds=CONCRETENESS_RANGE, blank=True)
-    raise RuntimeError(f"{path}: a column check refused a row that parse_cell accepts")
 
 
 def relevant_words(entries: Iterable[SeedEntry]) -> list[str]:

@@ -250,8 +250,8 @@ def permutation_control_loop(matrix, norms, frequencies, n_shuffles=1000, seed=0
 
 
 # ---------------------------------------------------------------------------
-# The norms table, row by row (the loader and ranking before the columnar
-# NormTable)
+# The CSV tables, row by row: each cell parsed on its own, in file order (the
+# loaders before the column checker), and the norms ranking by a full sort
 # ---------------------------------------------------------------------------
 
 def read_table_rows(path, headers):
@@ -268,28 +268,61 @@ def read_table_rows(path, headers):
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
     reader = csv.reader(line for _, line in kept)
-    header = next(reader, None)
-    if header is None:
-        raise ParseError(f"{path}: empty file")
-    normalized = [h.strip().lower() for h in header]
-    if normalized not in [list(h) for h in headers]:
-        want = " or ".join(",".join(h) for h in headers)
-        raise ParseError(f"{path}: expected header '{want}', got {','.join(header)!r}")
     rows = []
-    for row in reader:
-        if not any(cell.strip() for cell in row):
-            continue
-        lineno = kept[reader.line_num - 1][0]
-        if len(row) != len(normalized):
-            raise ParseError(f"{path}:{lineno}: expected {len(normalized)} columns, "
-                             f"got {len(row)}")
-        rows.append((f"{path}:{lineno}", row))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(f"{path}: empty file")
+        normalized = [h.strip().lower() for h in header]
+        if normalized not in [list(h) for h in headers]:
+            want = " or ".join(",".join(h) for h in headers)
+            raise ParseError(f"{path}: expected header '{want}', got {','.join(header)!r}")
+        for row in reader:
+            if not any(cell.strip() for cell in row):
+                continue
+            lineno = kept[reader.line_num - 1][0]
+            if len(row) != len(normalized):
+                raise ParseError(f"{path}:{lineno}: expected {len(normalized)} columns, "
+                                 f"got {len(row)}")
+            rows.append((f"{path}:{lineno}", row))
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{kept[reader.line_num - 1][0]}: {exc}") from None
     return rows
 
 
+def parse_cell(text, where, column, kind=str, *, bounds=None, blank=False, seen=None):
+    """One cell: a word (``kind`` str) is stripped, lowercased, not empty
+    and, with ``seen``, not in ``seen`` (it is added); a number is parsed
+    by ``kind``, lies in ``bounds`` when given, is finite if a float, and
+    is None if blank and ``blank``."""
+    from moraldrift.errors import ParseError
+
+    if kind is str:
+        word = text.strip().lower()
+        if not word:
+            raise ParseError(f"{where}: empty {column}")
+        if seen is not None:
+            if word in seen:
+                raise ParseError(f"{where}: duplicate {column} {word!r}")
+            seen.add(word)
+        return word
+    if blank and not text.strip():
+        return None
+    try:
+        value = kind(text)
+    except ValueError:
+        what = "non-integer" if kind is int else "non-numeric"
+        raise ParseError(f"{where}: {what} {column} {text!r}") from None
+    if bounds is not None and not bounds[0] <= value <= bounds[1]:
+        raise ParseError(f"{where}: {column} {value} outside "
+                         f"[{bounds[0]}, {bounds[1]}]")
+    if kind is float and not math.isfinite(value):
+        raise ParseError(f"{where}: non-finite {column} {text!r}")
+    return value
+
+
 def load_norms(path):
-    """A list of NormEntry, one per row, each cell parsed on its own."""
-    from moraldrift.embeddings import parse_cell
+    """A list of NormEntry, one per row."""
     from moraldrift.lexicon import CONCRETENESS_RANGE, VALENCE_RANGE, NormEntry
 
     entries = []
@@ -304,6 +337,79 @@ def load_norms(path):
                                       bounds=CONCRETENESS_RANGE, blank=True)
         entries.append(NormEntry(word=word, valence=valence, concreteness=concreteness))
     return entries
+
+
+def load_mfd(path):
+    """The seed entries without whitespace, one per row; a table left
+    without one is refused."""
+    from moraldrift.errors import ParseError
+    from moraldrift.lexicon import SeedEntry
+
+    entries = []
+    for where, row in read_table_rows(path, [["word", "category"]]):
+        word = parse_cell(row[0], where, "word")
+        category = parse_cell(row[1], where, "category", int, bounds=(1, 10))
+        if not any(ch.isspace() for ch in word):
+            entries.append(SeedEntry(word=word, category=category))
+    if not entries:
+        raise ParseError(f"{path}: no single-word seed entries")
+    return entries
+
+
+def load_wordlist(path):
+    """``(word, frequency)`` per row; at least one row."""
+    from moraldrift.errors import ParseError
+
+    out = []
+    seen = set()
+    for where, row in read_table_rows(path, [["word", "frequency"]]):
+        out.append((parse_cell(row[0], where, "word", seen=seen),
+                    parse_cell(row[1], where, "frequency", float)))
+    if not out:
+        raise ParseError(f"{path}: no entries")
+    return out
+
+
+def load_survey(path):
+    """``(topic tokens, frac_not_moral, frac_acceptable)`` per row."""
+    rows = []
+    for where, row in read_table_rows(
+            path, [["topic", "frac_not_moral", "frac_acceptable"]]):
+        tokens = parse_cell(row[0], where, "topic").split()
+        fractions = [parse_cell(cell, where, f"proportion {name}", float, bounds=(0.0, 1.0))
+                     for cell, name in zip(row[1:], ["frac_not_moral", "frac_acceptable"])]
+        rows.append((tokens, *fractions))
+    return rows
+
+
+def load_diachronic(manifest):
+    """Every manifest row checked in file order (a decade parsed and not
+    repeated, a known format), then each decade loaded."""
+    from pathlib import Path
+
+    from moraldrift.embeddings import (FORMATS, DiachronicEmbeddings,
+                                       load_embedding_space)
+    from moraldrift.errors import DataError, ParseError
+
+    manifest = Path(manifest)
+    entries = []
+    for where, row in read_table_rows(manifest, [["decade", "path", "format"]]):
+        decade = parse_cell(row[0], where, "decade", int)
+        if decade in [d for d, _, _ in entries]:
+            raise ParseError(f"{where}: duplicate decade {decade}")
+        fmt = row[2].strip()
+        if fmt not in FORMATS:
+            raise ParseError(f"{where}: unknown format {fmt!r}")
+        entries.append((decade, row[1].strip(), fmt))
+    if not entries:
+        raise ParseError(f"{manifest}: no entries")
+    spaces = []
+    for decade, path, fmt in entries:
+        try:
+            spaces.append(load_embedding_space(manifest.parent / path, fmt, decade))
+        except (OSError, ParseError, DataError) as exc:
+            raise DataError(f"decade {decade}: {exc}") from exc
+    return DiachronicEmbeddings(spaces)
 
 
 def build_irrelevant_seeds(norms, mfd_words, count=None, vocabulary=None):

@@ -347,6 +347,20 @@ class TestRegressAndPermute:
         assert f"{wordlist}:3: non-finite frequency 'inf'" in err
         assert not (tmp_path / "out").exists()
 
+    def test_regress_refuses_overlong_norms_cell_by_line(self, capsys, changer_files,
+                                                          tmp_path):
+        norms = tmp_path / "big.csv"
+        lines = changer_files.norms.read_text().splitlines()
+        lines.insert(3, f"{'x' * 140_000},5.0,3.0")
+        norms.write_text("\n".join(lines) + "\n")
+        code, stdout, err = run(capsys, "regress", "--matrix", str(changer_files.matrix),
+                                "--norms", str(norms), "--wordlist",
+                                str(changer_files.wordlist), "--out-dir", str(tmp_path / "out"))
+        assert (code, stdout) == (2, "")
+        assert err == (f"moraldrift: error: {norms}:4: field larger than field limit "
+                       f"(131072)\n")
+        assert not (tmp_path / "out").exists()
+
     def test_permute_rejects_polarity_matrix(self, capsys, changer_files, tmp_path):
         bad = tmp_path / "polarity.json"
         payload = json.loads(changer_files.matrix.read_text())

@@ -307,6 +307,23 @@ class TestManifest:
         with pytest.raises(ParseError, match="header"):
             load_diachronic(manifest)
 
+    def test_duplicate_decade_names_line(self, tmp_path):
+        manifest = self._write_manifest(tmp_path, [(1900, "a.txt", 3, 0)])
+        manifest.write_text(manifest.read_text() + "1900,a.txt,text-word2vec\n")
+        with pytest.raises(ParseError, match=re.escape(f"{manifest}:3: duplicate decade 1900")):
+            load_diachronic(manifest)
+
+    @pytest.mark.parametrize("row,error", [
+        ("19x0,b.txt,text-word2vec", "non-integer decade '19x0'"),
+        ("1910,b.txt,word2vec", "unknown format 'word2vec'"),
+    ])
+    def test_whole_manifest_checked_before_loading(self, tmp_path, row, error):
+        # The missing decade on line 2 is never opened: line 3 is refused first.
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(f"decade,path,format\n1900,missing.txt,text-word2vec\n{row}\n")
+        with pytest.raises(ParseError, match=re.escape(f"{manifest}:3: {error}")):
+            load_diachronic(manifest)
+
 
 def _manifest_rows(tmp_path):
     for decade in (1900, 1910):
@@ -348,6 +365,14 @@ class TestReadTable:
         path = write(tmp_path / "table.csv",
                      f"# written by a test\n{header}\n{rows[0]}\n# note\n{bad}\n")
         with pytest.raises(ParseError, match=re.escape(f"{path}:5: expected")):
+            load(path)
+
+    def test_cell_over_the_csv_field_limit_names_line(self, reader, tmp_path):
+        load, header, rows, _ = reader
+        path = write(tmp_path / "table.csv",
+                     f"{header}\n{rows[0]}\n# note\n{'x' * 131_073}{rows[1]}\n")
+        with pytest.raises(ParseError, match=re.escape(
+                f"{path}:4: field larger than field limit (131072)")):
             load(path)
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,17 @@ class TestLoadMfd:
             entries = load_mfd(path)
         assert [e.word for e in entries] == ["honesty"]
         assert any("multi-word" in rec.message for rec in caplog.records)
+
+    def test_entries_with_any_whitespace_skipped(self, tmp_path):
+        path = write_csv(tmp_path / "mfd.csv",
+                         'word,category\n"kind\theart",1\n"fair\u00a0play",3\nhonesty,3\n')
+        assert [e.word for e in load_mfd(path)] == ["honesty"]
+
+    @pytest.mark.parametrize("rows", ["", "good faith,3\n"])
+    def test_table_without_single_word_seed_refused(self, tmp_path, rows):
+        path = write_csv(tmp_path / "mfd.csv", "word,category\n" + rows)
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: no single-word seed"):
+            load_mfd(path)
 
     def test_bad_header(self, tmp_path):
         path = write_csv(tmp_path / "mfd.csv", "term,cat\nx,1\n")
