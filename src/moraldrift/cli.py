@@ -19,6 +19,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -186,10 +187,11 @@ def _pick_space(args: argparse.Namespace, diachronic: DiachronicEmbeddings) -> E
 
 
 def _fmt(value) -> str:
+    """A CSV cell: empty for None and for a NaN (missing) score."""
     if value is None:
         return ""
     if isinstance(value, float):
-        return FLOAT_FMT % value
+        return "" if math.isnan(value) else FLOAT_FMT % value
     return str(value)
 
 
@@ -220,7 +222,8 @@ def _write_outputs(args: argparse.Namespace, outputs: dict) -> None:
 
 
 def _score_list(values: np.ndarray) -> list:
-    return [(float(v) if np.isfinite(v) else None) for v in values]
+    """Scores for JSON: null where a score is missing (NaN)."""
+    return np.where(np.isfinite(values), values, None).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +272,8 @@ def _cmd_timecourse(args) -> dict:
         body["class_labels"] = list(tc.class_labels)
         body["scores"] = [(_score_list(row) if not m else None)
                           for row, m in zip(tc.scores, tc.missing)]
-        rows = [(d, label, (float(tc.scores[i, j]) if not tc.missing[i] else None))
-                for i, d in enumerate(tc.decades)
-                for j, label in enumerate(tc.class_labels)]
+        rows = [(d, label, score) for d, scores in zip(tc.decades, tc.scores.tolist())
+                for label, score in zip(tc.class_labels, scores)]
         table = (["decade", "label", "probability"], rows)
     else:
         body["scores"] = _score_list(tc.scores)
@@ -279,7 +281,7 @@ def _cmd_timecourse(args) -> dict:
         odds = np.log(clamped / (1.0 - clamped))
         body["log_odds"] = _score_list(odds)
         table = (["decade", "score", "log_odds"],
-                 list(zip(tc.decades, body["scores"], body["log_odds"])))
+                 list(zip(tc.decades, tc.scores.tolist(), odds.tolist())))
     stem = f"timecourse_{word}_{tier}"
     return {f"{stem}.csv": table, f"{stem}.json": body}
 
@@ -290,9 +292,8 @@ def _cmd_matrix(args) -> dict:
     spec, diachronic, lexicon = _model_inputs(args)
     words = [w for w, _ in load_wordlist(wordlist_path)]
     matrix = prediction_matrix(diachronic, lexicon, spec, words, kind)
-    rows = [(w, d, (float(matrix.values[i, j]) if np.isfinite(matrix.values[i, j]) else None))
-            for i, w in enumerate(matrix.words)
-            for j, d in enumerate(matrix.decades)]
+    rows = [(w, d, score) for w, scores in zip(matrix.words, matrix.values.tolist())
+            for d, score in zip(matrix.decades, scores)]
     return {f"matrix_{kind}.json": matrix_to_json_dict(matrix),
             f"matrix_{kind}.csv": (["word", "decade", "score"], rows)}
 

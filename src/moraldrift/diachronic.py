@@ -59,12 +59,6 @@ class PredictionMatrix:
     decades: tuple[int, ...]
     values: np.ndarray
 
-    def course(self, word: str) -> TimeCourse:
-        i = self.words.index(word)
-        row = self.values[i]
-        return TimeCourse(word=word, tier=self.kind, decades=self.decades,
-                          scores=row, missing=~np.isfinite(row))
-
 
 @dataclass(frozen=True)
 class ChangeRecord:
@@ -99,22 +93,17 @@ def _decade_scores(diachronic: DiachronicEmbeddings, lexicon: SeedLexicon,
     return values
 
 
-def _course(word: str, tier: str, decades: tuple[int, ...],
-            scores: np.ndarray) -> TimeCourse:
-    missing = np.isnan(scores) if scores.ndim == 1 else np.isnan(scores).all(axis=1)
-    if missing.all():
-        raise CoverageError(f"word {word!r} has no embedding in any decade")
-    return TimeCourse(word=word, tier=tier, decades=decades, scores=scores,
-                      missing=missing,
-                      class_labels=tier_classes(tier) if tier == CATEGORY else None)
-
-
 def time_course(diachronic: DiachronicEmbeddings, lexicon: SeedLexicon,
                 spec: ModelSpec, word: str, tier: str) -> TimeCourse:
     """Score one word against per-decade classifiers fitted from each
     decade's seed vectors. Decades without the word are masked."""
     scores = _decade_scores(diachronic, lexicon, spec, [word], tier)[0]
-    return _course(word, tier, diachronic.decades, scores)
+    missing = np.isnan(scores) if scores.ndim == 1 else np.isnan(scores).all(axis=1)
+    if missing.all():
+        raise CoverageError(f"word {word!r} has no embedding in any decade")
+    return TimeCourse(word=word, tier=tier, decades=diachronic.decades, scores=scores,
+                      missing=missing,
+                      class_labels=tier_classes(tier) if tier == CATEGORY else None)
 
 
 def prediction_matrix(diachronic: DiachronicEmbeddings, lexicon: SeedLexicon,
@@ -158,45 +147,30 @@ def slope(tc: TimeCourse, min_decades: int = MIN_SLOPE_DECADES) -> tuple[float, 
     return float(slopes[0]), float(p[0])
 
 
-def _binary_classes(tc: TimeCourse) -> np.ndarray:
-    """Predicted pole per unmasked decade, matching classify()'s
-    first-class tie rule (ties at 0.5 go to the first declared class)."""
-    labels = tier_classes(tc.tier)
-    pole = _SCORE_CLASS[tc.tier]
-    if labels.index(pole) == 0:
-        return tc.scores >= 0.5
-    return tc.scores > 0.5
+def _switching_index(values: np.ndarray, tier: str) -> np.ndarray:
+    """Per row of a binary-tier score matrix (NaN = missing), the index of
+    the earliest decade from which every later scored prediction equals
+    the last scored decade's predicted class; -1 for a row with no score.
+    Ties at 0.5 go to the first declared class, as in classify()."""
+    present = np.isfinite(values)
+    if tier_classes(tier).index(_SCORE_CLASS[tier]) == 0:
+        classes = values >= 0.5
+    else:
+        classes = values > 0.5
+    n = values.shape[1]
+    last = n - 1 - np.argmax(present[:, ::-1], axis=1)
+    mismatch = present & (classes != classes[np.arange(len(values)), last][:, None])
+    index = np.where(mismatch.any(axis=1), n - np.argmax(mismatch[:, ::-1], axis=1), 0)
+    return np.where(present.any(axis=1), index, -1)
 
 
 def switching_period(tc: TimeCourse) -> int | None:
     """Earliest decade from which every later unmasked prediction equals
     the final decade's predicted class. None if fully masked."""
-    present = np.flatnonzero(~tc.missing)
-    if present.size == 0:
-        return None
-    classes = _binary_classes(tc)
-    final = classes[present[-1]]
-    mismatches = [i for i in present if classes[i] != final]
-    idx = 0 if not mismatches else int(max(mismatches)) + 1
-    return tc.decades[idx]
-
-
-def _mean_modern_category(course: TimeCourse) -> str | None:
-    lo, hi = MODERN_RANGE
-    idx = [i for i, d in enumerate(course.decades)
-           if lo <= d <= hi and not course.missing[i]]
-    if not idx:
-        return None
-    mean_dist = course.scores[idx].mean(axis=0)
-    return course.class_labels[int(np.argmax(mean_dist))]
-
-
-def _early_category(course: TimeCourse, relevance_row: np.ndarray) -> str | None:
-    for i in range(len(course.decades)):
-        if np.isfinite(relevance_row[i]) and relevance_row[i] > 0.5 \
-                and not course.missing[i]:
-            return course.class_labels[int(np.argmax(course.scores[i]))]
-    return None
+    if tc.scores.ndim != 1:
+        raise DataError("switching period is defined for binary-tier time courses")
+    index = int(_switching_index(np.where(tc.missing, np.nan, tc.scores)[None, :], tc.tier)[0])
+    return None if index < 0 else tc.decades[index]
 
 
 def retrieve_changing(matrix: PredictionMatrix, lexicon: SeedLexicon,
@@ -235,45 +209,66 @@ def retrieve_changing(matrix: PredictionMatrix, lexicon: SeedLexicon,
                                                  list(matrix.words), RELEVANCE)
         if relevance_matrix.words != matrix.words:
             raise DataError("relevance matrix words do not match the score matrix")
+    for scores in (matrix, relevance_matrix):
+        if scores.decades != diachronic.decades:
+            raise DataError(f"{scores.kind} matrix decades {list(scores.decades)} do not "
+                            f"match the embeddings' {list(diachronic.decades)}")
 
-    rows: list[int] = []
-    mean_rels: list[float] = []
-    skipped_short = 0
-    for i, rel_row in enumerate(relevance_matrix.values):
-        rel_row = rel_row[np.isfinite(rel_row)]
-        if rel_row.size == 0 or (mean_rel := float(rel_row.mean())) < 0.5:
-            continue
-        if int(np.isfinite(matrix.values[i]).sum()) < MIN_SLOPE_DECADES:
-            skipped_short += 1
-            continue
-        rows.append(i)
-        mean_rels.append(mean_rel)
-    if skipped_short:
+    scored = np.isfinite(relevance_matrix.values)
+    with np.errstate(invalid="ignore"):  # 0/0 on a row without a relevance score
+        mean_rels = (np.where(scored, relevance_matrix.values, 0.0).sum(axis=1)
+                     / scored.sum(axis=1))
+    relevant = mean_rels >= 0.5
+    long_enough = np.isfinite(matrix.values).sum(axis=1) >= MIN_SLOPE_DECADES
+    if skipped_short := int(np.count_nonzero(relevant & ~long_enough)):
         logger.info("skipped %d words with fewer than %d scored decades",
                     skipped_short, MIN_SLOPE_DECADES)
-    if not rows:
+    rows = np.flatnonzero(relevant & long_enough)
+    if not rows.size:
         logger.warning("no words pass the relevance filter; empty retrieval")
         return []
     slopes, p_values = slope_rows(matrix.values[rows])
-    candidates = [(matrix.words[i], float(b), float(p), mean_rel)
-                  for i, b, p, mean_rel in zip(rows, slopes, p_values, mean_rels)]
-
-    m = len(candidates) if bonferroni_family == "filtered" else len(matrix.words)
     reverse = direction in (TOWARD_RELEVANCE, TOWARD_POSITIVE)
-    candidates.sort(key=lambda c: ((-c[1] if reverse else c[1]), c[0]))
-    top = candidates[:top_n]
+    words = np.array(matrix.words, dtype=object)[rows]
+    top = np.lexsort((words, -slopes if reverse else slopes))[:top_n]
+    m = rows.size if bonferroni_family == "filtered" else len(matrix.words)
+    rows, words, slopes, p_values = rows[top], words[top], slopes[top], p_values[top]
 
-    categories = _decade_scores(diachronic, lexicon, spec, [c[0] for c in top], CATEGORY)
-    records = []
-    for (word, b, p, mean_rel), cat_scores in zip(top, categories):
-        cat_course = _course(word, CATEGORY, diachronic.decades, cat_scores)
-        rel_row = relevance_matrix.values[matrix.words.index(word)]
-        records.append(ChangeRecord(
-            word=word, slope=b, p_raw=p, p_bonferroni=min(1.0, m * p),
-            mean_relevance=mean_rel, switching_decade=switching_period(matrix.course(word)),
-            early_category=_early_category(cat_course, rel_row),
-            modern_category=_mean_modern_category(cat_course)))
-    return records
+    categories = _decade_scores(diachronic, lexicon, spec, list(words), CATEGORY)
+    early, modern = _category_labels(categories, relevance_matrix.values[rows] > 0.5,
+                                     diachronic.decades, words)
+    switching = _switching_index(matrix.values[rows], matrix.kind)
+    return [ChangeRecord(word=word, slope=float(b), p_raw=float(p),
+                         p_bonferroni=min(1.0, m * float(p)),
+                         mean_relevance=float(mean_rels[i]),
+                         switching_decade=matrix.decades[s] if s >= 0 else None,
+                         early_category=early_label, modern_category=modern_label)
+            for word, i, b, p, s, early_label, modern_label
+            in zip(words, rows, slopes, p_values, switching, early, modern)]
+
+
+def _category_labels(categories: np.ndarray, relevant: np.ndarray,
+                     decades: tuple[int, ...], words: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Per word of a (words, decades, 10) category-score block, the most
+    probable category at the first decade that is scored and ``relevant``,
+    and that of the mean distribution over the scored modern decades;
+    None where there is no such decade. A word scored in no decade is a
+    CoverageError."""
+    scored = ~np.isnan(categories).all(axis=2)
+    if not scored.any(axis=1).all():
+        raise CoverageError(f"word {words[np.argmin(scored.any(axis=1))]!r} "
+                            f"has no embedding in any decade")
+    labels = np.array(tier_classes(CATEGORY), dtype=object)
+    early = scored & relevant
+    first = categories[np.arange(len(categories)), np.argmax(early, axis=1)]
+    lo, hi = MODERN_RANGE
+    modern = scored & (lo <= np.array(decades)) & (np.array(decades) <= hi)
+    with np.errstate(invalid="ignore"):  # 0/0 on a word without a modern decade
+        modern_mean = (np.where(modern[..., None], categories, 0.0).sum(axis=1)
+                       / modern.sum(axis=1)[:, None])
+    return (np.where(early.any(axis=1), labels[np.argmax(first, axis=1)], None),
+            np.where(modern.any(axis=1), labels[np.argmax(modern_mean, axis=1)], None))
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +286,11 @@ def load_wordlist(path: str | Path) -> list[tuple[str, float]]:
 
 def matrix_to_json_dict(matrix: PredictionMatrix) -> dict:
     """JSON-ready dict with null for missing scores."""
-    values = [[(float(v) if np.isfinite(v) else None) for v in row]
-              for row in matrix.values]
     return {
         "kind": matrix.kind,
         "decades": list(matrix.decades),
         "words": list(matrix.words),
-        "values": values,
+        "values": np.where(np.isfinite(matrix.values), matrix.values, None).tolist(),
     }
 
 
@@ -310,8 +303,7 @@ def matrix_from_json(path: str | Path) -> PredictionMatrix:
         kind = data["kind"]
         decades = tuple(int(d) for d in data["decades"])
         words = tuple(data["words"])
-        values = np.array([[np.nan if v is None else float(v) for v in row]
-                           for row in data["values"]], dtype=np.float64)
+        values = np.array(data["values"], dtype=np.float64)
         repeated = [w for w, n in Counter(words).items() if n > 1]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed prediction-matrix JSON: {exc}") from exc

@@ -170,8 +170,9 @@ class Column:
     ``kind`` str: a word, stripped and lowercased, not empty. int or
     float: a number parsed by ``kind``, in the closed interval ``bounds``
     if given, else finite; NaN where blank if ``blank``. A tuple: the
-    stripped cell, one of its strings. None: the stripped cell. With
-    ``unique`` (words and ints), no value repeats an earlier one."""
+    stripped cell, one of its strings. None: the stripped cell, not
+    empty. With ``unique`` (words and ints), no value repeats an earlier
+    one."""
 
     name: str
     kind: type | tuple[str, ...] | None = str
@@ -186,13 +187,13 @@ class Column:
         fault = None
         if self.kind in (int, float):
             values, fault = self._numbers(cells)
-        elif self.kind is str:
-            values = [c.strip().lower() for c in cells]
+        elif self.kind in (str, None):
+            values = [c.strip().lower() if self.kind is str else c.strip() for c in cells]
             if "" in values:
                 fault = values.index(""), f"empty {self.name}"
         else:
             values = [c.strip() for c in cells]
-            if self.kind is not None and not set(values) <= set(self.kind):
+            if not set(values) <= set(self.kind):
                 bad = next(i for i, v in enumerate(values) if v not in self.kind)
                 fault = bad, f"unknown {self.name} {values[bad]!r}"
         if self.unique and len(set(values)) < len(values):
@@ -425,13 +426,15 @@ def _load_npy(path: Path) -> tuple[list[str], np.ndarray, int]:
     Rows are not checked here: the EmbeddingSpace checks (finite values,
     one row per word, no empty or duplicate word) apply to the map.
     """
+    with open(path, "rb") as fh:
+        magic = fh.read(len(np.lib.format.MAGIC_PREFIX))
+    if magic != np.lib.format.MAGIC_PREFIX:  # np.load would try a zip or a pickle
+        raise ParseError(f"{path}: not a single .npy array" if magic.startswith(b"PK\x03\x04")
+                         else f"{path}: not an .npy array")
     try:
         matrix = np.load(path, mmap_mode="r", allow_pickle=False)
-    except ValueError as exc:  # pickled or object data, truncated file
+    except ValueError as exc:  # object data, truncated file
         raise ParseError(f"{path}: {exc}") from None
-    if not isinstance(matrix, np.ndarray):  # an .npz archive
-        matrix.close()
-        raise ParseError(f"{path}: not a single .npy array")
     if matrix.dtype != NPY_DTYPE or matrix.ndim != 2:
         raise ParseError(f"{path}: expected a 2-D {NPY_DTYPE.str} array, got "
                          f"{matrix.ndim}-D {matrix.dtype.str}")

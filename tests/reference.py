@@ -249,6 +249,128 @@ def permutation_control_loop(matrix, norms, frequencies, n_shuffles=1000, seed=0
     return PermutationReport(factors=factors, n_shuffles=n_shuffles, seed=seed), control
 
 
+def ols(y, factors):
+    """OLS with intercept by the normal equations: ``(coefficients, standard
+    errors, p-values, r_squared)``, the first three as dicts keyed by
+    "intercept" and the factor names, p-values from ``scipy.stats.t``."""
+    from scipy import stats
+
+    y = np.asarray(y, dtype=float)
+    names = ["intercept", *factors]
+    x = np.column_stack([np.ones(len(y))] + [np.asarray(v, dtype=float)
+                                             for v in factors.values()])
+    xtx_inv = np.linalg.inv(x.T @ x)
+    beta = xtx_inv @ (x.T @ y)
+    resid = y - x @ beta
+    dof = len(y) - x.shape[1]
+    se = np.sqrt(np.diag(xtx_inv) * float(resid @ resid) / dof)
+    p = 2.0 * stats.t.sf(np.abs(beta / se), dof)
+    r_squared = 1.0 - float(resid @ resid) / float(np.sum((y - y.mean()) ** 2))
+    return (dict(zip(names, beta.tolist())), dict(zip(names, se.tolist())),
+            dict(zip(names, p.tolist())), r_squared)
+
+
+# ---------------------------------------------------------------------------
+# Retrieval word by word: a loop over the rows for the filters, and time
+# courses for each top word (before retrieval read the matrix as arrays)
+# ---------------------------------------------------------------------------
+
+def _binary_classes(tc):
+    """Predicted pole per decade; ties at 0.5 go to the first class."""
+    from moraldrift.diachronic import _SCORE_CLASS
+    from moraldrift.lexicon import tier_classes
+
+    if tier_classes(tc.tier).index(_SCORE_CLASS[tc.tier]) == 0:
+        return tc.scores >= 0.5
+    return tc.scores > 0.5
+
+
+def switching_period(tc):
+    """Earliest decade from which every later unmasked prediction equals
+    the final decade's predicted class. None if fully masked."""
+    present = np.flatnonzero(~tc.missing)
+    if present.size == 0:
+        return None
+    classes = _binary_classes(tc)
+    final = classes[present[-1]]
+    mismatches = [i for i in present if classes[i] != final]
+    idx = 0 if not mismatches else int(max(mismatches)) + 1
+    return tc.decades[idx]
+
+
+def _mean_modern_category(course):
+    from moraldrift.diachronic import MODERN_RANGE
+
+    lo, hi = MODERN_RANGE
+    idx = [i for i, d in enumerate(course.decades)
+           if lo <= d <= hi and not course.missing[i]]
+    if not idx:
+        return None
+    return course.class_labels[int(np.argmax(course.scores[idx].mean(axis=0)))]
+
+
+def _early_category(course, relevance_row):
+    for i in range(len(course.decades)):
+        if np.isfinite(relevance_row[i]) and relevance_row[i] > 0.5 \
+                and not course.missing[i]:
+            return course.class_labels[int(np.argmax(course.scores[i]))]
+    return None
+
+
+def retrieve_changing(matrix, lexicon, diachronic, spec, direction, top_n=10,
+                      relevance_matrix=None, bonferroni_family="filtered"):
+    """``retrieve_changing`` for valid arguments: each row filtered on its
+    own, the survivors sorted on (slope, word), and each top word
+    annotated from its own time courses."""
+    from moraldrift.diachronic import (TOWARD_NEGATIVE, TOWARD_RELEVANCE, ChangeRecord,
+                                       TimeCourse, _decade_scores, prediction_matrix)
+    from moraldrift.errors import CoverageError
+    from moraldrift.lexicon import CATEGORY, RELEVANCE, tier_classes
+    from moraldrift.stats import MIN_SLOPE_DECADES, slope_rows
+
+    if direction == TOWARD_RELEVANCE:
+        relevance_matrix = matrix
+    elif relevance_matrix is None:
+        relevance_matrix = prediction_matrix(diachronic, lexicon, spec,
+                                             list(matrix.words), RELEVANCE)
+    rows, mean_rels = [], []
+    for i, rel_row in enumerate(relevance_matrix.values):
+        rel_row = rel_row[np.isfinite(rel_row)]
+        if rel_row.size == 0 or (mean_rel := float(rel_row.mean())) < 0.5:
+            continue
+        if int(np.isfinite(matrix.values[i]).sum()) < MIN_SLOPE_DECADES:
+            continue
+        rows.append(i)
+        mean_rels.append(mean_rel)
+    if not rows:
+        return []
+    slopes, p_values = slope_rows(matrix.values[rows])
+    candidates = [(matrix.words[i], float(b), float(p), mean_rel)
+                  for i, b, p, mean_rel in zip(rows, slopes, p_values, mean_rels)]
+    m = len(candidates) if bonferroni_family == "filtered" else len(matrix.words)
+    sign = 1 if direction == TOWARD_NEGATIVE else -1
+    top = sorted(candidates, key=lambda c: (sign * c[1], c[0]))[:top_n]
+
+    categories = _decade_scores(diachronic, lexicon, spec, [c[0] for c in top], CATEGORY)
+    records = []
+    for (word, b, p, mean_rel), cat_scores in zip(top, categories):
+        cat_missing = np.isnan(cat_scores).all(axis=1)
+        if cat_missing.all():
+            raise CoverageError(f"word {word!r} has no embedding in any decade")
+        cat_course = TimeCourse(word=word, tier=CATEGORY, decades=diachronic.decades,
+                                scores=cat_scores, missing=cat_missing,
+                                class_labels=tier_classes(CATEGORY))
+        i = matrix.words.index(word)
+        course = TimeCourse(word=word, tier=matrix.kind, decades=matrix.decades,
+                            scores=matrix.values[i], missing=~np.isfinite(matrix.values[i]))
+        records.append(ChangeRecord(
+            word=word, slope=b, p_raw=p, p_bonferroni=min(1.0, m * p),
+            mean_relevance=mean_rel, switching_decade=switching_period(course),
+            early_category=_early_category(cat_course, relevance_matrix.values[i]),
+            modern_category=_mean_modern_category(cat_course)))
+    return records
+
+
 # ---------------------------------------------------------------------------
 # The CSV tables, row by row: each cell parsed on its own, in file order (the
 # loaders before the column checker), and the norms ranking by a full sort
@@ -397,10 +519,13 @@ def load_diachronic(manifest):
         decade = parse_cell(row[0], where, "decade", int)
         if decade in [d for d, _, _ in entries]:
             raise ParseError(f"{where}: duplicate decade {decade}")
+        path = row[1].strip()
+        if not path:
+            raise ParseError(f"{where}: empty path")
         fmt = row[2].strip()
         if fmt not in FORMATS:
             raise ParseError(f"{where}: unknown format {fmt!r}")
-        entries.append((decade, row[1].strip(), fmt))
+        entries.append((decade, path, fmt))
     if not entries:
         raise ParseError(f"{manifest}: no entries")
     spaces = []

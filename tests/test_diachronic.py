@@ -192,6 +192,12 @@ class TestSwitchingPeriod:
                         if i >= idx and not tc.missing[i]]
             assert all(t == final for t in trailing)
 
+    def test_category_course_rejected(self, world):
+        tc = time_course(world.diachronic, world.lexicon, SPEC,
+                         "alwayspos", "category")
+        with pytest.raises(DataError, match="switching period is defined for binary-tier"):
+            switching_period(tc)
+
     def test_relevance_tie_goes_to_irrelevant(self):
         tc = binary_course([0.4, 0.5, 0.8], tier="relevance",
                            decades=(1800, 1810, 1820))

@@ -316,6 +316,7 @@ class TestManifest:
     @pytest.mark.parametrize("row,error", [
         ("19x0,b.txt,text-word2vec", "non-integer decade '19x0'"),
         ("1910,b.txt,word2vec", "unknown format 'word2vec'"),
+        ("1910, ,text-word2vec", "empty path"),
     ])
     def test_whole_manifest_checked_before_loading(self, tmp_path, row, error):
         # The missing decade on line 2 is never opened: line 3 is refused first.

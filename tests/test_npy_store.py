@@ -145,6 +145,19 @@ class TestRejected:
         (tmp_path / "s.vocab").write_text("a\nb\n")
         self.refused(path, ParseError, "not a single .npy array")
 
+    @pytest.mark.parametrize("content, message", [
+        (b"2 2\na 1 2\nb 3 4\n", "not an .npy array"),  # word2vec text
+        (b"", "not an .npy array"),
+        (b"PK\x03\x04 and no more", "not a single .npy array"),  # a broken zip archive
+    ])
+    def test_without_the_npy_magic(self, tmp_path, content, message):
+        path = tmp_path / "s.npy"
+        path.write_bytes(content)
+        (tmp_path / "s.vocab").write_text("a\nb\n")
+        with pytest.raises(ParseError) as info:
+            load_embedding_space(path, NPY_FORMAT, 1900)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_float32_array(self, tmp_path):
         path = self.store(tmp_path, np.zeros((2, 3), dtype=np.float32))
         self.refused(path, ParseError, "<f4")

@@ -200,6 +200,8 @@ class TestUnstorableWordsAtLoad:
 TABLE_FAULTS = {
     "manifest": (load_diachronic, "decade,path,format", "19x0,a.txt,text-word2vec",
                  "non-integer decade '19x0'"),
+    "manifest-path": (load_diachronic, "decade,path,format", "1910, ,text-word2vec",
+                      "empty path"),
     "mfd": (load_mfd, "word,category", "harm,11", "category 11 outside [1, 10]"),
     "norms": (load_norms, "word,valence,concreteness", "war,2.0,7.5",
               "concreteness 7.5 outside [1.0, 5.0]"),

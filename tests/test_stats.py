@@ -10,6 +10,7 @@ from moraldrift import (DataError, PredictionMatrix, fisher_projection,
 from moraldrift.lexicon import NormEntry
 from moraldrift.stats import slope_rows
 
+import reference
 from conftest import CHANGER_DECADES, changer_courses
 
 
@@ -220,6 +221,21 @@ class TestMultipleRegression:
             assert fit.std_errors[name] == pytest.approx(want.bse[j], rel=1e-9)
             assert fit.p_values[name] == pytest.approx(want.pvalues[j], rel=1e-7)
         assert fit.r_squared == pytest.approx(want.rsquared, rel=1e-9)
+
+    @pytest.mark.parametrize("n, seed", [(6, 1), (40, 2), (500, 3)])
+    def test_matches_reference_ols(self, n, seed):
+        rng = np.random.default_rng(seed)
+        factors = {"a": rng.standard_normal(n), "b": rng.uniform(1, 5, n),
+                   "c": rng.integers(0, 4, n).astype(float)}
+        y = 0.7 * factors["a"] - 0.1 * factors["b"] + rng.standard_normal(n)
+        fit = multiple_regression(y, factors)
+        coefficients, std_errors, p_values, r_squared = reference.ols(y, factors)
+        assert list(fit.coefficients) == ["intercept", "a", "b", "c"]
+        for name in coefficients:
+            assert fit.coefficients[name] == pytest.approx(coefficients[name], rel=1e-9, abs=1e-12)
+            assert fit.std_errors[name] == pytest.approx(std_errors[name], rel=1e-9)
+            assert fit.p_values[name] == pytest.approx(p_values[name], rel=1e-7)
+        assert fit.r_squared == pytest.approx(r_squared, rel=1e-9)
 
 
 class TestPartialCorrelation:
