@@ -25,7 +25,7 @@ from .errors import (AlignmentError, CoverageError, DataError,
 from .evaluate import (AccuracyReport, HistoricalAccuracy, chance_level,
                        load_survey, loo_accuracy, loo_accuracy_historical,
                        survey_correlation, valence_correlation)
-from .lexicon import (NormEntry, NormTable, SeedEntry, SeedLexicon,
+from .lexicon import (NormTable, SeedEntry, SeedLexicon,
                       build_irrelevant_seeds, build_tiers, category_label,
                       load_mfd, load_norms, relevant_words, seed_vectors,
                       tier_classes)
@@ -42,7 +42,7 @@ __all__ = [
     "average_vector", "align_procrustes", "load_diachronic",
     "align_diachronic",
     # lexicon
-    "SeedEntry", "NormEntry", "NormTable", "SeedLexicon", "load_mfd",
+    "SeedEntry", "NormTable", "SeedLexicon", "load_mfd",
     "load_norms", "build_irrelevant_seeds", "build_tiers", "seed_vectors",
     "relevant_words", "category_label", "tier_classes",
     # classifiers

@@ -58,10 +58,11 @@ class ModelSpec:
             raise ValueError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.h is not None and not self.h > 0:
-            raise ValueError(f"bandwidth h must be positive, got {self.h}")
-        if not self.variance_floor > 0:
-            raise ValueError(f"variance_floor must be positive, got {self.variance_floor}")
+        if self.h is not None and not 0 < self.h < np.inf:
+            raise ValueError(f"bandwidth h must be finite and positive, got {self.h}")
+        if not 0 < self.variance_floor < np.inf:
+            raise ValueError(f"variance_floor must be finite and positive, "
+                             f"got {self.variance_floor}")
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,9 @@ import numpy as np
 
 from . import __version__
 from .classifiers import MODEL_KINDS, ModelSpec, fit_tier, posterior
-from .diachronic import (DIRECTIONS, load_wordlist, matrix_from_json,
-                         matrix_to_json_dict, prediction_matrix,
-                         retrieve_changing, time_course)
+from .diachronic import (DIRECTIONS, json_scores, load_wordlist,
+                         matrix_from_json, matrix_to_json_dict,
+                         prediction_matrix, retrieve_changing, time_course)
 from .embeddings import (NPY_FORMAT, DiachronicEmbeddings, EmbeddingSpace,
                          _not_utf8, align_diachronic, load_diachronic, lookup,
                          save_embedding_space)
@@ -221,11 +221,6 @@ def _write_outputs(args: argparse.Namespace, outputs: dict) -> None:
             (_write_json if name.endswith(".json") else _write_csv)(fh, meta, body)
 
 
-def _score_list(values: np.ndarray) -> list:
-    """Scores for JSON: null where a score is missing (NaN)."""
-    return np.where(np.isfinite(values), values, None).tolist()
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers: each returns its outputs for _write_outputs
 # ---------------------------------------------------------------------------
@@ -270,16 +265,16 @@ def _cmd_timecourse(args) -> dict:
                   "missing": [bool(b) for b in tc.missing]}
     if tier == "category":
         body["class_labels"] = list(tc.class_labels)
-        body["scores"] = [(_score_list(row) if not m else None)
+        body["scores"] = [(json_scores(row) if not m else None)
                           for row, m in zip(tc.scores, tc.missing)]
         rows = [(d, label, score) for d, scores in zip(tc.decades, tc.scores.tolist())
                 for label, score in zip(tc.class_labels, scores)]
         table = (["decade", "label", "probability"], rows)
     else:
-        body["scores"] = _score_list(tc.scores)
+        body["scores"] = json_scores(tc.scores)
         clamped = np.clip(tc.scores, 1e-6, 1.0 - 1e-6)
         odds = np.log(clamped / (1.0 - clamped))
-        body["log_odds"] = _score_list(odds)
+        body["log_odds"] = json_scores(odds)
         table = (["decade", "score", "log_odds"],
                  list(zip(tc.decades, tc.scores.tolist(), odds.tolist())))
     stem = f"timecourse_{word}_{tier}"

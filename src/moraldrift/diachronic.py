@@ -7,6 +7,7 @@ import json
 import logging
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -38,16 +39,22 @@ class TimeCourse:
     For the binary tiers ``scores`` has shape (n_decades,) and holds the
     probability of the tracked pole (relevant / positive). For the
     category tier it has shape (n_decades, 10) holding the full
-    distribution; ``class_labels`` names the columns. ``missing`` is
-    True exactly where the word had no embedding; those scores are NaN.
+    distribution; ``class_labels`` names the columns. A decade where the
+    word had no embedding holds NaN scores.
     """
 
     word: str
     tier: str
     decades: tuple[int, ...]
     scores: np.ndarray
-    missing: np.ndarray
     class_labels: tuple[str, ...] | None = None
+
+    @property
+    def missing(self) -> np.ndarray:
+        """True exactly at the decades without an embedding: a NaN score,
+        or a row of NaNs for the category tier."""
+        missing = np.isnan(self.scores)
+        return missing if missing.ndim == 1 else missing.all(axis=1)
 
 
 @dataclass(frozen=True)
@@ -96,13 +103,11 @@ def _decade_scores(diachronic: DiachronicEmbeddings, lexicon: SeedLexicon,
 def time_course(diachronic: DiachronicEmbeddings, lexicon: SeedLexicon,
                 spec: ModelSpec, word: str, tier: str) -> TimeCourse:
     """Score one word against per-decade classifiers fitted from each
-    decade's seed vectors. Decades without the word are masked."""
+    decade's seed vectors. Decades without the word hold NaN."""
     scores = _decade_scores(diachronic, lexicon, spec, [word], tier)[0]
-    missing = np.isnan(scores) if scores.ndim == 1 else np.isnan(scores).all(axis=1)
-    if missing.all():
+    if np.isnan(scores).all():
         raise CoverageError(f"word {word!r} has no embedding in any decade")
     return TimeCourse(word=word, tier=tier, decades=diachronic.decades, scores=scores,
-                      missing=missing,
                       class_labels=tier_classes(tier) if tier == CATEGORY else None)
 
 
@@ -143,7 +148,7 @@ def slope(tc: TimeCourse, min_decades: int = MIN_SLOPE_DECADES) -> tuple[float, 
             f"need at least {min_decades} for a slope")
     if not np.all(np.isfinite(tc.scores[present])):
         raise DataError(f"word {tc.word!r}: non-finite score in an unmasked decade")
-    slopes, p = slope_rows(np.where(present, tc.scores, np.nan)[None, :])
+    slopes, p = slope_rows(tc.scores[None, :])
     return float(slopes[0]), float(p[0])
 
 
@@ -169,7 +174,7 @@ def switching_period(tc: TimeCourse) -> int | None:
     the final decade's predicted class. None if fully masked."""
     if tc.scores.ndim != 1:
         raise DataError("switching period is defined for binary-tier time courses")
-    index = int(_switching_index(np.where(tc.missing, np.nan, tc.scores)[None, :], tc.tier)[0])
+    index = int(_switching_index(tc.scores[None, :], tc.tier)[0])
     return None if index < 0 else tc.decades[index]
 
 
@@ -284,28 +289,46 @@ def load_wordlist(path: str | Path) -> list[tuple[str, float]]:
     return list(zip(words, frequencies.tolist()))
 
 
+def json_scores(values: np.ndarray) -> list:
+    """Scores as JSON-ready lists: null where a score is missing (NaN)."""
+    return np.where(np.isfinite(values), values, None).tolist()
+
+
 def matrix_to_json_dict(matrix: PredictionMatrix) -> dict:
     """JSON-ready dict with null for missing scores."""
     return {
         "kind": matrix.kind,
         "decades": list(matrix.decades),
         "words": list(matrix.words),
-        "values": np.where(np.isfinite(matrix.values), matrix.values, None).tolist(),
+        "values": json_scores(matrix.values),
     }
 
 
+def _not_a_score(constant: str):
+    raise ValueError(f"{constant} is not a score")
+
+
 def matrix_from_json(path: str | Path) -> PredictionMatrix:
-    """Read a prediction matrix written as ``matrix_to_json_dict``; a
-    malformed file raises a ParseError naming ``path``."""
+    """Read a prediction matrix written as ``matrix_to_json_dict``: a list
+    of word strings, a list of increasing integer decades, and per word a
+    row of scores in [0, 1] or null. Anything else raises a ParseError
+    naming ``path``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        kind = data["kind"]
-        decades = tuple(int(d) for d in data["decades"])
-        words = tuple(data["words"])
-        values = np.array(data["values"], dtype=np.float64)
+            data = json.load(fh, parse_constant=_not_a_score)
+        kind, decades, words, rows = data["kind"], data["decades"], data["words"], data["values"]
+        if type(words) is not list or not all(type(w) is str for w in words):
+            raise ValueError("words must be a list of strings")
+        if (type(decades) is not list or not all(type(d) is int for d in decades)
+                or any(a >= b for a, b in zip(decades, decades[1:]))):
+            raise ValueError("decades must be a list of increasing integers")
+        if type(rows) is not list or not all(type(row) is list for row in rows):
+            raise ValueError("values must be a list of rows")
+        if not set(map(type, chain.from_iterable(rows))) <= {int, float, type(None)}:
+            raise ValueError("a score is neither a number nor null")
+        values = np.array(rows, dtype=np.float64)
         repeated = [w for w, n in Counter(words).items() if n > 1]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: malformed prediction-matrix JSON: {exc}") from exc
     if kind not in (RELEVANCE, POLARITY):
         raise ParseError(f"{path}: unknown matrix kind {kind!r}")
@@ -314,4 +337,10 @@ def matrix_from_json(path: str | Path) -> PredictionMatrix:
     if values.shape != (len(words), len(decades)):
         raise ParseError(f"{path}: values shape {values.shape} does not match "
                          f"{len(words)} words x {len(decades)} decades")
-    return PredictionMatrix(kind=kind, words=words, decades=decades, values=values)
+    outside = np.argwhere((values < 0) | (values > 1))
+    if outside.size:
+        i, j = outside[0]
+        raise ParseError(f"{path}: word {words[i]!r}, decade {decades[j]}: "
+                         f"score {float(values[i, j])} outside [0, 1]")
+    return PredictionMatrix(kind=kind, words=tuple(words), decades=tuple(decades),
+                            values=values)

@@ -13,7 +13,7 @@ from .classifiers import Classifier, ModelSpec, _loo_predict, posterior, posteri
 from .embeddings import (Column, DiachronicEmbeddings, EmbeddingSpace, average_vector,
                          read_table)
 from .errors import DataError
-from .lexicon import NormEntry, NormTable, SeedLexicon, seed_vectors, tier_classes
+from .lexicon import NormTable, SeedLexicon, seed_vectors, tier_classes
 from .stats import CorrelationReport, pearson
 
 logger = logging.getLogger(__name__)
@@ -107,15 +107,14 @@ def loo_accuracy_historical(spec: ModelSpec, lexicon: SeedLexicon,
 
 
 def valence_correlation(polarity_model: Classifier, space: EmbeddingSpace,
-                        norms: NormTable | Sequence[NormEntry]) -> CorrelationReport:
+                        norms: NormTable) -> CorrelationReport:
     """Correlate human valence ratings with predicted positive-polarity
     probability over all rated words that have embeddings."""
-    table = NormTable.of(norms)
-    rated = [i for i, w in enumerate(table.words) if w in space]
+    rated = [i for i, w in enumerate(norms.words) if w in space]
     if len(rated) < 3:
         raise DataError(f"only {len(rated)} rated words have embeddings; need >= 3")
-    valences = table.valence[rated]
-    matrix, _, _ = space.rows(table.words[i] for i in rated)
+    valences = norms.valence[rated]
+    matrix, _, _ = space.rows(norms.words[i] for i in rated)
     probs = posterior_batch(polarity_model, matrix)
     positive = probs[:, polarity_model.classes.index("positive")]
     return pearson(valences, positive)

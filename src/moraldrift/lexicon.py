@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -63,45 +63,18 @@ class SeedEntry:
     category: int  # 1..10
 
 
-@dataclass(frozen=True)
-class NormEntry:
-    word: str
-    valence: float
-    concreteness: float | None = None
-
-
 @dataclass(frozen=True, eq=False)
 class NormTable:
     """A ratings table as columns, in file order: ``valence`` and
     ``concreteness`` are float64 arrays aligned with ``words``, and a NaN
-    concreteness means no rating. Its length, indexing and iteration give
-    NormEntry rows."""
+    concreteness means no rating. Its length is its number of words."""
 
     words: tuple[str, ...]
     valence: np.ndarray
     concreteness: np.ndarray
 
-    @classmethod
-    def of(cls, norms: NormTable | Iterable[NormEntry]) -> NormTable:
-        """``norms`` itself if a NormTable, else the table of its rows."""
-        if isinstance(norms, NormTable):
-            return norms
-        norms = list(norms)
-        return cls(tuple(e.word for e in norms),
-                   np.array([e.valence for e in norms], dtype=np.float64),
-                   np.array([math.nan if e.concreteness is None else e.concreteness
-                             for e in norms], dtype=np.float64))
-
     def __len__(self) -> int:
         return len(self.words)
-
-    def __getitem__(self, i: int) -> NormEntry:
-        concreteness = float(self.concreteness[i])
-        return NormEntry(self.words[i], float(self.valence[i]),
-                         None if math.isnan(concreteness) else concreteness)
-
-    def __iter__(self) -> Iterator[NormEntry]:
-        return (self[i] for i in range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -179,8 +152,8 @@ def relevant_words(entries: Iterable[SeedEntry]) -> list[str]:
     return out
 
 
-def build_irrelevant_seeds(norms: NormTable | Sequence[NormEntry],
-                           mfd_words: Iterable[str], count: int | None = None,
+def build_irrelevant_seeds(norms: NormTable, mfd_words: Iterable[str],
+                           count: int | None = None,
                            vocabulary: Iterable[str] | None = None) -> set[str]:
     """Select the ``count`` most valence-neutral non-seed words.
 
@@ -189,14 +162,13 @@ def build_irrelevant_seeds(norms: NormTable | Sequence[NormEntry],
     relevant and irrelevant sets end up the same size. ``vocabulary``,
     when given, restricts candidates to words with embeddings.
     """
-    table = NormTable.of(norms)
     mfd = set(mfd_words)
     if count is None:
         count = len(mfd)
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     vocab = set(vocabulary) if vocabulary is not None else None
-    rows = [i for i, w in enumerate(table.words)
+    rows = [i for i, w in enumerate(norms.words)
             if w not in mfd and (vocab is None or w in vocab)]
     if count > len(rows):
         raise DataError(
@@ -204,12 +176,12 @@ def build_irrelevant_seeds(norms: NormTable | Sequence[NormEntry],
             f"non-seed candidate words are available")
     if count == 0:
         return set()
-    distance = np.abs(table.valence[rows] - VALENCE_MIDPOINT)
+    distance = np.abs(norms.valence[rows] - VALENCE_MIDPOINT)
     # The count-th smallest distance: every word nearer is chosen, and the
     # words at it fill the remaining places in word order.
     cut = np.partition(distance, count - 1)[count - 1]
-    chosen = [table.words[rows[i]] for i in np.flatnonzero(distance < cut)]
-    tied = sorted(table.words[rows[i]] for i in np.flatnonzero(distance == cut))
+    chosen = [norms.words[rows[i]] for i in np.flatnonzero(distance < cut)]
+    tied = sorted(norms.words[rows[i]] for i in np.flatnonzero(distance == cut))
     return set(chosen + tied[:count - len(chosen)])
 
 

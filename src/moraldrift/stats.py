@@ -16,7 +16,7 @@ import numpy as np
 
 from .embeddings import QueryVector
 from .errors import DataError
-from .lexicon import NormEntry, NormTable
+from .lexicon import NormTable
 
 if TYPE_CHECKING:
     from .diachronic import PredictionMatrix
@@ -331,15 +331,14 @@ def changed_word_fit(values: np.ndarray, words: Sequence[str],
     return _ChangeSample(values, words, concreteness, log_frequency).fit()
 
 
-def factor_tables(norms: NormTable | Sequence[NormEntry],
+def factor_tables(norms: NormTable,
                   frequencies: Mapping[str, float] | Sequence[tuple[str, float]]
                   ) -> tuple[dict[str, float], dict[str, float]]:
     """Word -> concreteness and word -> log frequency; words without a
     concreteness rating or with a non-positive frequency are left out."""
-    table = NormTable.of(norms)
-    rated = np.flatnonzero(~np.isnan(table.concreteness))
-    concreteness = dict(zip([table.words[i] for i in rated],
-                            table.concreteness[rated].tolist()))
+    rated = np.flatnonzero(~np.isnan(norms.concreteness))
+    concreteness = dict(zip([norms.words[i] for i in rated],
+                            norms.concreteness[rated].tolist()))
     freq_map = dict(frequencies)
     log_frequency = {}
     skipped = 0
@@ -355,7 +354,7 @@ def factor_tables(norms: NormTable | Sequence[NormEntry],
 
 def psycholinguistic_regression(
     matrix: "PredictionMatrix",
-    norms: NormTable | Sequence[NormEntry],
+    norms: NormTable,
     frequencies: Mapping[str, float] | Sequence[tuple[str, float]],
 ) -> tuple[RegressionFit, list[str]]:
     """Regress per-word relevance-change slopes on log frequency, word
@@ -374,7 +373,7 @@ def psycholinguistic_regression(
 
 def permutation_control(
     matrix: "PredictionMatrix",
-    norms: NormTable | Sequence[NormEntry],
+    norms: NormTable,
     frequencies: Mapping[str, float] | Sequence[tuple[str, float]],
     n_shuffles: int = 1000,
     seed: int = 0,

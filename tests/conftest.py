@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from moraldrift import (DiachronicEmbeddings, EmbeddingSpace, NormEntry,
+from moraldrift import (DiachronicEmbeddings, EmbeddingSpace, NormTable,
                         build_irrelevant_seeds, build_tiers, category_label,
                         relevant_words, save_embedding_space)
 from moraldrift.lexicon import SeedEntry
@@ -97,6 +97,16 @@ def world_mfd_entries() -> list[SeedEntry]:
             for c in range(1, 11) for j in range(SEEDS_PER_CATEGORY)]
 
 
+def norm_table(words, valence, concreteness=np.nan) -> NormTable:
+    """A NormTable of the given columns; a single number is every word's
+    value, and a NaN concreteness is no rating."""
+    words = tuple(words)
+    valence, concreteness = (
+        np.broadcast_to(np.array(column, dtype=np.float64), (len(words),)).copy()
+        for column in (valence, concreteness))
+    return NormTable(words, valence, concreteness)
+
+
 def world_norm_rows() -> list[tuple[str, float, float]]:
     rows = []
     for i in range(10 * SEEDS_PER_CATEGORY):
@@ -115,8 +125,7 @@ def world():
               for i, decade in enumerate(WORLD_DECADES)]
     diachronic = DiachronicEmbeddings(spaces)
     entries = world_mfd_entries()
-    norms = [NormEntry(word=w, valence=v, concreteness=c)
-             for w, v, c in world_norm_rows()]
+    norms = norm_table(*zip(*world_norm_rows()))
     irrelevant = build_irrelevant_seeds(norms, relevant_words(entries))
     lexicon = build_tiers(entries, irrelevant)
     assert lexicon.irrelevant == {f"neutral{i:02d}" for i in range(30)}

@@ -354,15 +354,13 @@ def retrieve_changing(matrix, lexicon, diachronic, spec, direction, top_n=10,
     categories = _decade_scores(diachronic, lexicon, spec, [c[0] for c in top], CATEGORY)
     records = []
     for (word, b, p, mean_rel), cat_scores in zip(top, categories):
-        cat_missing = np.isnan(cat_scores).all(axis=1)
-        if cat_missing.all():
-            raise CoverageError(f"word {word!r} has no embedding in any decade")
         cat_course = TimeCourse(word=word, tier=CATEGORY, decades=diachronic.decades,
-                                scores=cat_scores, missing=cat_missing,
-                                class_labels=tier_classes(CATEGORY))
+                                scores=cat_scores, class_labels=tier_classes(CATEGORY))
+        if cat_course.missing.all():
+            raise CoverageError(f"word {word!r} has no embedding in any decade")
         i = matrix.words.index(word)
         course = TimeCourse(word=word, tier=matrix.kind, decades=matrix.decades,
-                            scores=matrix.values[i], missing=~np.isfinite(matrix.values[i]))
+                            scores=matrix.values[i])
         records.append(ChangeRecord(
             word=word, slope=b, p_raw=p, p_bonferroni=min(1.0, m * p),
             mean_relevance=mean_rel, switching_decade=switching_period(course),
@@ -444,8 +442,9 @@ def parse_cell(text, where, column, kind=str, *, bounds=None, blank=False, seen=
 
 
 def load_norms(path):
-    """A list of NormEntry, one per row."""
-    from moraldrift.lexicon import CONCRETENESS_RANGE, VALENCE_RANGE, NormEntry
+    """A ``(word, valence, concreteness)`` tuple per row; a concreteness
+    is NaN without a rating."""
+    from moraldrift.lexicon import CONCRETENESS_RANGE, VALENCE_RANGE
 
     entries = []
     seen = set()
@@ -457,7 +456,7 @@ def load_norms(path):
         if len(row) == 3:
             concreteness = parse_cell(row[2], where, "concreteness", float,
                                       bounds=CONCRETENESS_RANGE, blank=True)
-        entries.append(NormEntry(word=word, valence=valence, concreteness=concreteness))
+        entries.append((word, valence, math.nan if concreteness is None else concreteness))
     return entries
 
 
@@ -538,19 +537,19 @@ def load_diachronic(manifest):
 
 
 def build_irrelevant_seeds(norms, mfd_words, count=None, vocabulary=None):
-    """The ``count`` most neutral non-seed words by one full sort on
-    (distance from 5.0, word)."""
+    """The ``count`` most neutral non-seed words of a NormTable, by one
+    full sort of its rows on (distance from 5.0, word)."""
     from moraldrift.errors import DataError
 
     mfd = set(mfd_words)
     if count is None:
         count = len(mfd)
     vocab = set(vocabulary) if vocabulary is not None else None
-    candidates = [e for e in norms
-                  if e.word not in mfd and (vocab is None or e.word in vocab)]
+    candidates = [(word, valence) for word, valence in zip(norms.words, norms.valence.tolist())
+                  if word not in mfd and (vocab is None or word in vocab)]
     if count > len(candidates):
         raise DataError(
             f"requested {count} irrelevant seeds but only {len(candidates)} "
             f"non-seed candidate words are available")
-    ranked = sorted(candidates, key=lambda e: (abs(e.valence - 5.0), e.word))
-    return {e.word for e in ranked[:count]}
+    ranked = sorted(candidates, key=lambda row: (abs(row[1] - 5.0), row[0]))
+    return {word for word, _ in ranked[:count]}

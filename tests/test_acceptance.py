@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moraldrift import (EmbeddingSpace, ModelSpec, NormEntry, TimeCourse,
+from moraldrift import (EmbeddingSpace, ModelSpec, TimeCourse,
                         align_procrustes, build_tiers, fit, fit_tier,
                         load_diachronic, load_mfd, load_norms, loo_accuracy,
                         loo_accuracy_historical, permutation_control,
@@ -25,7 +25,7 @@ from moraldrift.cli import dispatch
 from moraldrift.lexicon import SeedEntry
 
 import reference
-from conftest import CHANGER_DECADES, changer_courses
+from conftest import CHANGER_DECADES, changer_courses, norm_table
 
 DATA_DIR = os.environ.get("MORALDRIFT_DATA_DIR")
 needs_real_data = pytest.mark.skipif(
@@ -153,14 +153,14 @@ def test_slope_recovery():
         rng = np.random.default_rng(200 + trial)
         scores = 0.5 + 0.005 * (t_idx - 10.5) + 0.01 * rng.standard_normal(20)
         tc = TimeCourse(word="w", tier="relevance", decades=decades,
-                        scores=scores, missing=np.zeros(20, dtype=bool))
+                        scores=scores)
         b, p = slope(tc)
         if abs(b - 0.005) <= 0.003 and p < 0.05:
             hits += 1
     assert hits >= 90, f"only {hits}/100 trials recovered the trend"
 
     flat = TimeCourse(word="w", tier="relevance", decades=decades,
-                      scores=np.full(20, 0.5), missing=np.zeros(20, dtype=bool))
+                      scores=np.full(20, 0.5))
     assert slope(flat) == (0.0, 1.0)
     ok("slope-recovery")
 
@@ -189,8 +189,7 @@ def test_regression_fidelity():
         n_words=600, seed=104, beta_f=1e-4, beta_c=-2e-4, beta_l=0.0,
         noise=1e-4)
     matrix = _relevance_matrix(words, values)
-    norms = [NormEntry(word=w, valence=5.0, concreteness=float(c))
-             for w, c in zip(words, concs)]
+    norms = norm_table(words, 5.0, concs)
     frequencies = {w: float(f) for w, f in zip(words, freqs)}
     fit_noisy, kept = psycholinguistic_regression(matrix, norms, frequencies)
     for name, beta in [("frequency", 1e-4), ("concreteness", -2e-4),
@@ -202,8 +201,7 @@ def test_regression_fidelity():
         n_words=600, seed=105, beta_f=1e-4, beta_c=-2e-4, beta_l=0.0,
         noise=0.0)
     matrix = _relevance_matrix(words, values)
-    norms = [NormEntry(word=w, valence=5.0, concreteness=float(c))
-             for w, c in zip(words, concs)]
+    norms = norm_table(words, 5.0, concs)
     fit_exact, _ = psycholinguistic_regression(
         matrix, norms, {w: float(f) for w, f in zip(words, freqs)})
     assert fit_exact.coefficients["frequency"] == pytest.approx(1e-4, abs=1e-10)
@@ -227,8 +225,7 @@ def test_permutation_control_null():
     words = [f"{'z' * (1 + i % 6)}{i}" for i in range(n_words)]
     values = np.clip(0.5 + 0.05 * rng.standard_normal((n_words, 20)), 0.0, 1.0)
     matrix = _relevance_matrix(words, values)
-    norms = [NormEntry(word=w, valence=5.0,
-                       concreteness=float(rng.uniform(1, 5))) for w in words]
+    norms = norm_table(words, 5.0, [rng.uniform(1, 5) for _ in words])
     frequencies = {w: float(rng.uniform(1e2, 1e5)) for w in words}
     report = permutation_control(matrix, norms, frequencies,
                                  n_shuffles=200, seed=107)

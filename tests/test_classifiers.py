@@ -58,6 +58,11 @@ class TestFit:
             ModelSpec("kde", h=-1.0)
         with pytest.raises(ValueError):
             ModelSpec("naive_bayes", variance_floor=0.0)
+        for value in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="^bandwidth h must be finite and positive"):
+                ModelSpec("kde", h=value)
+            with pytest.raises(ValueError, match="^variance_floor must be finite and positive"):
+                ModelSpec("naive_bayes", variance_floor=value)
 
 
 class TestCentroidPosterior:

@@ -299,6 +299,27 @@ class TestCorrelationCommands:
         assert payload["acceptability"]["n"] == 8
 
 
+class TestModelParameters:
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("model, option, message", [
+        ("kde", "bandwidth", "bandwidth h must be finite and positive, got inf"),
+        ("naive-bayes", "variance-floor", "variance_floor must be finite and positive, got inf"),
+    ])
+    def test_infinite_parameter_is_data_error(self, capsys, world_files, tmp_path,
+                                              source, model, option, message):
+        if source == "flag":
+            given = [f"--{option}", "inf"]
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"{option}=inf\n")
+            given = ["--config", str(config)]
+        code, stdout, err = run(capsys, "classify", *data_args(world_files),
+                                "--word", "riser", "--tier", "polarity",
+                                "--model", model, *given)
+        assert (code, stdout) == (2, "")
+        assert err == f"moraldrift: error: {message}\n"
+
+
 class TestRegressAndPermute:
     def test_regress(self, capsys, changer_files, tmp_path):
         code, _, _ = run(capsys, "regress",
@@ -359,6 +380,21 @@ class TestRegressAndPermute:
         assert (code, stdout) == (2, "")
         assert err == (f"moraldrift: error: {norms}:4: field larger than field limit "
                        f"(131072)\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_regress_refuses_overflowing_score_by_file(self, capsys, changer_files,
+                                                       tmp_path):
+        bad = tmp_path / "matrix.json"
+        payload = json.loads(changer_files.matrix.read_text())
+        payload["values"][0][0] = 10 ** 400
+        bad.write_text(json.dumps(payload))
+        code, stdout, err = run(capsys, "regress", "--matrix", str(bad),
+                                "--norms", str(changer_files.norms),
+                                "--wordlist", str(changer_files.wordlist),
+                                "--out-dir", str(tmp_path / "out"))
+        assert (code, stdout) == (2, "")
+        assert err == (f"moraldrift: error: {bad}: malformed prediction-matrix JSON: "
+                       f"int too large to convert to float\n")
         assert not (tmp_path / "out").exists()
 
     def test_permute_rejects_polarity_matrix(self, capsys, changer_files, tmp_path):
@@ -587,6 +623,10 @@ def _meta_argv(command, world, changers, matrix_dir):
     }[command]
 
 
+def _not_json(constant):
+    raise AssertionError(f"output holds {constant}, which is not JSON")
+
+
 @pytest.mark.parametrize("command", sorted(build_parser().commands))
 def test_every_output_carries_the_command_meta(capsys, world_files, changer_files,
                                                matrix_dir, tmp_path, command):
@@ -595,10 +635,11 @@ def test_every_output_carries_the_command_meta(capsys, world_files, changer_file
                           *_meta_argv(command, world_files, changer_files, matrix_dir),
                           "--out-dir", str(out))
     assert code == 0
-    metas = [json.loads(stdout)["_meta"]] if stdout else []
+    # Strict JSON: NaN and Infinity are Python's extensions, not JSON.
+    metas = [json.loads(stdout, parse_constant=_not_json)["_meta"]] if stdout else []
     for path in sorted(out.iterdir()) if out.exists() else []:
         if path.suffix == ".json":
-            metas.append(json.loads(path.read_text())["_meta"])
+            metas.append(json.loads(path.read_text(), parse_constant=_not_json)["_meta"])
         elif path.suffix == ".csv":
             first = path.read_text().splitlines()[0]
             assert first.startswith("# ")

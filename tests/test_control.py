@@ -13,10 +13,9 @@ from hypothesis import strategies as st
 import reference
 from moraldrift import DataError, PredictionMatrix, permutation_control
 from moraldrift.classifiers import _nb_log_likelihood
-from moraldrift.lexicon import NormEntry
 from moraldrift.stats import REGRESSION_FACTORS
 
-from conftest import CHANGER_DECADES, changer_courses
+from conftest import CHANGER_DECADES, changer_courses, norm_table
 
 
 def relevance_matrix(words, values):
@@ -38,9 +37,8 @@ def control_inputs(draw):
         values = np.round(values, 1)  # scores of exactly 0.5 count as low
     values[rng.random(values.shape) < draw(st.floats(0.0, 0.3))] = np.nan
     words = [f"{'w' * (1 + i % 5)}{i}" for i in range(n_words)]
-    norms = [NormEntry(word=w, valence=5.0,
-                       concreteness=None if rng.random() < 0.1 else float(rng.uniform(1, 5)))
-             for w in words]
+    norms = norm_table(words, 5.0, [np.nan if rng.random() < 0.1 else rng.uniform(1, 5)
+                                    for _ in words])
     frequencies = {w: float(rng.uniform(-10, 1e4)) for w in words if rng.random() > 0.1}
     if draw(st.integers(0, 3)) == 0:
         frequencies[draw(st.sampled_from(words))] = np.inf  # refused once selected
@@ -79,8 +77,7 @@ class TestAgainstLoop:
         words, freqs, concs, values = changer_courses(n_words=200, seed=21,
                                                       decade_noise=0.02)
         values[::7, :3] = np.nan
-        norms = [NormEntry(word=w, valence=5.0, concreteness=float(c))
-                 for w, c in zip(words, concs)]
+        norms = norm_table(words, 5.0, concs)
         frequencies = {w: float(f) for w, f in zip(words, freqs)}
         assert_matches_loop(relevance_matrix(words, values), norms, frequencies,
                             n_shuffles=200, seed=4)
@@ -99,8 +96,7 @@ class TestShuffleRefusals:
                           + [[0.6, 0.9, 0.5, 0.4, 0.1, 0.7]] * n_same)
         values += 0.001 * np.arange(len(values))[:, None] * np.arange(6)
         words = varied + same
-        norms = [NormEntry(word=w, valence=5.0, concreteness=1.0 + 0.5 * (3 * i % 7))
-                 for i, w in enumerate(words)]
+        norms = norm_table(words, 5.0, [1.0 + 0.5 * (3 * i % 7) for i in range(len(words))])
         frequencies = {w: np.inf if w in infinite else 10.0 + 7.0 * i * i
                        for i, w in enumerate(words)}
         perms = [np.arange(6), np.array([1, 0, 2, 3, 5, 4])]
@@ -133,8 +129,7 @@ class TestPermutationsChecked:
     def test_non_permutation_names_the_shuffle(self, bad):
         words, freqs, concs, values = changer_courses(n_words=80, seed=17,
                                                       decade_noise=0.02)
-        norms = [NormEntry(word=w, valence=5.0, concreteness=float(c))
-                 for w, c in zip(words, concs)]
+        norms = norm_table(words, 5.0, concs)
         with pytest.raises(ValueError, match="^shuffle 1: not a permutation of the "
                                              "20 decade columns$"):
             permutation_control(relevance_matrix(words, values), norms,

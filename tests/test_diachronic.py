@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -14,15 +15,12 @@ import reference
 SPEC = ModelSpec("centroid")
 
 
-def binary_course(scores, tier="polarity", decades=None, missing=None):
+def binary_course(scores, tier="polarity", decades=None):
     scores = np.asarray(scores, dtype=float)
     n = scores.shape[0]
     decades = tuple(decades) if decades is not None else \
         tuple(1800 + 10 * i for i in range(n))
-    if missing is None:
-        missing = ~np.isfinite(scores)
-    return TimeCourse(word="w", tier=tier, decades=decades, scores=scores,
-                      missing=np.asarray(missing, dtype=bool))
+    return TimeCourse(word="w", tier=tier, decades=decades, scores=scores)
 
 
 class TestTimeCourse:
@@ -40,11 +38,13 @@ class TestTimeCourse:
         assert tc.scores[0] == pytest.approx(want["positive"], rel=1e-9)
 
     def test_missing_decades_masked(self, world):
-        tc = time_course(world.diachronic, world.lexicon, SPEC,
-                         "gapword", "relevance")
-        assert list(tc.missing) == [True, True, True, False, False, False]
-        assert np.all(np.isnan(tc.scores[:3]))
-        assert np.all(np.isfinite(tc.scores[3:]))
+        for tier in ("relevance", "category"):
+            tc = time_course(world.diachronic, world.lexicon, SPEC, "gapword", tier)
+            assert list(tc.missing) == [True, True, True, False, False, False]
+            assert np.all(np.isnan(tc.scores[:3]))
+            assert np.all(np.isfinite(tc.scores[3:]))
+        # missing is derived from the NaNs, so it cannot disagree with them
+        assert "missing" not in {f.name for f in dataclasses.fields(TimeCourse)}
 
     def test_category_tier_distributions(self, world):
         tc = time_course(world.diachronic, world.lexicon, SPEC,
@@ -143,10 +143,12 @@ class TestSlope:
         assert b == pytest.approx(expected, abs=1e-12)
 
     def test_non_finite_unmasked_score_rejected(self):
-        scores = np.array([0.1, np.nan, 0.3, 0.4, 0.5, 0.6])
-        tc = binary_course(scores, missing=np.zeros(6, dtype=bool))
-        with pytest.raises(DataError, match="non-finite"):
-            slope(tc)
+        for infinite in (np.inf, -np.inf):
+            tc = binary_course([0.1, infinite, 0.3, 0.4, 0.5, 0.6])
+            assert not tc.missing.any()
+            with pytest.raises(DataError,
+                               match="^word 'w': non-finite score in an unmasked decade$"):
+                slope(tc)
 
     def test_category_course_rejected(self, world):
         tc = time_course(world.diachronic, world.lexicon, SPEC,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from moraldrift import (DataError, DiachronicEmbeddings, ModelSpec, NormEntry,
+from moraldrift import (DataError, DiachronicEmbeddings, ModelSpec,
                         build_tiers, chance_level, fit_tier, load_survey,
                         loo_accuracy, loo_accuracy_historical, posterior,
                         posterior_batch, survey_correlation,
@@ -9,7 +9,7 @@ from moraldrift import (DataError, DiachronicEmbeddings, ModelSpec, NormEntry,
 from moraldrift.lexicon import SeedEntry
 
 import reference
-from conftest import make_space
+from conftest import make_space, norm_table
 
 
 def cluster_lexicon(n_per_class):
@@ -166,8 +166,7 @@ class TestValenceCorrelation:
         model, space, words = self._polarity_model_and_space()
         matrix, _, _ = space.rows(words)
         probs = posterior_batch(model, matrix)[:, 0]
-        norms = [NormEntry(word=w, valence=1.0 + 8.0 * p)
-                 for w, p in zip(words, probs)]
+        norms = norm_table(words, 1.0 + 8.0 * probs)
         report = valence_correlation(model, space, norms)
         assert report.r == pytest.approx(1.0, abs=1e-12)
         assert report.n == len(words)
@@ -176,15 +175,13 @@ class TestValenceCorrelation:
         model, space, words = self._polarity_model_and_space()
         matrix, _, _ = space.rows(words)
         probs = posterior_batch(model, matrix)[:, 0]
-        norms = [NormEntry(word=w, valence=1.0 + 8.0 * (1.0 - p))
-                 for w, p in zip(words, probs)]
+        norms = norm_table(words, 1.0 + 8.0 * (1.0 - probs))
         report = valence_correlation(model, space, norms)
         assert report.r == pytest.approx(-1.0, abs=1e-12)
 
     def test_too_few_overlapping_words(self):
         model, space, words = self._polarity_model_and_space()
-        norms = [NormEntry(word="q0", valence=5.0),
-                 NormEntry(word="nowhere", valence=5.0)]
+        norms = norm_table(["q0", "nowhere"], 5.0)
         with pytest.raises(DataError, match=">= 3"):
             valence_correlation(model, space, norms)
 
@@ -192,9 +189,7 @@ class TestValenceCorrelation:
         model, space, words = self._polarity_model_and_space()
         matrix, _, _ = space.rows(words)
         probs = posterior_batch(model, matrix)[:, 0]
-        norms = [NormEntry(word=w, valence=1.0 + 8.0 * p)
-                 for w, p in zip(words, probs)]
-        norms.append(NormEntry(word="ghost", valence=2.0))
+        norms = norm_table([*words, "ghost"], [*(1.0 + 8.0 * probs), 2.0])
         report = valence_correlation(model, space, norms)
         assert report.n == len(words)
 

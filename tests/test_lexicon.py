@@ -3,13 +3,13 @@ import re
 import numpy as np
 import pytest
 
-from moraldrift import (CoverageError, DataError, NormEntry, ParseError,
+from moraldrift import (CoverageError, DataError, ParseError,
                         build_irrelevant_seeds, build_tiers, category_label,
                         load_mfd, load_norms, relevant_words, seed_vectors,
                         tier_classes)
 from moraldrift.lexicon import SeedEntry
 
-from conftest import make_space
+from conftest import make_space, norm_table
 
 
 def write_csv(path, text):
@@ -67,8 +67,9 @@ class TestLoadNorms:
     def test_entry_values(self, tmp_path):
         path = write_csv(tmp_path / "norms.csv",
                          "word,valence,concreteness\ncalm,5.0,3.1\n")
-        entries = load_norms(path)
-        assert list(entries) == [NormEntry(word="calm", valence=5.0, concreteness=3.1)]
+        norms = load_norms(path)
+        assert (norms.words, norms.valence.tolist(), norms.concreteness.tolist()) == (
+            ("calm",), [5.0], [3.1])
 
     def test_duplicate_word_named(self, tmp_path):
         path = write_csv(tmp_path / "norms.csv",
@@ -94,66 +95,62 @@ class TestLoadNorms:
 
     def test_concreteness_column_optional(self, tmp_path):
         path = write_csv(tmp_path / "norms.csv", "word,valence\nx,5.0\n")
-        assert load_norms(path)[0].concreteness is None
+        assert np.isnan(load_norms(path).concreteness[0])
 
     def test_empty_concreteness_cell(self, tmp_path):
         path = write_csv(tmp_path / "norms.csv",
                          "word,valence,concreteness\nx,5.0,\n")
-        assert load_norms(path)[0].concreteness is None
+        assert np.isnan(load_norms(path).concreteness[0])
 
 
 class TestBuildIrrelevantSeeds:
     def test_ordering_by_neutrality(self):
-        norms = [NormEntry("calm", 5.0), NormEntry("joy", 8.2),
-                 NormEntry("murder", 1.5)]
+        norms = norm_table(["calm", "joy", "murder"], [5.0, 8.2, 1.5])
         assert build_irrelevant_seeds(norms, set(), count=2) == {"calm", "joy"}
 
     def test_seed_words_excluded(self):
-        norms = [NormEntry("duty", 5.0), NormEntry("calm", 5.2),
-                 NormEntry("chair", 5.3)]
+        norms = norm_table(["duty", "calm", "chair"], [5.0, 5.2, 5.3])
         selected = build_irrelevant_seeds(norms, {"duty"}, count=2)
         assert selected == {"calm", "chair"}
 
     def test_count_defaults_to_seed_count(self):
-        norms = [NormEntry(f"n{i}", 5.0 + 0.01 * i) for i in range(10)]
+        norms = norm_table([f"n{i}" for i in range(10)], [5.0 + 0.01 * i for i in range(10)])
         selected = build_irrelevant_seeds(norms, {"a", "b", "c"})
         assert len(selected) == 3
 
     def test_capacity_error(self):
-        norms = [NormEntry("only", 5.0)]
+        norms = norm_table(["only"], 5.0)
         with pytest.raises(DataError, match="candidate"):
             build_irrelevant_seeds(norms, set(), count=2)
 
     def test_deterministic(self):
         rng = np.random.default_rng(0)
-        norms = [NormEntry(f"w{i}", float(rng.uniform(1, 9))) for i in range(50)]
+        norms = norm_table([f"w{i}" for i in range(50)], rng.uniform(1, 9, size=50))
         first = build_irrelevant_seeds(norms, {"w0", "w1"}, count=10)
         second = build_irrelevant_seeds(norms, {"w0", "w1"}, count=10)
         assert first == second
 
     def test_lexicographic_tie_break(self):
-        norms = [NormEntry("zeta", 5.1), NormEntry("alpha", 4.9),
-                 NormEntry("mid", 5.0)]
+        norms = norm_table(["zeta", "alpha", "mid"], [5.1, 4.9, 5.0])
         assert build_irrelevant_seeds(norms, set(), count=2) == {"mid", "alpha"}
 
     def test_selected_dominate_non_selected(self):
         # every selected word is at least as neutral as every non-selected one
         rng = np.random.default_rng(42)
-        norms = [NormEntry(f"w{i:03d}", float(rng.uniform(1, 9))) for i in range(200)]
+        norms = norm_table([f"w{i:03d}" for i in range(200)], rng.uniform(1, 9, size=200))
         mfd = {f"w{i:03d}" for i in range(0, 200, 7)}
         selected = build_irrelevant_seeds(norms, mfd, count=40)
-        by_word = {e.word: abs(e.valence - 5.0) for e in norms}
+        by_word = dict(zip(norms.words, np.abs(norms.valence - 5.0)))
         worst_selected = max(by_word[w] for w in selected)
-        others = [by_word[e.word] for e in norms
-                  if e.word not in selected and e.word not in mfd]
+        others = [by_word[w] for w in norms.words if w not in selected and w not in mfd]
         assert all(worst_selected <= d + 1e-12 for d in others)
 
     def test_negative_count_refused(self):
         with pytest.raises(ValueError, match="non-negative"):
-            build_irrelevant_seeds([NormEntry("calm", 5.0)], set(), count=-1)
+            build_irrelevant_seeds(norm_table(["calm"], 5.0), set(), count=-1)
 
     def test_vocabulary_filter(self):
-        norms = [NormEntry("invocab", 5.2), NormEntry("outvocab", 5.0)]
+        norms = norm_table(["invocab", "outvocab"], [5.2, 5.0])
         selected = build_irrelevant_seeds(norms, set(), count=1,
                                           vocabulary={"invocab"})
         assert selected == {"invocab"}

@@ -8,19 +8,22 @@ and columns: the same rows, or the same exception with the same text.
 """
 import csv
 import io
+import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moraldrift import (NormEntry, build_irrelevant_seeds, load_diachronic, load_mfd,
+from moraldrift import (build_irrelevant_seeds, load_diachronic, load_mfd,
                         load_norms, load_survey, load_wordlist, save_embedding_space)
 from moraldrift.embeddings import EmbeddingSpace
 from moraldrift.stats import factor_tables
 
 import reference
+from conftest import norm_table
 
 
 def cells(valid, faults):
@@ -120,19 +123,21 @@ class TestNormsAgainstReference:
             return
         assert got[0] == "ok"
         table, rows = got[1], expected[1]
-        assert list(table) == rows
         assert len(table) == len(rows)
-        assert [table[i] for i in range(len(rows))] == rows
+        assert table.words == tuple(word for word, _, _ in rows)
+        assert table.valence.dtype == table.concreteness.dtype == np.float64
+        np.testing.assert_array_equal(table.valence, [valence for _, valence, _ in rows])
+        np.testing.assert_array_equal(table.concreteness, [c for _, _, c in rows])
         assert factor_tables(table, [])[0] == {
-            e.word: e.concreteness for e in rows if e.concreteness is not None}
+            word: c for word, _, c in rows if not math.isnan(c)}
 
-        words = [e.word for e in rows]
+        words = list(table.words)
         mfd = data.draw(st.sets(st.sampled_from(words))) if words else set()
         vocabulary = data.draw(st.none() | st.sets(st.sampled_from(words + ["absent"])))
         for count in [None, *range(len(rows) + 2)]:
-            expected = _outcome(reference.build_irrelevant_seeds, rows, mfd, count, vocabulary)
-            assert _outcome(build_irrelevant_seeds, table, mfd, count, vocabulary) == expected
-            assert _outcome(build_irrelevant_seeds, rows, mfd, count, vocabulary) == expected
+            assert (_outcome(build_irrelevant_seeds, table, mfd, count, vocabulary)
+                    == _outcome(reference.build_irrelevant_seeds, table, mfd, count,
+                                vocabulary))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 30),
@@ -140,14 +145,14 @@ class TestNormsAgainstReference:
                     max_size=30), st.data())
     def test_ranking_ties_match_the_full_sort(self, pairs, data):
         # Few distinct distances, so the count-th place is nearly always a
-        # tie; a word may repeat, as a list of NormEntry allows.
-        rows = [NormEntry(f"w{i}", valence) for i, valence in pairs]
-        words = sorted({e.word for e in rows})
+        # tie; a word may repeat, as a NormTable built by hand allows.
+        table = norm_table([f"w{i}" for i, _ in pairs], [valence for _, valence in pairs])
+        words = sorted(set(table.words))
         mfd = data.draw(st.sets(st.sampled_from(words))) if words else set()
         vocabulary = data.draw(st.none() | st.sets(st.sampled_from(words + ["absent"])))
-        for count in range(len(rows) + 2):
-            assert (_outcome(build_irrelevant_seeds, rows, mfd, count, vocabulary)
-                    == _outcome(reference.build_irrelevant_seeds, rows, mfd, count,
+        for count in range(len(pairs) + 2):
+            assert (_outcome(build_irrelevant_seeds, table, mfd, count, vocabulary)
+                    == _outcome(reference.build_irrelevant_seeds, table, mfd, count,
                                 vocabulary))
 
 

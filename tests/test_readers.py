@@ -246,10 +246,10 @@ def test_table_duplicate_word_refused(tmp_path):
         load_norms(path)
 
 
-def test_blank_concreteness_is_none(tmp_path):
+def test_blank_concreteness_is_nan(tmp_path):
     path = tmp_path / "norms.csv"
     path.write_text("word,valence,concreteness\ncalm,5.0, \n")
-    assert load_norms(path)[0].concreteness is None
+    assert np.isnan(load_norms(path).concreteness[0])
 
 
 class TestMatrixFromJson:
@@ -271,6 +271,25 @@ class TestMatrixFromJson:
         ({"values": [[0.1, [0.2]], [0.3, 0.4]]}, "malformed"),
         ({"kind": "category"}, "unknown matrix kind 'category'"),
         ({"words": ["a", "a"]}, "duplicate word 'a'"),
+        ({"values": [[10 ** 400, 0.2], [0.3, 0.4]]},
+         "malformed prediction-matrix JSON: int too large to convert to float"),
+        ({"values": [[0.1, float("nan")], [0.3, 0.4]]},
+         "malformed prediction-matrix JSON: NaN is not a score"),
+        ({"values": [[0.1, True], [0.3, 0.4]]}, "malformed prediction-matrix JSON: a score is"),
+        ({"values": [[0.1, "0.25"], [0.3, 0.4]]}, "malformed prediction-matrix JSON: a score is"),
+        ({"values": [[0.1, "nan"], [0.3, 0.4]]}, "malformed prediction-matrix JSON: a score is"),
+        ({"values": {"a": [0.1, 0.2]}}, "malformed prediction-matrix JSON: values must be"),
+        ({"values": [[0.1, 7.0], [0.3, 0.4]]}, "word 'a', decade 1910: score 7.0 outside [0, 1]"),
+        ({"values": [[0.1, 0.2], [-0.5, 0.4]]},
+         "word 'b', decade 1900: score -0.5 outside [0, 1]"),
+        ({"words": [5, "b"]}, "malformed prediction-matrix JSON: words must be a list of strings"),
+        ({"words": {"a": 1, "b": 2}}, "malformed prediction-matrix JSON: words must be"),
+        ({"decades": [1900, 1910.5]}, "malformed prediction-matrix JSON: decades must be a list "
+                                      "of increasing integers"),
+        ({"decades": [1900, True]}, "malformed prediction-matrix JSON: decades must be"),
+        ({"decades": [1900, 1900]}, "malformed prediction-matrix JSON: decades must be"),
+        ({"decades": [1910, 1900]}, "malformed prediction-matrix JSON: decades must be"),
+        ({"decades": "1900"}, "malformed prediction-matrix JSON: decades must be"),
     ])
     def test_fault_names_path(self, tmp_path, change, message):
         path, load = self.load(tmp_path, **change)

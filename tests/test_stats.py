@@ -7,11 +7,10 @@ from moraldrift import (DataError, PredictionMatrix, fisher_projection,
                         multiple_regression, partial_correlation, pearson,
                         permutation_control, psycholinguistic_regression,
                         slope_test)
-from moraldrift.lexicon import NormEntry
 from moraldrift.stats import slope_rows
 
 import reference
-from conftest import CHANGER_DECADES, changer_courses
+from conftest import CHANGER_DECADES, changer_courses, norm_table
 
 
 def make_relevance_matrix(words, values, decades=None):
@@ -24,8 +23,7 @@ def make_relevance_matrix(words, values, decades=None):
 
 def changer_inputs(**kwargs):
     words, freqs, concs, values = changer_courses(**kwargs)
-    norms = [NormEntry(word=w, valence=5.0, concreteness=float(c))
-             for w, c in zip(words, concs)]
+    norms = norm_table(words, 5.0, concs)
     frequencies = {w: float(f) for w, f in zip(words, freqs)}
     return make_relevance_matrix(words, values, CHANGER_DECADES), norms, frequencies
 
@@ -298,8 +296,7 @@ class TestChangeRegression:
         matrix = make_relevance_matrix(words, values,
                                        decades=range(1800, 1860, 10))
         concs = [2.0, 3.0, 1.5, 4.0, 2.2, 3.7, 1.1, 4.9]
-        norms = [NormEntry(word=w, valence=5.0, concreteness=c)
-                 for w, c in zip(words, concs)]
+        norms = norm_table(words, 5.0, concs)
         frequencies = {w: float(10 + 3 ** i % 17) for i, w in enumerate(words)}
         fit, kept = psycholinguistic_regression(matrix, norms, frequencies)
         assert set(kept) == set(words[2:])
@@ -317,7 +314,7 @@ class TestChangeRegression:
         values = np.tile(np.linspace(0.4, 0.6, 6), (3, 1))
         matrix = make_relevance_matrix(words, values,
                                        decades=range(1800, 1860, 10))
-        norms = [NormEntry(word=w, valence=5.0, concreteness=2.0) for w in words]
+        norms = norm_table(words, 5.0, 2.0)
         with pytest.raises(DataError, match="qualify"):
             psycholinguistic_regression(matrix, norms, {w: 10.0 for w in words})
 
@@ -339,8 +336,7 @@ class TestPermutationControl:
         words = [f"{'y' * (1 + i % 5)}{i}" for i in range(n_words)]
         values = np.clip(0.5 + 0.05 * rng.standard_normal((n_words, n_dec)), 0, 1)
         matrix = make_relevance_matrix(words, values)
-        norms = [NormEntry(word=w, valence=5.0,
-                           concreteness=float(rng.uniform(1, 5))) for w in words]
+        norms = norm_table(words, 5.0, [rng.uniform(1, 5) for _ in words])
         frequencies = {w: float(rng.uniform(100, 10000)) for w in words}
         report = permutation_control(matrix, norms, frequencies,
                                      n_shuffles=150, seed=99)
