@@ -9,26 +9,24 @@ move through historical time.
 
 __version__ = "0.1.0"
 
-from .classifiers import (Classifier, ModelSpec, PosteriorDistribution,
-                          classify, classify_batch, fit, fit_tier, log_odds,
-                          posterior, posterior_batch, select_bandwidth)
+from .classifiers import (Classifier, ModelSpec, classify, classify_batch, fit,
+                          fit_tier, log_odds, posterior, posterior_batch,
+                          select_bandwidth)
 from .diachronic import (ChangeRecord, PredictionMatrix, TimeCourse,
                          load_wordlist, matrix_from_json, matrix_to_json_dict,
                          prediction_matrix, retrieve_changing, slope,
                          switching_period, time_course)
-from .embeddings import (DiachronicEmbeddings, EmbeddingSpace, QueryVector,
-                         align_diachronic, align_procrustes, average_vector,
-                         load_diachronic, load_embedding_space, lookup,
-                         save_embedding_space)
+from .embeddings import (DiachronicEmbeddings, EmbeddingSpace, align_diachronic,
+                         align_procrustes, average_vector, load_diachronic,
+                         load_embedding_space, lookup, save_embedding_space)
 from .errors import (AlignmentError, CoverageError, DataError,
                      MoraldriftError, ParseError)
 from .evaluate import (AccuracyReport, HistoricalAccuracy, chance_level,
                        load_survey, loo_accuracy, loo_accuracy_historical,
                        survey_correlation, valence_correlation)
-from .lexicon import (NormTable, SeedEntry, SeedLexicon,
-                      build_irrelevant_seeds, build_tiers, category_label,
-                      load_mfd, load_norms, relevant_words, seed_vectors,
-                      tier_classes)
+from .lexicon import (NormTable, SeedLexicon, build_irrelevant_seeds,
+                      build_tiers, category_label, load_mfd, load_norms,
+                      relevant_words, seed_vectors, tier_classes)
 from .stats import (CorrelationReport, PermutationReport, ProjectionResult,
                     RegressionFit, fisher_projection, multiple_regression,
                     partial_correlation, pearson, permutation_control,
@@ -37,18 +35,17 @@ from .stats import (CorrelationReport, PermutationReport, ProjectionResult,
 __all__ = [
     "__version__",
     # embeddings
-    "EmbeddingSpace", "DiachronicEmbeddings", "QueryVector",
-    "load_embedding_space", "save_embedding_space", "lookup",
-    "average_vector", "align_procrustes", "load_diachronic",
-    "align_diachronic",
+    "EmbeddingSpace", "DiachronicEmbeddings", "load_embedding_space",
+    "save_embedding_space", "lookup", "average_vector", "align_procrustes",
+    "load_diachronic", "align_diachronic",
     # lexicon
-    "SeedEntry", "NormTable", "SeedLexicon", "load_mfd",
-    "load_norms", "build_irrelevant_seeds", "build_tiers", "seed_vectors",
-    "relevant_words", "category_label", "tier_classes",
+    "NormTable", "SeedLexicon", "load_mfd", "load_norms",
+    "build_irrelevant_seeds", "build_tiers", "seed_vectors", "relevant_words",
+    "category_label", "tier_classes",
     # classifiers
-    "ModelSpec", "Classifier", "PosteriorDistribution", "fit", "fit_tier",
-    "posterior", "posterior_batch", "classify", "classify_batch",
-    "log_odds", "select_bandwidth",
+    "ModelSpec", "Classifier", "fit", "fit_tier", "posterior",
+    "posterior_batch", "classify", "classify_batch", "log_odds",
+    "select_bandwidth",
     # evaluation
     "AccuracyReport", "HistoricalAccuracy", "loo_accuracy",
     "loo_accuracy_historical", "valence_correlation", "survey_correlation",

@@ -14,12 +14,13 @@ and normalized exactly, so posteriors always sum to one.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, QueryVector
+from .embeddings import EmbeddingSpace
 from .errors import DataError
 from .lexicon import SeedLexicon, seed_vectors
 
@@ -56,6 +57,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
+        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
+            raise ValueError(f"k must be an integer, got {self.k!r}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.h is not None and not 0 < self.h < np.inf:
@@ -63,16 +66,6 @@ class ModelSpec:
         if not 0 < self.variance_floor < np.inf:
             raise ValueError(f"variance_floor must be finite and positive, "
                              f"got {self.variance_floor}")
-
-
-@dataclass(frozen=True)
-class PosteriorDistribution:
-    """Normalized class probabilities for one query."""
-
-    probs: Mapping[str, float]
-
-    def __getitem__(self, label: str) -> float:
-        return self.probs[label]
 
 
 @dataclass(frozen=True)
@@ -161,8 +154,6 @@ def fit_tier(spec: ModelSpec, lexicon: SeedLexicon, space: EmbeddingSpace,
 
 
 def _query_matrix(model: Classifier, queries) -> np.ndarray:
-    if isinstance(queries, QueryVector):
-        queries = queries.values
     q = np.asarray(queries, dtype=np.float64)
     if q.ndim == 1:
         q = q.reshape(1, -1)
@@ -238,13 +229,13 @@ def posterior_batch(model: Classifier, queries) -> np.ndarray:
                                            model.spec.h, model.dim))
 
 
-def posterior(model: Classifier, query) -> PosteriorDistribution:
-    """Posterior over the model's classes for one query vector."""
+def posterior(model: Classifier, query) -> dict[str, float]:
+    """Posterior over the model's classes for one query vector,
+    ``{label: probability}`` in class order."""
     row = posterior_batch(model, query)
     if row.shape[0] != 1:
         raise DataError("posterior() takes a single query; use posterior_batch()")
-    return PosteriorDistribution(
-        probs={label: float(p) for label, p in zip(model.classes, row[0])})
+    return {label: float(p) for label, p in zip(model.classes, row[0])}
 
 
 def classify_batch(model: Classifier, queries) -> list[str]:
@@ -257,16 +248,14 @@ def classify(model: Classifier, query) -> str:
     return classify_batch(model, query)[0]
 
 
-def log_odds(p: PosteriorDistribution, numerator: str, denominator: str) -> float:
+def log_odds(p: Mapping[str, float], numerator: str, denominator: str) -> float:
     """Natural log of the ratio of two class probabilities.
 
     Probabilities are clamped to [1e-6, 1 - 1e-6] so degenerate
     posteriors still produce finite, plot-ready values.
     """
-    num = p.probs[numerator]
-    den = p.probs[denominator]
-    num = min(max(num, _CLAMP), 1.0 - _CLAMP)
-    den = min(max(den, _CLAMP), 1.0 - _CLAMP)
+    num = min(max(p[numerator], _CLAMP), 1.0 - _CLAMP)
+    den = min(max(p[denominator], _CLAMP), 1.0 - _CLAMP)
     return float(np.log(num / den))
 
 

@@ -203,6 +203,8 @@ def retrieve_changing(matrix: PredictionMatrix, lexicon: SeedLexicon,
         if matrix.kind != RELEVANCE:
             raise DataError(f"direction {direction} needs a relevance matrix, "
                             f"got kind {matrix.kind!r}")
+        if relevance_matrix is not None:
+            raise DataError(f"direction {direction} takes no separate relevance matrix")
         relevance_matrix = matrix
     else:
         if matrix.kind != POLARITY:
@@ -212,6 +214,9 @@ def retrieve_changing(matrix: PredictionMatrix, lexicon: SeedLexicon,
             logger.info("computing companion relevance matrix for filtering")
             relevance_matrix = prediction_matrix(diachronic, lexicon, spec,
                                                  list(matrix.words), RELEVANCE)
+        if relevance_matrix.kind != RELEVANCE:
+            raise DataError(f"the relevance filter needs a relevance matrix, "
+                            f"got kind {relevance_matrix.kind!r}")
         if relevance_matrix.words != matrix.words:
             raise DataError("relevance matrix words do not match the score matrix")
     for scores in (matrix, relevance_matrix):

@@ -34,18 +34,6 @@ NPY_DTYPE = np.dtype("<f8")
 FLOAT_FORMAT = "%.17g"
 
 
-@dataclass(frozen=True)
-class QueryVector:
-    """A dense query vector plus the word(s) it was derived from."""
-
-    values: np.ndarray
-    source: tuple[str, ...]
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-
 class EmbeddingSpace:
     """One decade's word -> vector map with fixed dimensionality.
 
@@ -543,20 +531,14 @@ def save_embedding_space(space: EmbeddingSpace, path: str | Path,
                 fh.write(row.astype("<f4").tobytes())
 
 
-def lookup(space: EmbeddingSpace, word: str) -> QueryVector | None:
-    """Exact-match lookup. Missing words return None, never an error."""
-    vec = space.vector(word)
-    if vec is None:
-        return None
-    return QueryVector(values=vec, source=(word,))
+def lookup(space: EmbeddingSpace, word: str) -> np.ndarray | None:
+    """Exact-match lookup: the word's row, or None when it is absent."""
+    return space.vector(word)
 
 
-def average_vector(space: EmbeddingSpace, words: Sequence[str]) -> QueryVector:
+def average_vector(space: EmbeddingSpace, words: Sequence[str]) -> np.ndarray:
     """Arithmetic mean of the vectors of the words present in the space.
-
-    Absent words are skipped (and logged); the returned ``source`` names
-    exactly the words that entered the average.
-    """
+    Absent words are skipped and logged; none present is a coverage error."""
     matrix, found, missing = space.rows(words)
     if not found:
         raise CoverageError(
@@ -564,7 +546,7 @@ def average_vector(space: EmbeddingSpace, words: Sequence[str]) -> QueryVector:
     if missing:
         logger.warning("decade %d: skipped %d word(s) without embeddings: %s",
                        space.decade, len(missing), ", ".join(missing))
-    return QueryVector(values=matrix.mean(axis=0), source=tuple(found))
+    return matrix.mean(axis=0)
 
 
 def align_procrustes(source: EmbeddingSpace,

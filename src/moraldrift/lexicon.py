@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -55,12 +55,6 @@ def tier_classes(tier: str) -> tuple[str, ...]:
     if tier == CATEGORY:
         return CATEGORY_CLASSES
     raise ValueError(f"unknown tier {tier!r}; expected one of {TIERS}")
-
-
-@dataclass(frozen=True)
-class SeedEntry:
-    word: str
-    category: int  # 1..10
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,23 +105,31 @@ class SeedLexicon:
         return {}
 
 
-def load_mfd(path: str | Path) -> list[SeedEntry]:
-    """Parse the moral seed CSV (header word,category; categories 1-10).
+def load_mfd(path: str | Path) -> dict[str, int]:
+    """Parse the moral seed CSV (header word,category; categories 1-10)
+    into ``word -> category`` in file order.
 
     Words are lowercased. Entries holding whitespace cannot be matched
     against single-token embedding vocabularies and are skipped with a
-    warning; a table left without a seed is refused.
+    warning; a table left without a seed is refused. A word listed under
+    several categories keeps its first one (also with a warning), so every
+    seed belongs to exactly one category and one polarity pole.
     """
     words, categories = read_table(path, [["word", "category"]],
                                    [Column("word"), Column("category", int, bounds=(1, 10))])
-    entries = [SeedEntry(word=w, category=c) for w, c in zip(words, categories)
-               if len(w.split()) == 1]
-    if len(entries) < len(words):
+    pairs = [(w, c) for w, c in zip(words, categories) if len(w.split()) == 1]
+    if len(pairs) < len(words):
         logger.warning("%s: skipped %d multi-word seed entries", path,
-                       len(words) - len(entries))
-    if not entries:
+                       len(words) - len(pairs))
+    if not pairs:
         raise ParseError(f"{path}: no single-word seed entries")
-    return entries
+    mfd: dict[str, int] = {}
+    for word, category in pairs:
+        mfd.setdefault(word, category)
+    if len(mfd) < len(pairs):
+        logger.warning("ignored %d repeated seed words (first category kept)",
+                       len(pairs) - len(mfd))
+    return mfd
 
 
 def load_norms(path: str | Path) -> NormTable:
@@ -141,15 +143,9 @@ def load_norms(path: str | Path) -> NormTable:
     return NormTable(tuple(words), valence, concreteness)
 
 
-def relevant_words(entries: Iterable[SeedEntry]) -> list[str]:
-    """Distinct seed words in first-occurrence order."""
-    seen: set[str] = set()
-    out: list[str] = []
-    for e in entries:
-        if e.word not in seen:
-            seen.add(e.word)
-            out.append(e.word)
-    return out
+def relevant_words(mfd: Mapping[str, int]) -> list[str]:
+    """The seed words of ``load_mfd``, in file order."""
+    return list(mfd)
 
 
 def build_irrelevant_seeds(norms: NormTable, mfd_words: Iterable[str],
@@ -185,26 +181,13 @@ def build_irrelevant_seeds(norms: NormTable, mfd_words: Iterable[str],
     return set(chosen + tied[:count - len(chosen)])
 
 
-def build_tiers(mfd: Sequence[SeedEntry], irrelevant: Iterable[str]) -> SeedLexicon:
-    """Assemble the three tier views from seed entries and neutral words.
-
-    A word listed under several categories keeps its first one, so every
-    seed belongs to exactly one category and one polarity pole.
-    """
-    by_word: dict[str, int] = {}
-    n_dup = 0
-    for e in mfd:
-        if e.word in by_word:
-            n_dup += 1
-            continue
-        by_word[e.word] = e.category
-    if n_dup:
-        logger.warning("ignored %d repeated seed words (first category kept)", n_dup)
-
+def build_tiers(mfd: Mapping[str, int], irrelevant: Iterable[str]) -> SeedLexicon:
+    """Assemble the three tier views from ``word -> category`` seeds and
+    neutral words."""
     categories: dict[int, set[str]] = {c: set() for c in range(1, 11)}
-    for word, category in by_word.items():
+    for word, category in mfd.items():
         categories[category].add(word)
-    relevant = frozenset(by_word)
+    relevant = frozenset(mfd)
     positive = frozenset(w for c in (1, 3, 5, 7, 9) for w in categories[c])
     negative = frozenset(w for c in (2, 4, 6, 8, 10) for w in categories[c])
     irrelevant = frozenset(w.lower() for w in irrelevant)

@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .embeddings import QueryVector
 from .errors import DataError
 from .lexicon import NormTable
 
@@ -448,15 +447,6 @@ def permutation_control(
 # Fisher discriminant projection
 # ---------------------------------------------------------------------------
 
-def _query_rows(queries) -> np.ndarray:
-    rows = []
-    for q in queries:
-        rows.append(q.values if isinstance(q, QueryVector) else np.asarray(q, dtype=np.float64))
-    if not rows:
-        return np.empty((0, 0))
-    return np.vstack(rows)
-
-
 def fisher_projection(class_vectors: Mapping[str, Sequence],
                       queries: Sequence,
                       anchors: Mapping[str, Sequence] | None = None,
@@ -508,9 +498,9 @@ def fisher_projection(class_vectors: Mapping[str, Sequence],
         if col[int(np.argmax(np.abs(col)))] < 0:
             axes[:, j] = -col
 
-    q = _query_rows(queries)
-    if q.size and q.shape[1] != dim:
-        raise DataError(f"queries have dimension {q.shape[1]}, classes have {dim}")
+    q = np.asarray(queries, dtype=np.float64)
+    if q.size and (q.ndim != 2 or q.shape[1] != dim):
+        raise DataError(f"queries have shape {q.shape}, classes have dimension {dim}")
     query_coords = q @ axes if q.size else np.empty((0, 2))
 
     class_coords = {label: centroids[label] @ axes for label in labels}

@@ -15,7 +15,6 @@ import pytest
 from moraldrift import (DiachronicEmbeddings, EmbeddingSpace, NormTable,
                         build_irrelevant_seeds, build_tiers, category_label,
                         relevant_words, save_embedding_space)
-from moraldrift.lexicon import SeedEntry
 
 WORLD_DECADES = (1900, 1910, 1920, 1930, 1940, 1950)
 DIM = 6
@@ -92,9 +91,9 @@ def _world_positions(decade_index: int) -> dict:
     return positions
 
 
-def world_mfd_entries() -> list[SeedEntry]:
-    return [SeedEntry(word=f"{seed_base(c)}{j}", category=c)
-            for c in range(1, 11) for j in range(SEEDS_PER_CATEGORY)]
+def world_mfd() -> dict[str, int]:
+    return {f"{seed_base(c)}{j}": c
+            for c in range(1, 11) for j in range(SEEDS_PER_CATEGORY)}
 
 
 def norm_table(words, valence, concreteness=np.nan) -> NormTable:
@@ -124,17 +123,17 @@ def world():
     spaces = [make_space(decade, _world_positions(i))
               for i, decade in enumerate(WORLD_DECADES)]
     diachronic = DiachronicEmbeddings(spaces)
-    entries = world_mfd_entries()
+    mfd = world_mfd()
     norms = norm_table(*zip(*world_norm_rows()))
-    irrelevant = build_irrelevant_seeds(norms, relevant_words(entries))
-    lexicon = build_tiers(entries, irrelevant)
+    irrelevant = build_irrelevant_seeds(norms, relevant_words(mfd))
+    lexicon = build_tiers(mfd, irrelevant)
     assert lexicon.irrelevant == {f"neutral{i:02d}" for i in range(30)}
     return SimpleNamespace(
         decades=WORLD_DECADES,
         dim=DIM,
         spaces=spaces,
         diachronic=diachronic,
-        entries=entries,
+        mfd=mfd,
         lexicon=lexicon,
         norms=norms,
         flat_words=FLAT_WORDS,
@@ -158,8 +157,7 @@ def write_world_files(root: Path) -> SimpleNamespace:
     with open(mfd, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["word", "category"])
-        for e in world_mfd_entries():
-            writer.writerow([e.word, e.category])
+        writer.writerows(world_mfd().items())
 
     norms = root / "norms.csv"
     with open(norms, "w", newline="") as fh:

@@ -461,20 +461,19 @@ def load_norms(path):
 
 
 def load_mfd(path):
-    """The seed entries without whitespace, one per row; a table left
-    without one is refused."""
+    """``word -> category`` for the seed rows without whitespace, the first
+    listing of a word winning; a table left without one is refused."""
     from moraldrift.errors import ParseError
-    from moraldrift.lexicon import SeedEntry
 
-    entries = []
+    mfd = {}
     for where, row in read_table_rows(path, [["word", "category"]]):
         word = parse_cell(row[0], where, "word")
         category = parse_cell(row[1], where, "category", int, bounds=(1, 10))
-        if not any(ch.isspace() for ch in word):
-            entries.append(SeedEntry(word=word, category=category))
-    if not entries:
+        if not any(ch.isspace() for ch in word) and word not in mfd:
+            mfd[word] = category
+    if not mfd:
         raise ParseError(f"{path}: no single-word seed entries")
-    return entries
+    return mfd
 
 
 def load_wordlist(path):

@@ -22,7 +22,6 @@ from moraldrift import (EmbeddingSpace, ModelSpec, TimeCourse,
                         psycholinguistic_regression, retrieve_changing, slope,
                         valence_correlation)
 from moraldrift.cli import dispatch
-from moraldrift.lexicon import SeedEntry
 
 import reference
 from conftest import CHANGER_DECADES, changer_courses, norm_table
@@ -47,13 +46,13 @@ def random_class_vectors(rng, n_classes, max_total_seeds, dim):
 def tier_lexicon_and_space(centers, n_seeds, sigma, seed, categories):
     """Seed clusters at the given centers wired into a lexicon + space."""
     rng = np.random.default_rng(seed)
-    entries, positions = [], {}
+    mfd, positions = {}, {}
     for cat, center in zip(categories, centers):
         for i in range(n_seeds):
             word = f"c{cat}w{i}"
-            entries.append(SeedEntry(word, cat))
+            mfd[word] = cat
             positions[word] = center + sigma * rng.standard_normal(len(center))
-    lexicon = build_tiers(entries, {f"dummy{i}" for i in range(len(entries))})
+    lexicon = build_tiers(mfd, {f"dummy{i}" for i in range(len(mfd))})
     words = list(positions)
     space = EmbeddingSpace(1900, words, np.vstack([positions[w] for w in words]))
     return lexicon, space
@@ -300,11 +299,11 @@ def test_end_to_end_determinism(world_files, changer_files, tmp_path):
 def _real_inputs():
     root = Path(DATA_DIR)
     diachronic = load_diachronic(root / "manifest.csv")
-    entries = load_mfd(root / "mfd.csv")
+    mfd = load_mfd(root / "mfd.csv")
     norms = load_norms(root / "norms.csv")
     from moraldrift import build_irrelevant_seeds, relevant_words
-    irrelevant = build_irrelevant_seeds(norms, relevant_words(entries))
-    lexicon = build_tiers(entries, irrelevant)
+    irrelevant = build_irrelevant_seeds(norms, relevant_words(mfd))
+    lexicon = build_tiers(mfd, irrelevant)
     return diachronic, lexicon, norms
 
 

@@ -54,6 +54,10 @@ class TestFit:
             ModelSpec("svm")
         with pytest.raises(ValueError):
             ModelSpec("knn", k=0)
+        for value in (2.5, 3.0, True, "3", None):
+            with pytest.raises(ValueError, match="^k must be an integer, got "):
+                ModelSpec("knn", k=value)
+        assert ModelSpec("knn", k=np.int64(3)).k == 3
         with pytest.raises(ValueError):
             ModelSpec("kde", h=-1.0)
         with pytest.raises(ValueError):
@@ -269,9 +273,7 @@ class TestPosteriorContracts:
 
 class TestLogOdds:
     def test_even_posterior_is_zero(self):
-        from moraldrift import PosteriorDistribution
-        p = PosteriorDistribution({"a": 0.5, "b": 0.5})
-        assert log_odds(p, "a", "b") == 0.0
+        assert log_odds({"a": 0.5, "b": 0.5}, "a", "b") == 0.0
 
     def test_distance_two_example(self):
         model = fit(ModelSpec("centroid"),
@@ -281,18 +283,14 @@ class TestLogOdds:
         assert log_odds(p, "near", "far") == pytest.approx(2.0, abs=1e-12)
 
     def test_clamped_for_degenerate_posterior(self):
-        from moraldrift import PosteriorDistribution
-        p = PosteriorDistribution({"a": 1.0, "b": 0.0})
-        value = log_odds(p, "a", "b")
+        value = log_odds({"a": 1.0, "b": 0.0}, "a", "b")
         assert value == pytest.approx(math.log((1 - 1e-6) / 1e-6), abs=1e-9)
         assert value == pytest.approx(13.8155, abs=1e-4)
         assert math.isfinite(value)
 
     def test_unknown_class(self):
-        from moraldrift import PosteriorDistribution
-        p = PosteriorDistribution({"a": 0.5, "b": 0.5})
         with pytest.raises(KeyError):
-            log_odds(p, "a", "zzz")
+            log_odds({"a": 0.5, "b": 0.5}, "a", "zzz")
 
 
 class TestFitTier:
@@ -306,9 +304,7 @@ class TestFitTier:
 
     def test_mini_space(self):
         from moraldrift import build_tiers
-        from moraldrift.lexicon import SeedEntry
-        lexicon = build_tiers([SeedEntry("good", 1), SeedEntry("evil", 2)],
-                              {"table", "chair"})
+        lexicon = build_tiers({"good": 1, "evil": 2}, {"table", "chair"})
         space = make_space(1900, {
             "good": np.array([1.0, 1.0]), "evil": np.array([-1.0, -1.0]),
             "table": np.array([0.0, 5.0]), "chair": np.array([0.2, 5.0]),

@@ -279,6 +279,25 @@ class TestMatrixAndRetrieve:
         assert rows[0][0] == "riser"
         assert rows[0][6] == "care+"
 
+    @pytest.mark.parametrize("kind,direction,error", [
+        ("polarity", "toward-negative",
+         "the relevance filter needs a relevance matrix, got kind 'polarity'"),
+        ("relevance", "toward-relevance",
+         "direction toward-relevance takes no separate relevance matrix"),
+    ])
+    def test_retrieve_refuses_relevance_filter(self, capsys, world_files, matrix_dir,
+                                               tmp_path, kind, direction, error):
+        payload = json.loads((matrix_dir / "matrix_relevance.json").read_text())
+        matrix = tmp_path / f"matrix_{kind}.json"
+        matrix.write_text(json.dumps({**payload, "kind": kind}))
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "retrieve", *data_args(world_files),
+                           "--matrix", str(matrix), "--relevance-matrix", str(matrix),
+                           "--direction", direction, "--out-dir", str(out))
+        assert code == 2
+        assert error in err
+        assert not out.exists()
+
 
 class TestCorrelationCommands:
     def test_valence_corr(self, capsys, world_files, tmp_path):

@@ -275,6 +275,20 @@ class TestRetrieveChanging:
             retrieve_changing(relevance_matrix, world.lexicon, world.diachronic,
                               SPEC, "toward-positive")
 
+    def test_relevance_filter_of_another_kind_refused(self, world):
+        polarity = prediction_matrix(world.diachronic, world.lexicon, SPEC,
+                                     ["negfaller"] + list(world.flat_words[:10]), "polarity")
+        with pytest.raises(DataError, match="^the relevance filter needs a relevance matrix, "
+                                            "got kind 'polarity'$"):
+            retrieve_changing(polarity, world.lexicon, world.diachronic, SPEC,
+                              "toward-negative", relevance_matrix=polarity)
+
+    def test_toward_relevance_refuses_a_separate_filter(self, world, relevance_matrix):
+        with pytest.raises(DataError, match="^direction toward-relevance takes no "
+                                            "separate relevance matrix$"):
+            retrieve_changing(relevance_matrix, world.lexicon, world.diachronic, SPEC,
+                              "toward-relevance", relevance_matrix=relevance_matrix)
+
     def test_unknown_direction(self, world, relevance_matrix):
         with pytest.raises(ValueError, match="direction"):
             retrieve_changing(relevance_matrix, world.lexicon, world.diachronic,

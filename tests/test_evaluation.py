@@ -6,7 +6,6 @@ from moraldrift import (DataError, DiachronicEmbeddings, ModelSpec,
                         loo_accuracy, loo_accuracy_historical, posterior,
                         posterior_batch, survey_correlation,
                         valence_correlation)
-from moraldrift.lexicon import SeedEntry
 
 import reference
 from conftest import make_space, norm_table
@@ -15,10 +14,10 @@ from conftest import make_space, norm_table
 def cluster_lexicon(n_per_class):
     """Polarity lexicon of n positive (category 1) and n negative
     (category 2) seeds, with dummy neutral words to balance the tiers."""
-    entries = [SeedEntry(f"p{i}", 1) for i in range(n_per_class)]
-    entries += [SeedEntry(f"n{i}", 2) for i in range(n_per_class)]
+    mfd = {f"p{i}": 1 for i in range(n_per_class)}
+    mfd.update({f"n{i}": 2 for i in range(n_per_class)})
     neutral = {f"dummy{i}" for i in range(2 * n_per_class)}
-    return build_tiers(entries, neutral)
+    return build_tiers(mfd, neutral)
 
 
 def cluster_space(decade, n_per_class, dim=4, separation=10.0, sigma=1.0,
@@ -97,16 +96,15 @@ class TestLooAccuracy:
 
     def test_row_order_invariance(self):
         # shuffling seed entry order leaves the accuracy unchanged
-        entries = [SeedEntry(f"p{i}", 1) for i in range(5)]
-        entries += [SeedEntry(f"n{i}", 2) for i in range(5)]
+        pairs = [(f"p{i}", 1) for i in range(5)] + [(f"n{i}", 2) for i in range(5)]
         rng = np.random.default_rng(9)
-        shuffled = list(entries)
+        shuffled = list(pairs)
         rng.shuffle(shuffled)
         neutral = {f"dummy{i}" for i in range(10)}
         space = cluster_space(1900, 5, separation=1.2, sigma=1.0, seed=10)
-        a = loo_accuracy(ModelSpec("knn", k=3), build_tiers(entries, neutral),
+        a = loo_accuracy(ModelSpec("knn", k=3), build_tiers(dict(pairs), neutral),
                          space, "polarity")
-        b = loo_accuracy(ModelSpec("knn", k=3), build_tiers(shuffled, neutral),
+        b = loo_accuracy(ModelSpec("knn", k=3), build_tiers(dict(shuffled), neutral),
                          space, "polarity")
         assert a.accuracy == b.accuracy
 

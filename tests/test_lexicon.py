@@ -7,7 +7,6 @@ from moraldrift import (CoverageError, DataError, ParseError,
                         build_irrelevant_seeds, build_tiers, category_label,
                         load_mfd, load_norms, relevant_words, seed_vectors,
                         tier_classes)
-from moraldrift.lexicon import SeedEntry
 
 from conftest import make_space, norm_table
 
@@ -20,8 +19,7 @@ def write_csv(path, text):
 class TestLoadMfd:
     def test_basic_row(self, tmp_path):
         path = write_csv(tmp_path / "mfd.csv", "word,category\nempathy,1\n")
-        entries = load_mfd(path)
-        assert entries == [SeedEntry(word="empathy", category=1)]
+        assert load_mfd(path) == {"empathy": 1}
         assert category_label(1) == "care+"
 
     def test_out_of_range_category(self, tmp_path):
@@ -36,20 +34,20 @@ class TestLoadMfd:
 
     def test_lowercasing(self, tmp_path):
         path = write_csv(tmp_path / "mfd.csv", "word,category\nEmpathy,1\n")
-        assert load_mfd(path)[0].word == "empathy"
+        assert list(load_mfd(path)) == ["empathy"]
 
     def test_multiword_entries_skipped_with_warning(self, tmp_path, caplog):
         path = write_csv(tmp_path / "mfd.csv",
                          "word,category\ngood faith,3\nhonesty,3\n")
         with caplog.at_level("WARNING", logger="moraldrift.lexicon"):
-            entries = load_mfd(path)
-        assert [e.word for e in entries] == ["honesty"]
+            mfd = load_mfd(path)
+        assert mfd == {"honesty": 3}
         assert any("multi-word" in rec.message for rec in caplog.records)
 
     def test_entries_with_any_whitespace_skipped(self, tmp_path):
         path = write_csv(tmp_path / "mfd.csv",
                          'word,category\n"kind\theart",1\n"fair\u00a0play",3\nhonesty,3\n')
-        assert [e.word for e in load_mfd(path)] == ["honesty"]
+        assert list(load_mfd(path)) == ["honesty"]
 
     @pytest.mark.parametrize("rows", ["", "good faith,3\n"])
     def test_table_without_single_word_seed_refused(self, tmp_path, rows):
@@ -61,6 +59,18 @@ class TestLoadMfd:
         path = write_csv(tmp_path / "mfd.csv", "term,cat\nx,1\n")
         with pytest.raises(ParseError, match="header"):
             load_mfd(path)
+
+    def test_repeated_word_keeps_first_category(self, tmp_path, caplog):
+        path = write_csv(tmp_path / "mfd.csv", "word,category\ndual,1\ndual,2\nb,2\nDual,3\n")
+        with caplog.at_level("WARNING", logger="moraldrift.lexicon"):
+            mfd = load_mfd(path)
+        assert mfd == {"dual": 1, "b": 2}
+        assert [(rec.name, rec.message) for rec in caplog.records] == [
+            ("moraldrift.lexicon", "ignored 2 repeated seed words (first category kept)")]
+        lexicon = build_tiers(mfd, {"x", "y"})
+        assert "dual" in lexicon.positive
+        assert "dual" not in lexicon.negative
+        assert lexicon.categories[1] == {"dual"}
 
 
 class TestLoadNorms:
@@ -158,37 +168,29 @@ class TestBuildIrrelevantSeeds:
 
 class TestBuildTiers:
     def test_two_entry_example(self):
-        lexicon = build_tiers([SeedEntry("a", 1), SeedEntry("b", 2)], {"x", "y"})
+        lexicon = build_tiers({"a": 1, "b": 2}, {"x", "y"})
         assert lexicon.positive == {"a"}
         assert lexicon.negative == {"b"}
         assert lexicon.relevant == {"a", "b"}
         assert lexicon.irrelevant == {"x", "y"}
 
     def test_all_ten_categories_populated(self):
-        entries = [SeedEntry(f"w{c}", c) for c in range(1, 11)]
-        lexicon = build_tiers(entries, {f"n{i}" for i in range(10)})
+        mfd = {f"w{c}": c for c in range(1, 11)}
+        lexicon = build_tiers(mfd, {f"n{i}" for i in range(10)})
         assert all(lexicon.categories[c] for c in range(1, 11))
         assert len(lexicon.categories) == 10
 
     def test_overlap_is_error(self):
         with pytest.raises(DataError, match="overlap"):
-            build_tiers([SeedEntry("a", 1), SeedEntry("b", 2)], {"a", "x"})
+            build_tiers({"a": 1, "b": 2}, {"a", "x"})
 
     def test_unequal_sizes_rejected(self):
         with pytest.raises(DataError, match="equally many"):
-            build_tiers([SeedEntry("a", 1), SeedEntry("b", 2)], {"x"})
-
-    def test_repeated_word_keeps_first_category(self, caplog):
-        entries = [SeedEntry("dual", 1), SeedEntry("dual", 2), SeedEntry("b", 2)]
-        with caplog.at_level("WARNING", logger="moraldrift.lexicon"):
-            lexicon = build_tiers(entries, {"x", "y"})
-        assert "dual" in lexicon.positive
-        assert "dual" not in lexicon.negative
-        assert lexicon.categories[1] == {"dual"}
+            build_tiers({"a": 1, "b": 2}, {"x"})
 
     def test_pole_invariants(self):
-        entries = [SeedEntry(f"w{i}", 1 + i % 10) for i in range(40)]
-        lexicon = build_tiers(entries, {f"n{i}" for i in range(40)})
+        mfd = {f"w{i}": 1 + i % 10 for i in range(40)}
+        lexicon = build_tiers(mfd, {f"n{i}" for i in range(40)})
         assert lexicon.positive | lexicon.negative == lexicon.relevant
         assert not lexicon.positive & lexicon.negative
         union = set()
@@ -197,16 +199,15 @@ class TestBuildTiers:
         assert union == lexicon.relevant
 
     def test_odd_categories_positive_even_negative(self):
-        entries = [SeedEntry(f"w{c}", c) for c in range(1, 11)]
-        lexicon = build_tiers(entries, {f"n{i}" for i in range(10)})
+        mfd = {f"w{c}": c for c in range(1, 11)}
+        lexicon = build_tiers(mfd, {f"n{i}" for i in range(10)})
         assert lexicon.positive == {f"w{c}" for c in (1, 3, 5, 7, 9)}
         assert lexicon.negative == {f"w{c}" for c in (2, 4, 6, 8, 10)}
 
 
 class TestSeedVectors:
     def _lexicon(self):
-        entries = [SeedEntry("good", 1), SeedEntry("bad", 2)]
-        return build_tiers(entries, {"table", "chair"})
+        return build_tiers({"good": 1, "bad": 2}, {"table", "chair"})
 
     def _space(self, words):
         rng = np.random.default_rng(1)
@@ -280,6 +281,6 @@ class TestLabels:
         with pytest.raises(ValueError):
             tier_classes("other")
 
-    def test_relevant_words_dedup_order(self):
-        entries = [SeedEntry("b", 1), SeedEntry("a", 2), SeedEntry("b", 3)]
-        assert relevant_words(entries) == ["b", "a"]
+    def test_relevant_words_dedup_order(self, tmp_path):
+        path = write_csv(tmp_path / "mfd.csv", "word,category\nb,1\na,2\nb,3\n")
+        assert relevant_words(load_mfd(path)) == ["b", "a"]

@@ -1,9 +1,10 @@
 """Property tests for the seed-distance paths of the classifiers.
 
+Batched posteriors come from one seed-distance matrix per batch.
 Leave-one-out (LOO) predictions come from one masked or closed-form pass
 instead of one refit per seed, and the bandwidth search reuses that pass
-for the whole grid. Both are checked against the brute-force oracles in
-``reference.py``. The posteriors are checked for the invariances that
+for the whole grid. All three are checked against the brute-force oracles
+in ``reference.py``. The posteriors are checked for the invariances that
 cross-decade comparison after Procrustes alignment relies on.
 """
 import numpy as np
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moraldrift import ModelSpec, classify, fit, posterior_batch, select_bandwidth
+from moraldrift import (ModelSpec, classify, fit, posterior, posterior_batch,
+                        select_bandwidth)
 from moraldrift.classifiers import BANDWIDTH_GRID, _loo_predict
 
 import reference
@@ -22,11 +24,12 @@ NB_FLOOR = 0.1
 
 
 @st.composite
-def seed_sets(draw, integer=False):
-    """1-4 dims, 2-3 classes, 2-8 seeds per class, drawn with numpy."""
+def seed_sets(draw, integer=False, min_seeds=2, max_classes=3):
+    """1-4 dims, 2-``max_classes`` classes, ``min_seeds``-8 seeds per
+    class, drawn with numpy."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dim = draw(st.integers(1, 4))
-    sizes = draw(st.lists(st.integers(2, 8), min_size=2, max_size=3))
+    sizes = draw(st.lists(st.integers(min_seeds, 8), min_size=2, max_size=max_classes))
     if integer:  # a small grid, so many distances tie exactly
         return {f"c{i}": rng.integers(0, 3, size=(n, dim)).astype(float)
                 for i, n in enumerate(sizes)}
@@ -42,18 +45,48 @@ def loo_accuracy(spec, class_vectors):
     return float(np.mean(predicted == truth))
 
 
+def oracle_specs(k, h):
+    """Each model kind's spec with its brute-force posterior."""
+    return {
+        ModelSpec("centroid"): reference.centroid_posterior,
+        ModelSpec("naive_bayes", variance_floor=NB_FLOOR):
+            lambda q, cv: reference.naive_bayes_posterior(q, cv, NB_FLOOR),
+        ModelSpec("knn", k=k): lambda q, cv: reference.knn_posterior(q, cv, k),
+        ModelSpec("kde", h=h): lambda q, cv: reference.kde_posterior(q, cv, h),
+    }
+
+
+class TestPosteriorAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(seed_sets(min_seeds=1, max_classes=4), st.integers(1, 4),
+           st.sampled_from([0.1, 0.5, 1.0]), st.integers(0, 2**32 - 1))
+    def test_all_kinds_match_brute_force(self, class_vectors, k, h, seed):
+        # Singleton classes included: the centroid is the seed, the
+        # naive-Bayes variance is the floor, the kde density one kernel.
+        # Queries lie near seeds, so the direct density products of the
+        # naive-Bayes and kde oracles stay clear of underflow.
+        seeds = np.vstack(list(class_vectors.values()))
+        rng = np.random.default_rng(seed)
+        queries = seeds[rng.integers(0, len(seeds), 5)] + rng.standard_normal((5, seeds.shape[1]))
+        for spec, oracle in oracle_specs(min(k, len(seeds)), h).items():
+            model = fit(spec, class_vectors)
+            batch = posterior_batch(model, queries)
+            for q, row in zip(queries, batch):
+                want = oracle(q, class_vectors)
+                np.testing.assert_allclose(row, [want[c] for c in model.classes],
+                                           rtol=0, atol=1e-9, err_msg=spec.kind)
+                # One row through BLAS may round differently from a batch.
+                single = posterior(model, q)
+                assert type(single) is dict and list(single) == list(model.classes)
+                assert single == pytest.approx(dict(zip(model.classes, row.tolist())),
+                                               rel=0, abs=1e-12), spec.kind
+
+
 class TestLooAgainstReference:
     @settings(max_examples=60, deadline=None)
     @given(seed_sets(), st.integers(1, 3), st.sampled_from(BANDWIDTH_GRID))
     def test_all_kinds_match_brute_force_loo(self, class_vectors, k, h):
-        oracles = {
-            ModelSpec("centroid"): reference.centroid_posterior,
-            ModelSpec("naive_bayes", variance_floor=NB_FLOOR):
-                lambda q, cv: reference.naive_bayes_posterior(q, cv, NB_FLOOR),
-            ModelSpec("knn", k=k): lambda q, cv: reference.knn_posterior(q, cv, k),
-            ModelSpec("kde", h=h): lambda q, cv: reference.kde_posterior(q, cv, h),
-        }
-        for spec, oracle in oracles.items():
+        for spec, oracle in oracle_specs(k, h).items():
             assert loo_accuracy(spec, class_vectors) == pytest.approx(
                 reference.loo_accuracy(oracle, class_vectors)), spec.kind
 

@@ -157,8 +157,10 @@ class TestNormsAgainstReference:
 
 
 def _comparable(result):
-    """A loader's result as plain values; a DiachronicEmbeddings as its
-    decades, words and matrix bytes."""
+    """A loader's result as plain values; a dict as its items in order, a
+    DiachronicEmbeddings as its decades, words and matrix bytes."""
+    if isinstance(result, dict):
+        return list(result.items())
     if hasattr(result, "spaces"):
         return [(s.decade, s.words, s.matrix.tobytes()) for s in result.spaces]
     return result

@@ -22,7 +22,7 @@ from moraldrift.stats import MIN_SLOPE_DECADES
 
 import reference
 from conftest import (DIM, NEUTRAL_CENTER, SEEDS_PER_CATEGORY, category_center,
-                      make_space, seed_base, world_mfd_entries)
+                      make_space, seed_base, world_mfd)
 
 SPEC = ModelSpec("centroid")
 # q11 has no embedding in any decade; q10 only before 1900. Names sort
@@ -54,7 +54,7 @@ def gappy_world(n_decades):
         if decade < 1900:
             positions["q10"] = category_center(2) + 0.5 * rng.standard_normal(DIM)
         spaces.append(make_space(decade, positions))
-    return DiachronicEmbeddings(spaces), build_tiers(world_mfd_entries(), NEUTRAL)
+    return DiachronicEmbeddings(spaces), build_tiers(world_mfd(), NEUTRAL)
 
 
 # Scores tie at 0.5 and between rows; a few are arbitrary. Most are at

@@ -454,6 +454,12 @@ class TestFisherProjection:
         with pytest.raises(DataError, match="3 classes"):
             fisher_projection(classes, [])
 
+    @pytest.mark.parametrize("queries", [[np.ones(9)], np.ones(10), [[1.0], [2.0]]])
+    def test_query_rows_of_another_dimension_rejected(self, queries):
+        classes = self._three_classes(np.random.default_rng(23))
+        with pytest.raises(DataError, match="^queries have shape .*, classes have dimension 10$"):
+            fisher_projection(classes, queries)
+
     def test_small_class_rejected(self):
         with pytest.raises(DataError, match="at least 2"):
             fisher_projection({"a": [[1.0, 0.0]], "b": [[0.0, 1.0], [0.0, 2.0]],
