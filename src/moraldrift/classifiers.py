@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 import numbers
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -175,17 +175,43 @@ def _nb_log_likelihood(q: np.ndarray, mean: np.ndarray, var: np.ndarray) -> np.n
     return -0.5 * np.sum(dev, axis=1)
 
 
-def _kde_log_likelihoods(sq: np.ndarray, seed_labels: np.ndarray,
-                         sizes: np.ndarray, h: float, dim: int) -> np.ndarray:
-    """Per-class log kernel densities from squared distances ``sq`` (n, S).
-    Class ``sizes`` are shared (C,) or per row (n, C); +inf adds no mass."""
-    from scipy.special import logsumexp  # 0.3 s to import; most commands never call this
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=1)) of a real (n, k) array, k >= 1, in the
+    max-shifted form of Blanchard, Higham & Higham (IMA J. Numer. Anal.,
+    2021) with scipy 1.17.1's arithmetic, so the bits match its logsumexp:
+    with M the row max, m the count of entries equal to M and s the sum
+    of exp(a - M) over the others, log1p(s / m) + log(m) + M. Rows with no
+    finite result (all -inf) take log(sum(exp(a)))."""
+    top = a.max(axis=1, keepdims=True)
+    at_top = a == top
+    m = at_top.sum(axis=1, dtype=np.float64)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        terms = np.exp(a - top)
+        terms[at_top] = 0.0
+        out = np.log1p(terms.sum(axis=1) / m) + np.log(m) + top[:, 0]
+        lost = ~np.isfinite(out)
+        if lost.any():
+            out[lost] = np.log(np.sum(np.exp(a[lost]), axis=1))
+    return out
 
+
+def _kde_log_likelihoods(blocks: Iterable[np.ndarray], sizes: np.ndarray,
+                         h: float, dim: int) -> np.ndarray:
+    """Per-class log kernel densities from each class's negated squared
+    distances, ``blocks`` (n, n_c) in class order; -inf adds no mass.
+    Class ``sizes`` are shared (C,) or per row (n, C). A row with no
+    kernel mass in any class is refused: its posterior would be 0/0."""
     log_norm = -0.5 * dim * (_LOG_2PI + np.log(h))
-    out = np.empty((sq.shape[0], sizes.shape[-1]))
-    for c in range(sizes.shape[-1]):
-        out[:, c] = (logsumexp(-sq[:, seed_labels == c] / (2.0 * h), axis=1)
-                     - np.log(sizes[..., c]) + log_norm)
+    columns = []
+    with np.errstate(over="ignore"):  # a tiny h loses the mass, refused below
+        for c, block in enumerate(blocks):
+            columns.append(_logsumexp_rows(block / (2.0 * h))
+                           - np.log(sizes[..., c]) + log_norm)
+    out = np.column_stack(columns)
+    empty = np.count_nonzero(~(out > -np.inf).any(axis=1))
+    if empty:
+        raise DataError(f"KDE bandwidth h={h:g} leaves {empty} of {out.shape[0]} rows "
+                        f"with no kernel mass in any class; use a larger h")
     return out
 
 
@@ -225,8 +251,9 @@ def posterior_batch(model: Classifier, queries) -> np.ndarray:
         counts = _knn_counts(sq, model.seed_labels, n_classes, model.spec.k)
         return counts / counts.sum(axis=1, keepdims=True)
     sizes = np.bincount(model.seed_labels, minlength=n_classes)
-    return _normalize(_kde_log_likelihoods(sq, model.seed_labels, sizes,
-                                           model.spec.h, model.dim))
+    # One class block at a time, so peak memory stays near one n x S matrix.
+    blocks = (-sq[:, model.seed_labels == c] for c in range(n_classes))
+    return _normalize(_kde_log_likelihoods(blocks, sizes, model.spec.h, model.dim))
 
 
 def posterior(model: Classifier, query) -> dict[str, float]:
@@ -305,8 +332,9 @@ def _loo_predict(spec: ModelSpec, class_vectors: Mapping[str, Sequence],
         raise DataError("cannot auto-select bandwidth: every class is a singleton; "
                         "pass an explicit h")
     grid = grid if spec.h is None else (spec.h,)
-    predicted = [np.argmax(_normalize(_kde_log_likelihoods(sq, seed_labels, loo_sizes, h, dim)),
-                           axis=1) for h in grid]
+    blocks = [-sq[:, seed_labels == c] for c in range(len(labels))]  # gathered once for the grid
+    predicted = [np.argmax(_normalize(_kde_log_likelihoods(blocks, loo_sizes, h, dim)), axis=1)
+                 for h in grid]
     best = int(np.argmax([np.count_nonzero(p[scored] == seed_labels[scored])
                           for p in predicted]))  # first maximum: the smaller h
     return replace(spec, h=float(grid[best])), predicted[best]

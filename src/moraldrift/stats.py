@@ -110,7 +110,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationReport:
 
 def _two_sided_p(t_stat, df):
     """Two-sided Student-t p-value, 2 * P(T_df > |t|)."""
-    from scipy.special import stdtr  # 0.3 s to import; most commands never call this
+    # 0.3 s to import; only regress, permute, retrieve, valence-corr and survey-corr call this
+    from scipy.special import stdtr
 
     return 2.0 * stdtr(df, -np.abs(t_stat))
 

@@ -338,6 +338,24 @@ class TestModelParameters:
         assert (code, stdout) == (2, "")
         assert err == f"moraldrift: error: {message}\n"
 
+    @pytest.mark.parametrize("command", [
+        ["classify", "--word", "riser", "--tier", "relevance"],
+        ["evaluate", "--tier", "category"],
+        ["matrix", "--kind", "relevance"],
+    ])
+    def test_bandwidth_without_kernel_mass_is_data_error(self, capsys, world_files,
+                                                         tmp_path, command):
+        # h=1e-310 sends every -|x - w|^2 / 2h to -inf. Warnings are errors
+        # under pytest, so exit 2 with this message also means none was given.
+        wordlist = ["--wordlist", str(world_files.wordlist)] if command[0] == "matrix" else []
+        code, stdout, err = run(capsys, *command, *data_args(world_files), *wordlist,
+                                "--model", "kde", "--bandwidth", "1e-310",
+                                "--out-dir", str(tmp_path))
+        assert (code, stdout) == (2, "")
+        assert err.startswith("moraldrift: error: KDE bandwidth h=1e-310 leaves ")
+        assert err.endswith(" with no kernel mass in any class; use a larger h\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRegressAndPermute:
     def test_regress(self, capsys, changer_files, tmp_path):
@@ -548,12 +566,21 @@ class TestAlign:
         assert from_npy == from_text
 
 
-def test_import_leaves_out_scipy_special():
+def test_import_leaves_out_scipy_special(world_files, tmp_path):
+    # Neither the import nor a KDE command loads it: KDE's log-sum-exp is numpy's.
     src = Path(moraldrift.__file__).resolve().parents[1]
-    probe = "import sys, moraldrift.cli; print('scipy.special' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+    lex = [*data_args(world_files), "--model", "kde", "--out-dir", str(tmp_path)]
+    commands = [["evaluate", *lex, "--tier", "category", "--historical"],
+                ["matrix", *lex, "--wordlist", str(world_files.wordlist), "--kind", "relevance"]]
+    probe = ("import json, sys, moraldrift.cli\n"
+             "print('scipy.special' in sys.modules)\n"
+             "for argv in json.loads(sys.argv[1]):\n"
+             "    assert moraldrift.cli.dispatch(argv) == 0, argv\n"
+             "print('scipy.special' in sys.modules)\n")
+    result = subprocess.run([sys.executable, "-c", probe, json.dumps(commands)],
+                            capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.split() == ["False", "False"]
 
 
 class TestProject:

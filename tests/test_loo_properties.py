@@ -5,16 +5,21 @@ Leave-one-out (LOO) predictions come from one masked or closed-form pass
 instead of one refit per seed, and the bandwidth search reuses that pass
 for the whole grid. All three are checked against the brute-force oracles
 in ``reference.py``. The posteriors are checked for the invariances that
-cross-decade comparison after Procrustes alignment relies on.
+cross-decade comparison after Procrustes alignment relies on. The KDE
+row log-sum-exp is checked against scipy's and against a direct sum.
 """
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import logsumexp
 
 from moraldrift import (ModelSpec, classify, fit, posterior, posterior_batch,
                         select_bandwidth)
-from moraldrift.classifiers import BANDWIDTH_GRID, _loo_predict
+from moraldrift.classifiers import BANDWIDTH_GRID, _logsumexp_rows, _loo_predict
 
 import reference
 
@@ -168,3 +173,53 @@ class TestPosteriorInvariance:
             rotation *= np.sign(np.diag(r))
         rotated = {c: v @ rotation for c, v in class_vectors.items()}
         assert_same_posteriors(spec, class_vectors, rotated, q, q @ rotation)
+
+
+# Log kernel values as KDE scores them: at most -10, so a row's result
+# stays clear of 0 and a relative tolerance is meaningful. A few repeated
+# values make ties at the row max common, and a spread of up to 1,490
+# makes every non-max term of some rows underflow (exp(-745) is 0).
+LOG_KERNELS = st.one_of(st.sampled_from([-10.0, -12.5, -800.0]),
+                        st.floats(-1500.0, -10.0))
+
+
+def direct_logsumexp(row):
+    """log(sum(exp(row))) over the finite entries, from an exact sum."""
+    finite = [x for x in row if x > -math.inf]
+    if not finite:
+        return -math.inf
+    top = max(finite)
+    return top + math.log(math.fsum(math.exp(x - top) for x in finite))
+
+
+class TestLogSumExpRows:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.integers(1, 12).flatmap(
+        lambda k: arrays(np.float64, (n, k), elements=LOG_KERNELS))))
+    def test_matches_scipy(self, a):
+        # Relative 1e-14, not bit equality: scipy's arithmetic differs
+        # between the 1.10 floor and later versions.
+        np.testing.assert_allclose(_logsumexp_rows(a), logsumexp(a, axis=1),
+                                   rtol=1e-14, atol=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12).flatmap(
+        lambda k: st.tuples(arrays(np.float64, (4, k), elements=LOG_KERNELS),
+                            arrays(np.bool_, (4, k)))))
+    def test_minus_inf_entries_add_no_mass(self, a_and_dropped):
+        a, dropped = a_and_dropped
+        a[dropped] = -np.inf
+        a[-1] = -np.inf  # one row with no mass at all
+        got = _logsumexp_rows(a)
+        assert got[-1] == -np.inf
+        np.testing.assert_allclose(got, [direct_logsumexp(row) for row in a],
+                                   rtol=1e-14, atol=0)
+
+    def test_ties_and_underflow_by_hand(self):
+        a = np.array([[-10.0, -10.0, -10.0],       # three-way tie at the max
+                      [-10.0, -900.0, -1400.0],    # every non-max term underflows
+                      [-np.inf, -10.0, -np.inf],   # one kernel left
+                      [-np.inf, -np.inf, -np.inf]])
+        np.testing.assert_array_equal(
+            _logsumexp_rows(a), [-10.0 + math.log(3.0), -10.0, -10.0, -np.inf])
+        np.testing.assert_array_equal(_logsumexp_rows(a[:, :1]), a[:, 0])
