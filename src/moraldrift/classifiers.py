@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import numbers
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -36,6 +37,7 @@ BANDWIDTH_GRID = tuple(round(0.1 * i, 1) for i in range(1, 11))
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _CLAMP = 1e-6
+_MAX_H = sys.float_info.max / 2.0
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,9 @@ class ModelSpec:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.h is not None and not 0 < self.h < np.inf:
             raise ValueError(f"bandwidth h must be finite and positive, got {self.h}")
+        if self.h is not None and self.h > _MAX_H:  # the kernels divide by 2h
+            raise ValueError(f"bandwidth h must be at most {_MAX_H:g}, so that 2h is "
+                             f"finite, got {self.h}")
         if not 0 < self.variance_floor < np.inf:
             raise ValueError(f"variance_floor must be finite and positive, "
                              f"got {self.variance_floor}")
@@ -127,30 +132,38 @@ def fit(spec: ModelSpec, class_vectors: Mapping[str, Sequence],
 
     Class order (and hence tie-breaking order) follows the mapping's
     iteration order. Requires at least two non-empty classes of matching
-    dimensionality.
+    dimensionality. The model's arrays are its own and read-only.
     """
     labels, matrices = _class_matrices(class_vectors)
-    model = dict(classes=labels, dim=matrices[0].shape[1], tier=tier)
+    arrays = {}
     if spec.kind in (CENTROID, NAIVE_BAYES):
-        means = np.vstack([m.mean(axis=0) for m in matrices])
-        if spec.kind == CENTROID:
-            return Classifier(spec=spec, means=means, **model)
-        variances = np.vstack([np.maximum(m.var(axis=0), spec.variance_floor)
-                               for m in matrices])
-        return Classifier(spec=spec, means=means, variances=variances, **model)
-    seeds, seed_labels = _stack(matrices)
-    if spec.kind == KNN and spec.k > len(seed_labels):
-        raise DataError(f"k={spec.k} exceeds the {len(seed_labels)} available seed vectors")
-    if spec.kind == KDE and spec.h is None:
-        spec = replace(spec, h=select_bandwidth(class_vectors))
-        logger.info("selected KDE bandwidth h=%g by leave-one-out accuracy", spec.h)
-    return Classifier(spec=spec, seed_matrix=seeds, seed_labels=seed_labels, **model)
+        arrays["means"] = np.vstack([m.mean(axis=0) for m in matrices])
+        if spec.kind == NAIVE_BAYES:
+            arrays["variances"] = np.vstack([np.maximum(m.var(axis=0), spec.variance_floor)
+                                             for m in matrices])
+    else:
+        arrays["seed_matrix"], arrays["seed_labels"] = _stack(matrices)
+        if spec.kind == KNN and spec.k > len(arrays["seed_labels"]):
+            raise DataError(f"k={spec.k} exceeds the {len(arrays['seed_labels'])} "
+                            f"available seed vectors")
+        if spec.kind == KDE and spec.h is None:
+            spec = replace(spec, h=select_bandwidth(class_vectors))
+            logger.info("selected KDE bandwidth h=%g by leave-one-out accuracy", spec.h)
+    for array in arrays.values():
+        array.flags.writeable = False
+    return Classifier(spec=spec, classes=labels, dim=matrices[0].shape[1], tier=tier,
+                      **arrays)
 
 
 def fit_tier(spec: ModelSpec, lexicon: SeedLexicon, space: EmbeddingSpace,
              tier: str) -> Classifier:
-    """Fit a model on one tier's seed vectors from one decade's space."""
-    return fit(spec, seed_vectors(lexicon, space, tier), tier=tier)
+    """Fit a model on one tier's seed vectors from one decade's space, once
+    per (lexicon, space, spec, tier): later calls return the same read-only
+    model. A fit that raises is not kept, so it raises again."""
+    models = lexicon._models.setdefault(space, {})
+    if (spec, tier) not in models:
+        models[spec, tier] = fit(spec, seed_vectors(lexicon, space, tier), tier=tier)
+    return models[spec, tier]
 
 
 def _query_matrix(model: Classifier, queries) -> np.ndarray:

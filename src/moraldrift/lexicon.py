@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -103,6 +104,16 @@ class SeedLexicon:
     @cached_property
     def _sorted_cache(self) -> dict[str, dict[str, tuple[str, ...]]]:
         return {}
+
+    @cached_property
+    def _models(self) -> weakref.WeakKeyDictionary:
+        """``classifiers.fit_tier``'s memo: space -> {(spec, tier): model}.
+        The space is held weakly, so its models go with it."""
+        return weakref.WeakKeyDictionary()
+
+    def __getstate__(self) -> dict:
+        """Pickle and copy the seed sets only; the caches start empty."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def load_mfd(path: str | Path) -> dict[str, int]:

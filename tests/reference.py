@@ -271,6 +271,33 @@ def ols(y, factors):
 
 
 # ---------------------------------------------------------------------------
+# Per-decade scores with every model refit on every call (no memo)
+# ---------------------------------------------------------------------------
+
+def decade_scores(diachronic, lexicon, spec, words, tier):
+    """The library's ``_decade_scores`` without ``fit_tier``: each decade's
+    model is built with ``fit(spec, seed_vectors(...))`` on every call, and
+    the found words are scored in one batch, as the library does."""
+    from moraldrift.classifiers import fit, posterior_batch
+    from moraldrift.diachronic import _SCORE_CLASS
+    from moraldrift.lexicon import CATEGORY, seed_vectors, tier_classes
+
+    words = list(words)
+    values = np.full((len(words), len(diachronic))
+                     + ((len(tier_classes(tier)),) if tier == CATEGORY else ()), np.nan)
+    for j, space in enumerate(diachronic):
+        model = fit(spec, seed_vectors(lexicon, space, tier), tier=tier)
+        matrix, found, _ = space.rows(words)
+        if not found:
+            continue
+        probs = posterior_batch(model, matrix)
+        if tier != CATEGORY:
+            probs = probs[:, model.classes.index(_SCORE_CLASS[tier])]
+        values[[words.index(w) for w in found], j] = probs
+    return values
+
+
+# ---------------------------------------------------------------------------
 # Retrieval word by word: a loop over the rows for the filters, and time
 # courses for each top word (before retrieval read the matrix as arrays)
 # ---------------------------------------------------------------------------
@@ -321,9 +348,9 @@ def retrieve_changing(matrix, lexicon, diachronic, spec, direction, top_n=10,
                       relevance_matrix=None, bonferroni_family="filtered"):
     """``retrieve_changing`` for valid arguments: each row filtered on its
     own, the survivors sorted on (slope, word), and each top word
-    annotated from its own time courses."""
+    annotated from its own time courses, scored by ``decade_scores``."""
     from moraldrift.diachronic import (TOWARD_NEGATIVE, TOWARD_RELEVANCE, ChangeRecord,
-                                       TimeCourse, _decade_scores, prediction_matrix)
+                                       PredictionMatrix, TimeCourse)
     from moraldrift.errors import CoverageError
     from moraldrift.lexicon import CATEGORY, RELEVANCE, tier_classes
     from moraldrift.stats import MIN_SLOPE_DECADES, slope_rows
@@ -331,8 +358,9 @@ def retrieve_changing(matrix, lexicon, diachronic, spec, direction, top_n=10,
     if direction == TOWARD_RELEVANCE:
         relevance_matrix = matrix
     elif relevance_matrix is None:
-        relevance_matrix = prediction_matrix(diachronic, lexicon, spec,
-                                             list(matrix.words), RELEVANCE)
+        relevance_matrix = PredictionMatrix(
+            RELEVANCE, matrix.words, diachronic.decades,
+            decade_scores(diachronic, lexicon, spec, matrix.words, RELEVANCE))
     rows, mean_rels = [], []
     for i, rel_row in enumerate(relevance_matrix.values):
         rel_row = rel_row[np.isfinite(rel_row)]
@@ -351,7 +379,7 @@ def retrieve_changing(matrix, lexicon, diachronic, spec, direction, top_n=10,
     sign = 1 if direction == TOWARD_NEGATIVE else -1
     top = sorted(candidates, key=lambda c: (sign * c[1], c[0]))[:top_n]
 
-    categories = _decade_scores(diachronic, lexicon, spec, [c[0] for c in top], CATEGORY)
+    categories = decade_scores(diachronic, lexicon, spec, [c[0] for c in top], CATEGORY)
     records = []
     for (word, b, p, mean_rel), cat_scores in zip(top, categories):
         cat_course = TimeCourse(word=word, tier=CATEGORY, decades=diachronic.decades,

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from moraldrift import (DataError, ModelSpec, classify, classify_batch, fit,
                         fit_tier, log_odds, posterior, posterior_batch,
                         select_bandwidth)
-from moraldrift.classifiers import BANDWIDTH_GRID
+from moraldrift.classifiers import BANDWIDTH_GRID, _loo_predict
 
 import reference
 from conftest import make_space
@@ -67,6 +68,35 @@ class TestFit:
                 ModelSpec("kde", h=value)
             with pytest.raises(ValueError, match="^variance_floor must be finite and positive"):
                 ModelSpec("naive_bayes", variance_floor=value)
+
+    def test_bandwidth_with_infinite_2h_rejected(self):
+        # The kernels divide by 2h; an overflowing 2h made the masked LOO
+        # diagonal -inf/inf = NaN. Warnings are errors under pytest.
+        largest = sys.float_info.max / 2.0
+        for value in (1e308, np.nextafter(largest, np.inf), sys.float_info.max):
+            with pytest.raises(ValueError, match="^bandwidth h must be at most 8.98847e"
+                                                 r"\+307, so that 2h is finite, got "):
+                ModelSpec("kde", h=value)
+        vectors = {"a": [[0.0, 0.0], [1.0, 0.0]], "b": [[5.0, 5.0], [6.0, 6.0]]}
+        spec, predicted = _loo_predict(ModelSpec("kde", h=largest), vectors)
+        assert spec.h == largest
+        assert predicted.tolist() == [0, 0, 0, 0]  # uniform rows: ties go to class a
+        p = posterior(fit(spec, vectors), [0.0, 0.0])
+        assert p == {"a": 0.5, "b": 0.5}
+
+    @pytest.mark.parametrize("spec", [ModelSpec("centroid"), ModelSpec("naive_bayes"),
+                                      ModelSpec("knn", k=1), ModelSpec("kde", h=0.5)])
+    def test_model_arrays_are_read_only(self, spec):
+        vectors = {"a": np.array([[0.0, 0.0], [1.0, 0.0]]), "b": np.array([[5.0, 5.0]])}
+        model = fit(spec, vectors)
+        arrays = [a for a in (model.means, model.variances, model.seed_matrix,
+                              model.seed_labels) if a is not None]
+        assert arrays
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        # The caller's seed vectors are copied, not frozen.
+        assert all(m.flags.writeable for m in vectors.values())
 
 
 class TestCentroidPosterior:

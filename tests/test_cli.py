@@ -356,6 +356,24 @@ class TestModelParameters:
         assert err.endswith(" with no kernel mass in any class; use a larger h\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", [
+        ["classify", "--word", "riser", "--tier", "relevance"],
+        ["evaluate", "--tier", "category"],
+        ["matrix", "--kind", "relevance"],
+    ])
+    def test_bandwidth_with_infinite_2h_is_refused(self, capsys, world_files, tmp_path,
+                                                   command):
+        # 2h = inf would give -inf/inf = NaN on the masked LOO diagonal.
+        # Warnings are errors under pytest, so none was given either.
+        wordlist = ["--wordlist", str(world_files.wordlist)] if command[0] == "matrix" else []
+        code, stdout, err = run(capsys, *command, *data_args(world_files), *wordlist,
+                                "--model", "kde", "--bandwidth", "1e308",
+                                "--out-dir", str(tmp_path))
+        assert (code, stdout) == (2, "")
+        assert err == ("moraldrift: error: bandwidth h must be at most 8.98847e+307, "
+                       "so that 2h is finite, got 1e+308\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRegressAndPermute:
     def test_regress(self, capsys, changer_files, tmp_path):
