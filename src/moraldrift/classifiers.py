@@ -359,6 +359,12 @@ def select_bandwidth(class_vectors: Mapping[str, Sequence],
 
     The leave-one-out is masked, not refit: one seed-by-seed distance
     matrix with its diagonal masked serves the whole grid. Seeds in
-    singleton classes are skipped; accuracy ties go to the smaller h."""
+    singleton classes are skipped; accuracy ties go to the smaller h.
+    An empty grid, or a value that ``ModelSpec`` refuses as ``h``, raises
+    ValueError before any search."""
+    if not len(grid):
+        raise ValueError("bandwidth grid is empty")
+    for h in grid:
+        ModelSpec(kind=KDE, h=h)
     spec, _ = _loo_predict(ModelSpec(kind=KDE), class_vectors, grid)
     return spec.h

@@ -10,7 +10,8 @@ name options of the subcommand; explicit flags override it. Outputs are byte-rep
 orderings, floats at 17 significant digits, and every output embeds the
 tool version and a hash of the resolved configuration.
 
-Exit codes: 0 success, 1 usage error, 2 data or validation error.
+Exit codes: 0 success, 1 usage error, 2 data or validation error or out
+of memory.
 """
 from __future__ import annotations
 
@@ -233,7 +234,7 @@ def _cmd_align(args) -> dict:
     manifest_rows = []
     for space in aligned:
         name = f"aligned_{space.decade}.npy"
-        save_embedding_space(space, out / name, format=NPY_FORMAT)
+        save_embedding_space(space, out / name)
         manifest_rows.append((space.decade, name, NPY_FORMAT))
     return {
         "aligned_manifest.csv": (["decade", "path", "format"], manifest_rows),
@@ -615,6 +616,9 @@ def dispatch(argv: Sequence[str]) -> int:
         return 0
     except (MoraldriftError, OSError, ValueError, KeyError) as exc:
         print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"{TOOL_NAME}: error: out of memory in {args.command}", file=sys.stderr)
         return 2
 
 

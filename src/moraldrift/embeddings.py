@@ -4,7 +4,9 @@ Spaces are read from word2vec-style files (text or binary) or from an
 ``npy`` store (a float64 array plus a vocabulary file, memory-mapped at
 load), indexed by word, and optionally rotated into a common coordinate
 system with orthogonal Procrustes alignment so that vectors are
-comparable across decades.
+comparable across decades. The npy store is the only format written:
+``_write_labelled`` and ``_map_labelled`` hold its layout, and word2vec
+files are read-only.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import os
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,9 +31,6 @@ NPY_FORMAT = "npy"
 FORMATS = (TEXT_FORMAT, BINARY_FORMAT, NPY_FORMAT)
 # The npy store holds the matrix in this dtype, so loading maps it as is.
 NPY_DTYPE = np.dtype("<f8")
-
-# 17 significant digits round-trip any IEEE-754 double exactly.
-FLOAT_FORMAT = "%.17g"
 
 
 class EmbeddingSpace:
@@ -393,7 +392,7 @@ def _load_binary(path: Path) -> tuple[list[str], np.ndarray, int]:
             raise ParseError(f"{path}: truncated vector for word {word!r}")
         words.append(word)
         vectors += buf[end + 1:pos]
-    bad = _unstorable(words, BINARY_FORMAT)
+    bad = _unstorable(words, str.split, " ")
     if bad is not None:
         raise ParseError(f"{path}: entry {bad + 1}: word {words[bad]!r} contains whitespace")
     matrix = np.frombuffer(vectors, dtype="<f4").reshape(len(words), dim)
@@ -402,11 +401,28 @@ def _load_binary(path: Path) -> tuple[list[str], np.ndarray, int]:
     return _first_rows(path, count, words, matrix)
 
 
-def _vocab_path(path: Path) -> Path:
-    return path.with_suffix(".vocab")
+def _write_labelled(path: Path, words: Sequence[str], array: np.ndarray) -> None:
+    """Write ``array`` to ``path`` as ``<f8`` (no pickle) and ``words``, one
+    per ``\n``-ended line, to ``<stem>.vocab``. A path not ending in
+    ``.npy``, or a word holding a line break (it would not read back),
+    raises DataError before anything is written."""
+    if path.suffix != ".npy":
+        raise DataError(f"{path}: an npy store's path must end in .npy")
+    bad = _unstorable(words, str.splitlines, "\n")
+    if bad is not None:
+        raise DataError(f"{path}: word {words[bad]!r} contains a line break, which the "
+                        "npy format cannot store")
+    # Write beside and rename: ``array`` may be a map of ``path``
+    # itself, which truncating in place would pull from under it.
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        np.save(fh, np.ascontiguousarray(array, dtype=NPY_DTYPE), allow_pickle=False)
+    os.replace(tmp, path)
+    with open(path.with_suffix(".vocab"), "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(f"{w}\n" for w in words)
 
 
-def _load_npy(path: Path) -> tuple[list[str], np.ndarray, int]:
+def _map_labelled(path: Path) -> tuple[list[str], np.ndarray]:
     """Map ``path`` read-only and read the words of ``<stem>.vocab``, one
     per ``\n``-ended line (a ``\r`` before the ``\n`` is dropped); a word
     the writer refuses (a ``\r`` or U+2028 inside it) is refused.
@@ -420,13 +436,13 @@ def _load_npy(path: Path) -> tuple[list[str], np.ndarray, int]:
         raise ParseError(f"{path}: not a single .npy array" if magic.startswith(b"PK\x03\x04")
                          else f"{path}: not an .npy array")
     try:
-        matrix = np.load(path, mmap_mode="r", allow_pickle=False)
+        array = np.load(path, mmap_mode="r", allow_pickle=False)
     except ValueError as exc:  # object data, truncated file
         raise ParseError(f"{path}: {exc}") from None
-    if matrix.dtype != NPY_DTYPE or matrix.ndim != 2:
+    if array.dtype != NPY_DTYPE or array.ndim != 2:
         raise ParseError(f"{path}: expected a 2-D {NPY_DTYPE.str} array, got "
-                         f"{matrix.ndim}-D {matrix.dtype.str}")
-    vocab = _vocab_path(path)
+                         f"{array.ndim}-D {array.dtype.str}")
+    vocab = path.with_suffix(".vocab")
     try:
         text = vocab.read_bytes().decode("utf-8")
     except FileNotFoundError:
@@ -438,10 +454,10 @@ def _load_npy(path: Path) -> tuple[list[str], np.ndarray, int]:
         words.pop()
     if "\r" in text:  # a CRLF line reads as its word; any other \r is refused below
         words = [w[:-1] if w.endswith("\r") else w for w in words]
-    bad = _unstorable(words, NPY_FORMAT)
+    bad = _unstorable(words, str.splitlines, "\n")
     if bad is not None:
         raise ParseError(f"{vocab}:{bad + 1}: word {words[bad]!r} contains a line break")
-    return words, matrix, 0
+    return words, array
 
 
 def load_embedding_space(path: str | Path, format: str, decade: int,
@@ -456,7 +472,8 @@ def load_embedding_space(path: str | Path, format: str, decade: int,
     ``normalize``, every vector is scaled to unit L2 norm after loading
     (into a new in-memory matrix).
     """
-    readers = {TEXT_FORMAT: _load_text, BINARY_FORMAT: _load_binary, NPY_FORMAT: _load_npy}
+    readers = {TEXT_FORMAT: _load_text, BINARY_FORMAT: _load_binary,
+               NPY_FORMAT: lambda path: (*_map_labelled(path), 0)}  # a store repeats no word
     if format not in readers:
         raise ValueError(f"unknown embedding format {format!r}; expected one of {FORMATS}")
     path = Path(path)
@@ -474,61 +491,23 @@ def load_embedding_space(path: str | Path, format: str, decade: int,
         raise DataError(f"{path}: {exc}") from None
 
 
-def _unstorable(words: Sequence[str], format: str) -> int | None:
-    """Index of the first word that ``format`` cannot store and read back,
-    or None: a word holding a line break in the npy vocabulary, or any
-    whitespace in word2vec files. Empty words are left to EmbeddingSpace.
-    One split of the joined words clears a clean vocabulary; only a
-    failing one is searched word by word."""
-    split, sep = (str.splitlines, "\n") if format == NPY_FORMAT else (str.split, " ")
+def _unstorable(words: Sequence[str], split: Callable[[str], list[str]],
+                sep: str) -> int | None:
+    """Index of the first word that ``split`` does not give back whole, or
+    None. Empty words are left to EmbeddingSpace. One split of the words
+    joined by ``sep`` clears a clean vocabulary; only a failing one is
+    searched word by word."""
     if split(sep.join(words)) == list(words):
         return None
     return next((i for i, w in enumerate(words) if w and split(w) != [w]), None)
 
 
-def save_embedding_space(space: EmbeddingSpace, path: str | Path,
-                         format: str = TEXT_FORMAT) -> None:
-    """Write a space out in word2vec text or binary format or as an npy
-    store.
-
-    Text mode formats floats with 17 significant digits so that a
-    load -> save -> load cycle reproduces every vector bit-for-bit.
-    Binary mode casts to 32-bit floats, as the format requires. The npy
-    store writes the float64 matrix to ``path`` (no pickle) and one word
-    per line to ``<stem>.vocab``; it reproduces every vector bit-for-bit.
-    A word the format cannot store (whitespace in word2vec formats, a
-    line break in npy) raises DataError before anything is written.
-    """
-    path = Path(path)
-    if format not in FORMATS:
-        raise ValueError(f"unknown embedding format {format!r}; expected one of {FORMATS}")
-    bad = _unstorable(space.words, format)
-    if bad is not None:
-        what = "a line break" if format == NPY_FORMAT else "whitespace"
-        raise DataError(f"{path}: word {space.words[bad]!r} contains {what}, which the "
-                        f"{format} format cannot store")
-    if format == NPY_FORMAT:
-        # Write beside and rename: ``space`` may be a map of ``path``
-        # itself, which truncating in place would pull from under it.
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as fh:
-            np.save(fh, np.ascontiguousarray(space.matrix, dtype=NPY_DTYPE),
-                    allow_pickle=False)
-        os.replace(tmp, path)
-        with open(_vocab_path(path), "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(f"{w}\n" for w in space.words)
-    elif format == TEXT_FORMAT:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"{len(space)} {space.dim}\n")
-            for word, row in zip(space.words, space.matrix):
-                values = " ".join(FLOAT_FORMAT % x for x in row)
-                fh.write(f"{word} {values}\n")
-    else:
-        with open(path, "wb") as fh:
-            fh.write(f"{len(space)} {space.dim}\n".encode("utf-8"))
-            for word, row in zip(space.words, space.matrix):
-                fh.write(word.encode("utf-8") + b" ")
-                fh.write(row.astype("<f4").tobytes())
+def save_embedding_space(space: EmbeddingSpace, path: str | Path) -> None:
+    """Write a space as an npy store at ``path``. A path not ending in
+    ``.npy``, or a word the store cannot hold, raises DataError before
+    anything is written. Loading the store reproduces every vector
+    bit-for-bit. word2vec files are read-only."""
+    _write_labelled(Path(path), space.words, space.matrix)
 
 
 def lookup(space: EmbeddingSpace, word: str) -> np.ndarray | None:

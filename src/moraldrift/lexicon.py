@@ -92,19 +92,6 @@ class SeedLexicon:
             return {category_label(c): self.categories[c] for c in range(1, 11)}
         raise ValueError(f"unknown tier {tier!r}; expected one of {TIERS}")
 
-    def _sorted_classes(self, tier: str) -> dict[str, tuple[str, ...]]:
-        """``classes_for`` with each seed set sorted, once per tier:
-        ``seed_vectors`` gathers rows in this order on every fit."""
-        cache = self._sorted_cache
-        if tier not in cache:
-            cache[tier] = {label: tuple(sorted(words))
-                           for label, words in self.classes_for(tier).items()}
-        return cache[tier]
-
-    @cached_property
-    def _sorted_cache(self) -> dict[str, dict[str, tuple[str, ...]]]:
-        return {}
-
     @cached_property
     def _models(self) -> weakref.WeakKeyDictionary:
         """``classifiers.fit_tier``'s memo: space -> {(spec, tier): model}.
@@ -112,7 +99,7 @@ class SeedLexicon:
         return weakref.WeakKeyDictionary()
 
     def __getstate__(self) -> dict:
-        """Pickle and copy the seed sets only; the caches start empty."""
+        """Pickle and copy the seed sets only; the memo starts empty."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
@@ -224,12 +211,13 @@ def seed_vectors(lexicon: SeedLexicon, space: EmbeddingSpace,
                  tier: str) -> dict[str, np.ndarray]:
     """Per-class seed vector matrices for one tier in one decade's space.
 
-    Seeds without embeddings are dropped; a class left empty raises a
-    coverage error naming the class and decade.
+    Rows follow the sorted seed words. Seeds without embeddings are
+    dropped; a class left empty raises a coverage error naming the class
+    and decade.
     """
     out: dict[str, np.ndarray] = {}
-    for label, words in lexicon._sorted_classes(tier).items():
-        matrix, found, missing = space.rows(words)
+    for label, words in lexicon.classes_for(tier).items():
+        matrix, found, missing = space.rows(sorted(words))
         if not found:
             raise CoverageError(
                 f"class {label!r} has no seed embeddings in decade {space.decade}")

@@ -14,7 +14,7 @@ import pytest
 
 from moraldrift import (DiachronicEmbeddings, EmbeddingSpace, NormTable,
                         build_irrelevant_seeds, build_tiers, category_label,
-                        relevant_words, save_embedding_space)
+                        relevant_words)
 
 WORLD_DECADES = (1900, 1910, 1920, 1930, 1940, 1950)
 DIM = 6
@@ -46,6 +46,29 @@ def make_space(decade: int, positions: dict) -> EmbeddingSpace:
     words = list(positions)
     matrix = np.vstack([positions[w] for w in words])
     return EmbeddingSpace(decade, words, matrix)
+
+
+def write_text(path: Path, words, rows) -> None:
+    """Write ``words`` and their ``rows`` as a word2vec text file, floats
+    with 17 significant digits (every float64 bit reads back). Nothing is
+    checked, so a test can also write what the reader refuses: repeated
+    words, whitespace, non-finite values."""
+    rows = np.asarray(rows)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"{len(words)} {rows.shape[1]}\n")
+        fh.writelines(f"{word} {' '.join('%.17g' % x for x in row)}\n"
+                      for word, row in zip(words, rows))
+
+
+def write_binary(path: Path, words, rows, newlines=None) -> None:
+    """``write_text`` in word2vec binary: each row as little-endian float32,
+    with ``newlines[i]`` newlines before entry i."""
+    rows = np.asarray(rows)
+    out = bytearray(f"{len(words)} {rows.shape[1]}\n".encode("utf-8"))
+    for i, (word, row) in enumerate(zip(words, rows)):
+        out += b"\n" * (newlines[i] if newlines else 0)
+        out += word.encode("utf-8") + b" " + row.astype("<f4").tobytes()
+    path.write_bytes(bytes(out))
 
 
 def _ramp(start: np.ndarray, end: np.ndarray, step: int, n_steps: int) -> np.ndarray:
@@ -150,7 +173,7 @@ def write_world_files(root: Path) -> SimpleNamespace:
         for i, decade in enumerate(WORLD_DECADES):
             space = make_space(decade, _world_positions(i))
             name = f"embeddings_{decade}.txt"
-            save_embedding_space(space, root / name, format="text-word2vec")
+            write_text(root / name, space.words, space.matrix)
             writer.writerow([decade, name, "text-word2vec"])
 
     mfd = root / "mfd.csv"

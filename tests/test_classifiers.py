@@ -220,6 +220,22 @@ class TestKdePosterior:
         with pytest.raises(DataError, match="singleton"):
             select_bandwidth({"a": [[0.0]], "b": [[1.0]]})
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("grid, message", [
+        ([], "bandwidth grid is empty"),
+        ([1e308], "bandwidth h must be at most 8.98847e+307, so that 2h is finite, "
+                  "got 1e+308"),
+        ([-1.0], "bandwidth h must be finite and positive, got -1.0"),
+        ([math.nan], "bandwidth h must be finite and positive, got nan"),
+        ([math.inf], "bandwidth h must be finite and positive, got inf"),
+        ([0.5, -1.0], "bandwidth h must be finite and positive, got -1.0"),
+    ])
+    def test_bad_grid_refused_before_the_search(self, grid, message):
+        # Each value is held to ModelSpec's rule for h, with no LOO run first.
+        with pytest.raises(ValueError) as info:
+            select_bandwidth({"a": [[0.0], [0.1]], "b": [[1.0], [1.1]]}, grid)
+        assert str(info.value) == message
+
 
 class TestClassify:
     def test_argmax(self):

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import moraldrift
-from moraldrift import EmbeddingSpace, load_diachronic, save_embedding_space
-from moraldrift.cli import build_parser, dispatch
+from moraldrift import load_diachronic
+from moraldrift.cli import _HANDLERS, build_parser, dispatch
 
-from conftest import WORLD_DECADES
+from conftest import WORLD_DECADES, write_text
 
 
 def run(capsys, *argv):
@@ -51,6 +51,20 @@ class TestDispatchBasics:
                            "--word", "riser", "--tier", "polarity")
         assert code == 2
         assert "no_such.csv" in err
+
+    @pytest.mark.parametrize("command", ["align", "matrix"])
+    def test_out_of_memory_is_one_line_and_exit_2(self, capsys, monkeypatch, world_files,
+                                                  tmp_path, command):
+        def exhausted(args):
+            raise MemoryError
+        monkeypatch.setitem(_HANDLERS, command, exhausted)
+        inputs = (["--manifest", str(world_files.manifest)] if command == "align" else
+                  [*data_args(world_files), "--wordlist", str(world_files.wordlist)])
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, command, *inputs, "--out-dir", str(out))
+        assert (code, stdout) == (2, "")
+        assert err == f"moraldrift: error: out of memory in {command}\n"
+        assert not out.exists()
 
     def test_missing_required_option_is_data_error(self, capsys, world_files):
         code, _, err = run(capsys, "classify", *data_args(world_files),
@@ -530,9 +544,8 @@ class TestAlign:
         manifest = tmp_path / "manifest.csv"
         manifest.write_text("decade,path,format\n1900,a.txt,text-word2vec\n"
                             "1910,b.txt,text-word2vec\n")
-        for name, decade, words in (("a.txt", 1900, ["a", "b", "c"]),
-                                    ("b.txt", 1910, ["a", "x", "y"])):
-            save_embedding_space(EmbeddingSpace(decade, words, np.eye(3)), tmp_path / name)
+        for name, words in (("a.txt", ["a", "b", "c"]), ("b.txt", ["a", "x", "y"])):
+            write_text(tmp_path / name, words, np.eye(3))
         out = tmp_path / "out"
         code, _, err = run(capsys, "align", "--manifest", str(manifest), "--out-dir", str(out))
         assert code == 2
@@ -571,7 +584,7 @@ class TestAlign:
         from_npy = outputs()
         aligned = load_diachronic(manifest)
         for space in aligned:
-            save_embedding_space(space, store / f"aligned_{space.decade}.txt")
+            write_text(store / f"aligned_{space.decade}.txt", space.words, space.matrix)
         del aligned
         for path in store.glob("aligned_*.npy"):
             path.unlink()

@@ -6,11 +6,11 @@ import pytest
 from moraldrift import (AlignmentError, CoverageError, DataError,
                         MoraldriftError, ParseError, align_diachronic,
                         align_procrustes, average_vector, load_diachronic,
-                        load_embedding_space, lookup, save_embedding_space)
+                        load_embedding_space, lookup)
 from moraldrift import load_mfd, load_norms, load_survey, load_wordlist
 from moraldrift.embeddings import EmbeddingSpace
 
-from conftest import make_space
+from conftest import make_space, write_binary, write_text
 
 
 def write(path, text):
@@ -100,7 +100,7 @@ class TestBinaryFormat:
         matrix = rng.standard_normal((7, 5)).astype(np.float32).astype(np.float64)
         space = EmbeddingSpace(1910, [f"w{i}" for i in range(7)], matrix)
         path = tmp_path / "vecs.bin"
-        save_embedding_space(space, path, format="binary-word2vec")
+        write_binary(path, space.words, space.matrix)
         loaded = load_embedding_space(path, "binary-word2vec", 1910)
         assert loaded.words == space.words
         np.testing.assert_array_equal(loaded.matrix, space.matrix)
@@ -117,7 +117,7 @@ class TestBinaryFormat:
         matrix = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32).astype(np.float64)
         space = EmbeddingSpace(1900, ["café", "naïveté"], matrix)
         path = tmp_path / "utf8.bin"
-        save_embedding_space(space, path, format="binary-word2vec")
+        write_binary(path, space.words, space.matrix)
         loaded = load_embedding_space(path, "binary-word2vec", 1900)
         assert loaded.words == ("café", "naïveté")
         np.testing.assert_array_equal(loaded.matrix, matrix)
@@ -139,9 +139,9 @@ class TestRoundTrip:
         space = random_space(1920, 20, 4, seed=11)
         first = tmp_path / "a.txt"
         second = tmp_path / "b.txt"
-        save_embedding_space(space, first)
+        write_text(first, space.words, space.matrix)
         loaded = load_embedding_space(first, "text-word2vec", 1920)
-        save_embedding_space(loaded, second)
+        write_text(second, loaded.words, loaded.matrix)
         reloaded = load_embedding_space(second, "text-word2vec", 1920)
         assert loaded.words == reloaded.words == space.words
         np.testing.assert_array_equal(loaded.matrix, space.matrix)
@@ -151,7 +151,7 @@ class TestRoundTrip:
     def test_normalize_flag(self, tmp_path):
         space = random_space(1920, 10, 4, seed=5)
         path = tmp_path / "n.txt"
-        save_embedding_space(space, path)
+        write_text(path, space.words, space.matrix)
         normalized = load_embedding_space(path, "text-word2vec", 1920, normalize=True)
         norms = np.linalg.norm(normalized.matrix, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
@@ -168,7 +168,7 @@ class TestLookup:
     def test_matches_independent_file_scan(self, tmp_path):
         space = random_space(1930, 200, 6, seed=7)
         path = tmp_path / "big.txt"
-        save_embedding_space(space, path)
+        write_text(path, space.words, space.matrix)
         loaded = load_embedding_space(path, "text-word2vec", 1930)
         # independent scan: parse the text file line by line
         lines = path.read_text().splitlines()[1:]
@@ -266,8 +266,8 @@ class TestManifest:
     def _write_manifest(self, tmp_path, specs):
         lines = ["decade,path,format"]
         for decade, name, dim, seed in specs:
-            save_embedding_space(random_space(decade, 12, dim, seed=seed),
-                                 tmp_path / name)
+            space = random_space(decade, 12, dim, seed=seed)
+            write_text(tmp_path / name, space.words, space.matrix)
             lines.append(f"{decade},{name},text-word2vec")
         path = tmp_path / "manifest.csv"
         path.write_text("\n".join(lines) + "\n")
@@ -325,7 +325,8 @@ class TestManifest:
 
 def _manifest_rows(tmp_path):
     for decade in (1900, 1910):
-        save_embedding_space(random_space(decade, 4, 2, seed=decade), tmp_path / f"{decade}.txt")
+        space = random_space(decade, 4, 2, seed=decade)
+        write_text(tmp_path / f"{decade}.txt", space.words, space.matrix)
     return ["1900,1900.txt,text-word2vec", "1910,1910.txt,text-word2vec"]
 
 

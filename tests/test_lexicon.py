@@ -256,13 +256,14 @@ class TestSeedVectors:
             expected = np.array([space.vector(w) for w in sorted(words)])
             np.testing.assert_array_equal(vectors[label], expected)
 
-    def test_seed_words_sorted_once(self):
+    def test_seed_rows_in_sorted_word_order(self):
         lexicon = self._lexicon()
-        first = lexicon._sorted_classes("relevance")
-        assert first == {"irrelevant": ("chair", "table"), "relevant": ("bad", "good")}
-        assert lexicon._sorted_classes("relevance") is first
+        space = self._space(["table", "good", "chair", "bad"])
+        vectors = seed_vectors(lexicon, space, "relevance")
+        np.testing.assert_array_equal(vectors["irrelevant"], space.rows(["chair", "table"])[0])
+        np.testing.assert_array_equal(vectors["relevant"], space.rows(["bad", "good"])[0])
         with pytest.raises(ValueError, match="unknown tier"):
-            lexicon._sorted_classes("moral")
+            seed_vectors(lexicon, space, "moral")
 
 
 class TestLabels:

@@ -18,12 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moraldrift import (build_irrelevant_seeds, load_diachronic, load_mfd,
-                        load_norms, load_survey, load_wordlist, save_embedding_space)
-from moraldrift.embeddings import EmbeddingSpace
+                        load_norms, load_survey, load_wordlist)
 from moraldrift.stats import factor_tables
 
 import reference
-from conftest import norm_table
+from conftest import norm_table, write_text
 
 
 def cells(valid, faults):
@@ -176,9 +175,8 @@ class TestTablesAgainstReference:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / f"{table}.csv"
             path.write_bytes(text.encode("utf-8"))
-            for name, decade in (("a.txt", 1900), ("b.txt", 1910)):
-                save_embedding_space(EmbeddingSpace(decade, ["x", "y"], [[1.0, 0.0], [0.0, 1.0]]),
-                                     Path(tmp) / name)
+            for name in ("a.txt", "b.txt"):
+                write_text(Path(tmp) / name, ["x", "y"], [[1.0, 0.0], [0.0, 1.0]])
             expected = _outcome(load_rows, path)
             got = _outcome(load, path)
         if expected[0] == "ok":

@@ -24,6 +24,8 @@ from moraldrift.embeddings import BINARY_FORMAT, TEXT_FORMAT
 from moraldrift.embeddings import NPY_FORMAT, EmbeddingSpace, save_embedding_space
 from moraldrift.stats import changed_word_fit, factor_tables, slope_rows
 
+from conftest import write_binary, write_text
+
 # Words both word2vec formats can hold: no whitespace, no surrogates.
 WORDS = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1,
                 max_size=6).filter(lambda w: w.split() == [w])
@@ -44,20 +46,6 @@ def word2vec_entries(draw):
     rows = np.frombuffer(bytes(raw), dtype="<f4").reshape(len(words), dim)
     newlines = draw(st.lists(st.integers(0, 2), min_size=len(words), max_size=len(words)))
     return words, rows, newlines
-
-
-def write_text(path, words, rows):
-    lines = [f"{len(words)} {rows.shape[1]}"]
-    lines += [" ".join([w] + [repr(float(x)) for x in row]) for w, row in zip(words, rows)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_binary(path, words, rows, newlines=None):
-    out = bytearray(f"{len(words)} {rows.shape[1]}\n".encode())
-    for i, (w, row) in enumerate(zip(words, rows)):
-        out += b"\n" * (newlines[i] if newlines else 0)
-        out += w.encode("utf-8") + b" " + row.astype("<f4").tobytes()
-    path.write_bytes(bytes(out))
 
 
 def b2f(raw):
@@ -172,7 +160,7 @@ class TestUnstorableWordsAtLoad:
     @pytest.mark.parametrize("word", ["sep\u2028x", "par\u2029x", "nel\x85x", "vt\x0bx"])
     def test_npy_word_with_a_line_break(self, tmp_path, word):
         path = tmp_path / "v.npy"
-        save_embedding_space(EmbeddingSpace(1900, ["a", "b"], np.eye(2)), path, NPY_FORMAT)
+        save_embedding_space(EmbeddingSpace(1900, ["a", "b"], np.eye(2)), path)
         vocab = path.with_suffix(".vocab")
         vocab.write_text(f"a\n{word}\n", encoding="utf-8")
         with pytest.raises(ParseError, match=re.escape(
@@ -190,7 +178,7 @@ class TestUnstorableWordsAtLoad:
 
     def test_crlf_npy_vocabulary_reads_its_words(self, tmp_path):
         path = tmp_path / "v.npy"
-        save_embedding_space(EmbeddingSpace(1900, ["a", "b"], np.eye(2)), path, NPY_FORMAT)
+        save_embedding_space(EmbeddingSpace(1900, ["a", "b"], np.eye(2)), path)
         path.with_suffix(".vocab").write_bytes(b"a\r\nb\r\n")
         assert load_embedding_space(path, NPY_FORMAT, 1900).words == ("a", "b")
 
@@ -347,7 +335,7 @@ class TestNotUtf8:
 
     def test_npy_vocabulary(self, tmp_path):
         path = tmp_path / "v.npy"
-        save_embedding_space(EmbeddingSpace(1900, ["a", "b"], np.eye(2)), path, NPY_FORMAT)
+        save_embedding_space(EmbeddingSpace(1900, ["a", "b"], np.eye(2)), path)
         path.with_suffix(".vocab").write_bytes(b"a\n\xe9\n")
         with pytest.raises(ParseError, match=re.escape(
                 f"{path.with_suffix('.vocab')}:2: not valid UTF-8")):
