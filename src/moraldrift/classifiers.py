@@ -306,8 +306,8 @@ def _loo_predict(spec: ModelSpec, class_vectors: Mapping[str, Sequence],
     mask the diagonal of the seed-by-seed distances (a kde seed's class then
     counts n - 1 seeds); centroid and naive_bayes drop the seed from its
     class moments in closed form (|x - mu_-i| = n/(n-1)·|x - mu|), flooring
-    the variance after. The bandwidth search takes the first grid value of
-    best accuracy over seeds outside singleton classes."""
+    the variance after. The bandwidth search takes the smallest grid value
+    of best accuracy over seeds outside singleton classes."""
     labels, matrices = _class_matrices(class_vectors)
     seeds, seed_labels = _stack(matrices)
     n_seeds, dim = seeds.shape
@@ -344,7 +344,7 @@ def _loo_predict(spec: ModelSpec, class_vectors: Mapping[str, Sequence],
     if spec.h is None and not scored.any():
         raise DataError("cannot auto-select bandwidth: every class is a singleton; "
                         "pass an explicit h")
-    grid = grid if spec.h is None else (spec.h,)
+    grid = sorted(grid) if spec.h is None else (spec.h,)
     blocks = [-sq[:, seed_labels == c] for c in range(len(labels))]  # gathered once for the grid
     predicted = [np.argmax(_normalize(_kde_log_likelihoods(blocks, loo_sizes, h, dim)), axis=1)
                  for h in grid]

@@ -142,10 +142,11 @@ def slope(tc: TimeCourse, min_decades: int = MIN_SLOPE_DECADES) -> tuple[float, 
     if tc.scores.ndim != 1:
         raise DataError("slope is defined for binary-tier time courses")
     present = ~tc.missing
-    if int(present.sum()) < min_decades:
+    need = max(min_decades, 3)  # a slope test's own minimum
+    if int(present.sum()) < need:
         raise DataError(
             f"word {tc.word!r}: {int(present.sum())} unmasked decades; "
-            f"need at least {min_decades} for a slope")
+            f"need at least {need} for a slope")
     if not np.all(np.isfinite(tc.scores[present])):
         raise DataError(f"word {tc.word!r}: non-finite score in an unmasked decade")
     slopes, p = slope_rows(tc.scores[None, :])

@@ -270,6 +270,35 @@ def ols(y, factors):
             dict(zip(names, p.tolist())), r_squared)
 
 
+def two_sided_t_p(t, df, dps=40):
+    """2 P(T_df > |t|) in mpmath at ``dps`` digits, rounded to a float:
+    I_x(a, 1/2) with a = df/2, x = df / (df + t^2), y = 1 - x, from
+    I_x(a, b) = x^a y^b / (a B(a, b)) 2F1(a + b, 1; a + 1; x) (DLMF 8.17.8).
+    For x above (a + 1) / (a + 5/2) it takes 1 - I_y(1/2, a) instead, as
+    mpmath's 2F1 loses digits near x = 1 (p is then at least 0.08). Below,
+    the 2F1 is at most 1/y, so where x^a y^(-1/2) / (a B) is below 1e-320
+    the result is 0.0 without it (mpmath cannot sum it there)."""
+    import mpmath
+
+    def incomplete(a, b, x, y, floor):
+        log_front = (a * mpmath.log(x) + b * mpmath.log(y) - mpmath.log(a)
+                     - mpmath.log(mpmath.beta(a, b)))
+        if floor and log_front - mpmath.log(y) < mpmath.log(mpmath.mpf("1e-320")):
+            return mpmath.mpf(0)
+        return mpmath.exp(log_front) * mpmath.hyp2f1(a + b, 1, a + 1, x)
+
+    with mpmath.workdps(dps):
+        t = abs(mpmath.mpf(float(t)))
+        if t == 0:
+            return 1.0
+        nu = mpmath.mpf(df)
+        a, half = nu / 2, mpmath.mpf(1) / 2
+        x, y = nu / (nu + t * t), t * t / (nu + t * t)
+        if x > (a + 1) / (a + half + 2):
+            return float(1 - incomplete(half, a, y, x, floor=False))
+        return float(incomplete(a, half, x, y, floor=True))
+
+
 # ---------------------------------------------------------------------------
 # Per-decade scores with every model refit on every call (no memo)
 # ---------------------------------------------------------------------------

@@ -216,6 +216,12 @@ class TestKdePosterior:
         model = fit(ModelSpec("kde"), vectors)  # h=None resolves at fit
         assert model.spec.h == h
 
+    @pytest.mark.parametrize("grid", [[1.0, 0.5], [0.5, 1.0]])
+    def test_accuracy_tie_goes_to_the_smaller_bandwidth(self, grid):
+        # both bandwidths classify every seed right
+        vectors = {"a": [[0.0], [0.1], [0.2]], "b": [[5.0], [5.1], [5.2]]}
+        assert select_bandwidth(vectors, grid) == 0.5
+
     def test_auto_bandwidth_all_singletons_rejected(self):
         with pytest.raises(DataError, match="singleton"):
             select_bandwidth({"a": [[0.0]], "b": [[1.0]]})

@@ -597,21 +597,41 @@ class TestAlign:
         assert from_npy == from_text
 
 
-def test_import_leaves_out_scipy_special(world_files, tmp_path):
-    # Neither the import nor a KDE command loads it: KDE's log-sum-exp is numpy's.
+def test_import_leaves_out_scipy_special(world_files, changer_files, tmp_path):
+    # No scipy module at all, after the import or after any command but
+    # project: KDE's log-sum-exp and the t-test p-values are numpy's.
     src = Path(moraldrift.__file__).resolve().parents[1]
-    lex = [*data_args(world_files), "--model", "kde", "--out-dir", str(tmp_path)]
-    commands = [["evaluate", *lex, "--tier", "category", "--historical"],
-                ["matrix", *lex, "--wordlist", str(world_files.wordlist), "--kind", "relevance"]]
+    out = ["--out-dir", str(tmp_path)]
+    lex = [*data_args(world_files), *out]
+    regression = ["--matrix", str(changer_files.matrix), "--norms", str(changer_files.norms),
+                  "--wordlist", str(changer_files.wordlist), *out]
+    relevance, polarity = (str(tmp_path / f"matrix_{kind}.json")
+                           for kind in ("relevance", "polarity"))
+    commands = [
+        ["align", "--manifest", str(world_files.manifest), "--out-dir", str(tmp_path / "a")],
+        ["classify", *data_args(world_files), "--word", "riser", "--tier", "category"],
+        ["timecourse", *lex, "--word", "riser", "--tier", "relevance"],
+        ["evaluate", *lex, "--model", "kde", "--tier", "category", "--historical"],
+        *(["matrix", *lex, "--model", "kde", "--wordlist", str(world_files.wordlist),
+           "--kind", kind] for kind in ("relevance", "polarity")),
+        ["retrieve", *lex, "--matrix", relevance, "--direction", "toward-relevance"],
+        ["retrieve", *lex, "--matrix", polarity, "--relevance-matrix", relevance,
+         "--direction", "toward-negative"],
+        ["valence-corr", *lex],
+        ["survey-corr", *lex, "--survey", str(world_files.survey)],
+        ["regress", *regression],
+        ["permute", *regression, "--shuffles", "20"],
+    ]
     probe = ("import json, sys, moraldrift.cli\n"
-             "print('scipy.special' in sys.modules)\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
              "for argv in json.loads(sys.argv[1]):\n"
              "    assert moraldrift.cli.dispatch(argv) == 0, argv\n"
-             "print('scipy.special' in sys.modules)\n")
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     result = subprocess.run([sys.executable, "-c", probe, json.dumps(commands)],
                             capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    assert result.stdout.split() == ["False", "False"]
+    lines = result.stdout.splitlines()  # classify prints its JSON in between
+    assert (lines[0], lines[-1]) == ("[]", "[]")
 
 
 class TestProject:

@@ -132,6 +132,12 @@ class TestSlope:
         with pytest.raises(DataError, match="at least 5"):
             slope(tc)
 
+    def test_lowered_minimum_still_needs_three_points(self):
+        tc = binary_course([0.1, np.nan, 0.3, np.nan])
+        with pytest.raises(DataError,
+                           match="^word 'w': 2 unmasked decades; need at least 3 for a slope$"):
+            slope(tc, min_decades=2)
+
     def test_masked_decades_excluded(self):
         scores = np.array([0.1, np.nan, 0.3, 0.4, 0.5, 0.6])
         tc = binary_course(scores)

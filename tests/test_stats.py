@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from moraldrift import (DataError, PredictionMatrix, fisher_projection,
                         multiple_regression, partial_correlation, pearson,
                         permutation_control, psycholinguistic_regression,
                         slope_test)
-from moraldrift.stats import slope_rows
+from moraldrift.stats import _two_sided_p, slope_rows
 
 import reference
 from conftest import CHANGER_DECADES, changer_courses, norm_table
@@ -162,6 +162,52 @@ class TestSlopeRows:
         for i, (_, b) in enumerate(coefficients, start=len(values)):
             assert slopes[i] == b
             assert p[i] == (1.0 if b == 0 else 0.0)
+
+    @pytest.mark.parametrize("kept", [2, 1, 0])
+    def test_row_with_fewer_than_three_entries_refused(self, kept):
+        values = np.arange(15.0).reshape(3, 5)
+        values[1, kept:] = np.nan
+        values[2, :] = np.nan
+        with pytest.raises(DataError, match=f"^row 1 has {kept} finite entries; "
+                                            f"a slope test needs at least 3$"):
+            slope_rows(values)
+
+
+class TestTwoSidedP:
+    """The numpy Student-t tail against the mpmath oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @example(df=1, ts=[0.0, 1e-8])  # scipy 1.17.1's stdtr is off by 3.1e-9 here
+    @given(df=st.integers(1, 10**6),
+           ts=st.lists(st.one_of(st.floats(0.0, 50.0), st.floats(0.0, 1e150)),
+                       min_size=2, max_size=2))
+    def test_matches_mpmath(self, df, ts):
+        tol = 1e-12 if df <= 10**4 else 1e-10
+        lo, hi = sorted(ts)
+        p = _two_sided_p(np.array([lo, -lo, hi, -hi]), df)
+        assert p[1] == p[0] and p[3] == p[2]
+        # non-increasing in |t|, up to the accuracy asserted below
+        assert p[2] <= p[0] * (1.0 + 2.0 * tol)
+        for t, got in ((lo, p[0]), (hi, p[2])):
+            expected = reference.two_sided_t_p(t, df)
+            if expected >= 1e-300:
+                assert abs(got - expected) <= tol * expected, (t, df, got, expected)
+            else:
+                assert got <= 1e-300 * (1.0 + tol)
+
+    @pytest.mark.parametrize("df", [1, 7, 10**6])
+    def test_edge_values(self, df):
+        t = np.array([0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan, 1e308])
+        p = _two_sided_p(t, df)
+        assert p[:3].tolist() == [1.0, 1.0, 1.0]
+        assert p[3:5].tolist() == [0.0, 0.0]
+        assert np.isnan(p[5])
+        assert p[6] == pytest.approx(reference.two_sided_t_p(1e308, df), rel=1e-12, abs=0.0)
+        assert float(_two_sided_p(0.0, df)) == 1.0
+
+    def test_needs_one_degree_of_freedom(self):
+        with pytest.raises(ValueError, match="at least 1 degree of freedom"):
+            _two_sided_p(np.array([1.0, 2.0]), np.array([3, 0]))
 
 
 class TestMultipleRegression:
