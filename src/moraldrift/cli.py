@@ -6,9 +6,12 @@ project. Commands compose via files (e.g. `matrix` writes the
 prediction matrix that `retrieve`, `regress`, and `permute` read).
 
 Options may come from a flat key=value config file (--config) whose keys
-name options of the subcommand; explicit flags override it. Outputs are byte-reproducible: fixed seeds, fixed
-orderings, floats at 17 significant digits, and every output embeds the
-tool version and a hash of the resolved configuration.
+name options of the subcommand. Each line becomes that option's flag,
+checked by the subcommand's own parser, and the flags go before the
+command line's, so explicit flags override the file. Outputs are
+byte-reproducible: fixed seeds, fixed orderings, floats at 17
+significant digits, and every output embeds the tool version and a hash
+of the resolved configuration.
 
 Exit codes: 0 success, 1 usage error, 2 data or validation error or out
 of memory.
@@ -41,8 +44,8 @@ from .evaluate import (load_survey, loo_accuracy, loo_accuracy_historical,
 from .lexicon import (TIERS, NormTable, SeedLexicon, build_irrelevant_seeds,
                       build_tiers, category_label, load_mfd, load_norms,
                       relevant_words)
-from .stats import (changed_word_fit, factor_tables, fisher_projection,
-                    partial_correlation, permutation_control)
+from .stats import (_ChangeSample, fisher_projection, partial_correlation,
+                    permutation_control)
 
 logger = logging.getLogger(__name__)
 
@@ -69,35 +72,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# Option resolution: CLI flags override config-file values
+# Config files: each line becomes a flag of the subcommand
 # ---------------------------------------------------------------------------
 
-def _config_value(action: argparse.Action, value: str, where: str):
-    """Convert one config-file string as the flag's own action would."""
-    flag = f"{where}: {action.option_strings[0]}"
-    if action.nargs == 0:
-        try:
-            return _BOOL_STRINGS[value.lower()]
-        except KeyError:
-            raise DataError(f"{flag}: expected a boolean, got {value!r}") from None
-    if action.type is not None:
-        try:
-            value = action.type(value)
-        except (TypeError, ValueError):
-            raise DataError(f"{flag}: invalid {action.type.__name__} value "
-                            f"{value!r}") from None
-    # argparse checks choices only for values given on the command line.
-    if action.choices is not None and value not in action.choices:
-        raise DataError(f"{flag}: invalid value {value!r}; "
-                        f"choose from {sorted(action.choices)}")
-    return value
-
-
-def _config_defaults(path: Path, parser: argparse.ArgumentParser) -> dict:
-    """Typed defaults for ``parser`` from a flat key=value file.
+def _config_argv(path: Path, parser: argparse.ArgumentParser) -> list[str]:
+    """The flags that a flat key=value file stands for: ``--flag=value``,
+    the bare flag for a true boolean, nothing for a false one.
 
     Keys name the subcommand's options (dashes or underscores); an
-    unknown key is an error.
+    unknown key is an error. Each line's flag is parsed alone by
+    ``parser``, so a value it refuses names ``path:line``.
     """
     actions = {a.dest: a for a in parser._actions
                if a.option_strings and a.dest not in ("help", "config")}
@@ -105,7 +89,7 @@ def _config_defaults(path: Path, parser: argparse.ArgumentParser) -> dict:
         lines = path.read_text(encoding="utf-8").split("\n")
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
-    defaults = {}
+    argv = []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -117,9 +101,21 @@ def _config_defaults(path: Path, parser: argparse.ArgumentParser) -> dict:
         if action is None:
             raise DataError(f"{path}:{lineno}: unknown option {key.strip()!r} "
                             f"for {parser.prog}")
-        defaults[action.dest] = _config_value(action, value.strip(),
-                                              f"{path}:{lineno}")
-    return defaults
+        flag, value = action.option_strings[0], value.strip()
+        if action.nargs == 0:
+            on = _BOOL_STRINGS.get(value.lower())
+            if on is None:
+                raise DataError(f"{path}:{lineno}: {flag}: expected a boolean, "
+                                f"got {value!r}")
+            tokens = [flag] if on else []
+        else:
+            tokens = [f"{flag}={value}"]
+        try:
+            parser.parse_args(tokens)
+        except _UsageError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        argv += tokens
+    return argv
 
 
 def _meta(args: argparse.Namespace) -> dict:
@@ -181,10 +177,7 @@ def _model_inputs(args: argparse.Namespace, norms: NormTable | None = None
 
 def _pick_space(args: argparse.Namespace, diachronic: DiachronicEmbeddings) -> EmbeddingSpace:
     """The space of --decade, by default the latest one."""
-    decade = diachronic.decades[-1] if args.decade is None else args.decade
-    if decade not in diachronic.decades:
-        raise DataError(f"decade {decade} not in manifest (have {list(diachronic.decades)})")
-    return diachronic.space(decade)
+    return diachronic.space(diachronic.decades[-1] if args.decade is None else args.decade)
 
 
 def _fmt(value) -> str:
@@ -360,19 +353,14 @@ def _cmd_retrieve(args) -> dict:
          "switching_decade", "early_category", "modern_category"], rows)}
 
 
-def _load_regression_inputs(args):
-    matrix = matrix_from_json(_path(args, "matrix"))
-    if matrix.kind != "relevance":
-        raise DataError(f"change regression needs a relevance matrix, got {matrix.kind!r}")
-    norms = load_norms(_path(args, "norms"))
-    frequencies = load_wordlist(_path(args, "wordlist"))
-    return matrix, norms, frequencies
+def _regression_inputs(args):
+    """The matrix, norms and word list that ``regress`` and ``permute`` read."""
+    return (matrix_from_json(_path(args, "matrix")), load_norms(_path(args, "norms")),
+            load_wordlist(_path(args, "wordlist")))
 
 
 def _cmd_regress(args) -> dict:
-    matrix, norms, frequencies = _load_regression_inputs(args)
-    fit, words, slopes, factors = changed_word_fit(
-        matrix.values, list(matrix.words), *factor_tables(norms, frequencies))
+    fit, words, slopes, factors = _ChangeSample(*_regression_inputs(args)).fit()
     partial = partial_correlation(
         slopes, factors["concreteness"],
         {"frequency": factors["frequency"], "length": factors["length"]})
@@ -388,8 +376,7 @@ def _cmd_regress(args) -> dict:
 
 
 def _cmd_permute(args) -> dict:
-    matrix, norms, frequencies = _load_regression_inputs(args)
-    report = permutation_control(matrix, norms, frequencies,
+    report = permutation_control(*_regression_inputs(args),
                                  n_shuffles=args.shuffles, seed=args.seed)
     return {
         "permute.json": dataclasses.asdict(report),
@@ -592,8 +579,9 @@ def build_parser() -> _Parser:
 def dispatch(argv: Sequence[str]) -> int:
     """Run one subcommand; returns the process exit code."""
     parser = build_parser()
+    argv = list(argv)
     try:
-        args = parser.parse_args(list(argv))
+        args = parser.parse_args(argv)
     except _UsageError as exc:
         print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
         return 1
@@ -607,11 +595,12 @@ def dispatch(argv: Sequence[str]) -> int:
         stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
     try:
         if args.config:
-            # Config values become the subcommand's defaults, so flags
-            # parsed again on top of them still win.
-            command = parser.commands[args.command]
-            command.set_defaults(**_config_defaults(Path(args.config), command))
-            args = parser.parse_args(list(argv))
+            # The file's flags go right after the subcommand, so explicit
+            # flags, parsed after them, still win.
+            at = argv.index(args.command) + 1
+            argv = [*argv[:at], *_config_argv(Path(args.config),
+                                              parser.commands[args.command]), *argv[at:]]
+            args = parser.parse_args(argv)
         _write_outputs(args, _HANDLERS[args.command](args))
         return 0
     except (MoraldriftError, OSError, ValueError, KeyError) as exc:

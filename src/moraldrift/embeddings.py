@@ -42,31 +42,29 @@ class EmbeddingSpace:
 
     def __init__(self, decade: int, words: Sequence[str], matrix: np.ndarray,
                  n_duplicates: int = 0):
-        matrix = _shaped(decade, words, matrix)
+        if decade % 10 != 0:
+            raise DataError(f"decade must be a multiple of 10, got {decade}")
+        matrix = np.asarray(matrix, dtype=np.float64)
+        if matrix.ndim != 2:
+            raise DataError("embedding matrix must be 2-dimensional")
+        if len(words) != matrix.shape[0]:
+            raise DataError(f"{len(words)} words but {matrix.shape[0]} matrix rows")
+        if matrix.shape[0] == 0:
+            raise DataError("embedding space has empty vocabulary")
         if not np.all(np.isfinite(matrix)):
             raise DataError("embedding matrix contains non-finite entries")
-        self._index_words(decade, words, matrix, n_duplicates)
-
-    @classmethod
-    def _of_finite(cls, decade: int, words: Sequence[str], matrix: np.ndarray,
-                   n_duplicates: int) -> EmbeddingSpace:
-        """The space without the finiteness pass over ``matrix``, for the
-        word2vec readers, which have checked every row (``_first_rows``)."""
-        space = cls.__new__(cls)
-        space._index_words(decade, words, _shaped(decade, words, matrix), n_duplicates)
-        return space
-
-    def _index_words(self, decade: int, words: Sequence[str], matrix: np.ndarray,
-                     n_duplicates: int) -> None:
-        index: dict[str, int] = {}
-        for i, w in enumerate(words):
-            if not w:
-                raise DataError("empty word in vocabulary")
-            if w in index:
-                raise DataError(f"duplicate word in vocabulary: {w!r}")
-            index[w] = i
+        words = tuple(words)
+        index = dict(zip(words, range(len(words))))
+        if len(index) < len(words) or "" in index:  # an empty or repeated word: name the first
+            seen: set[str] = set()
+            for w in words:
+                if not w:
+                    raise DataError("empty word in vocabulary")
+                if w in seen:
+                    raise DataError(f"duplicate word in vocabulary: {w!r}")
+                seen.add(w)
         self.decade = int(decade)
-        self.words: tuple[str, ...] = tuple(words)
+        self.words: tuple[str, ...] = words
         self.matrix = matrix
         self.n_duplicates = n_duplicates
         self._index = index
@@ -102,22 +100,6 @@ class EmbeddingSpace:
         return mat, found, missing
 
 
-def _shaped(decade: int, words: Sequence[str], matrix: np.ndarray) -> np.ndarray:
-    """``matrix`` as float64 once the decade and its shape (one row per
-    word, at least one) are checked."""
-    if decade % 10 != 0:
-        raise DataError(f"decade must be a multiple of 10, got {decade}")
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise DataError("embedding matrix must be 2-dimensional")
-    if len(words) != matrix.shape[0]:
-        raise DataError(
-            f"{len(words)} words but {matrix.shape[0]} matrix rows")
-    if matrix.shape[0] == 0:
-        raise DataError("embedding space has empty vocabulary")
-    return matrix
-
-
 class DiachronicEmbeddings:
     """Ordered sequence of embedding spaces with strictly increasing decades."""
 
@@ -148,7 +130,8 @@ class DiachronicEmbeddings:
         for s in self.spaces:
             if s.decade == decade:
                 return s
-        raise DataError(f"no embedding space for decade {decade}")
+        raise DataError(f"no embedding space for decade {decade} "
+                        f"(have {list(self.decades)})")
 
 
 @dataclass(frozen=True)
@@ -482,11 +465,8 @@ def load_embedding_space(path: str | Path, format: str, decade: int,
         logger.warning("%s: dropped %d duplicate vocabulary entries", path, n_dup)
     if normalize:
         matrix = _normalize_rows(matrix)
-    # A map is checked for finite values here; the word2vec readers
-    # checked every row already.
-    make = EmbeddingSpace if format == NPY_FORMAT else EmbeddingSpace._of_finite
     try:
-        return make(decade, words, matrix, n_dup)
+        return EmbeddingSpace(decade, words, matrix, n_dup)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 

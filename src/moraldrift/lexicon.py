@@ -84,13 +84,11 @@ class SeedLexicon:
 
     def classes_for(self, tier: str) -> dict[str, frozenset[str]]:
         """Class label -> seed word set, in canonical class order."""
-        if tier == RELEVANCE:
-            return {"irrelevant": self.irrelevant, "relevant": self.relevant}
-        if tier == POLARITY:
-            return {"positive": self.positive, "negative": self.negative}
+        labels = tier_classes(tier)
         if tier == CATEGORY:
-            return {category_label(c): self.categories[c] for c in range(1, 11)}
-        raise ValueError(f"unknown tier {tier!r}; expected one of {TIERS}")
+            return dict(zip(labels, (self.categories[c] for c in range(1, 11))))
+        return dict(zip(labels, (self.irrelevant, self.relevant) if tier == RELEVANCE
+                        else (self.positive, self.negative)))
 
     @cached_property
     def _models(self) -> weakref.WeakKeyDictionary:

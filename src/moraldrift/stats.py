@@ -348,15 +348,21 @@ def partial_correlation(target: Sequence[float], factor: Sequence[float],
 # ---------------------------------------------------------------------------
 
 class _ChangeSample:
-    """The rows that can enter the change regression, found once for any
-    number of decade shuffles: words with at least ``MIN_SLOPE_DECADES``
-    scored decades and an entry in both factor tables. Holds their score
-    rows (C-ordered) and factor columns, and the design matrix (intercept,
-    then ``REGRESSION_FACTORS``)."""
+    """The rows of a relevance ``PredictionMatrix`` that can enter the
+    change regression, found once for any number of decade shuffles:
+    words with at least ``MIN_SLOPE_DECADES`` scored decades and an entry
+    in both tables of ``factor_tables(norms, frequencies)``. Holds their
+    score rows (C-ordered) and factor columns, and the design matrix
+    (intercept, then ``REGRESSION_FACTORS``). A matrix whose kind is not
+    relevance is refused."""
 
-    def __init__(self, values: np.ndarray, words: Sequence[str],
-                 concreteness: Mapping[str, float], log_frequency: Mapping[str, float]):
-        values = np.asarray(values, dtype=np.float64)
+    def __init__(self, matrix: "PredictionMatrix", norms: NormTable,
+                 frequencies: Mapping[str, float] | Sequence[tuple[str, float]]):
+        if matrix.kind != "relevance":
+            raise DataError(f"change regression needs a relevance matrix, got {matrix.kind!r}")
+        concreteness, log_frequency = factor_tables(norms, frequencies)
+        values = np.asarray(matrix.values, dtype=np.float64)
+        words = matrix.words
         usable = np.isfinite(values).sum(axis=1) >= MIN_SLOPE_DECADES
         rows = [i for i in np.flatnonzero(usable)
                 if words[i] in concreteness and words[i] in log_frequency]
@@ -402,23 +408,14 @@ class _ChangeSample:
         return sel, _slopes(self.values[sel[:, None], perm])[0]  # C-ordered gather
 
     def fit(self) -> tuple[RegressionFit, list[str], np.ndarray, dict[str, np.ndarray]]:
-        """The unshuffled regression: see ``changed_word_fit``."""
+        """The unshuffled regression (see ``psycholinguistic_regression``):
+        the fit, the words that entered it, and their slopes and factor
+        columns."""
         identity = np.arange(self.values.shape[1])
         sel, slopes = self.slopes(self.changed(identity[None, :])[:, 0], identity)
         factors = {name: col[sel] for name, col in self.factors.items()}
         return (multiple_regression(slopes, factors), [self.words[i] for i in sel],
                 slopes, factors)
-
-
-def changed_word_fit(values: np.ndarray, words: Sequence[str],
-                     concreteness: Mapping[str, float],
-                     log_frequency: Mapping[str, float]
-                     ) -> tuple[RegressionFit, list[str], np.ndarray, dict[str, np.ndarray]]:
-    """The change regression on a words x decades score array, given the
-    factor tables of ``factor_tables``; see psycholinguistic_regression.
-    Returns the fit, the words that entered it, and their slopes and
-    factor columns."""
-    return _ChangeSample(values, words, concreteness, log_frequency).fit()
 
 
 def factor_tables(norms: NormTable,
@@ -453,11 +450,10 @@ def psycholinguistic_regression(
     The sample is restricted to words whose relevance class (score vs
     0.5) differs between their first and last unmasked decades, i.e.
     words that changed relevance in either direction. Returns the fit
-    and the words that entered it.
+    and the words that entered it. A matrix whose kind is not relevance
+    is refused.
     """
-    fit, words, _, _ = changed_word_fit(np.asarray(matrix.values, dtype=np.float64),
-                                        list(matrix.words),
-                                        *factor_tables(norms, frequencies))
+    fit, words, _, _ = _ChangeSample(matrix, norms, frequencies).fit()
     return fit, words
 
 
@@ -483,7 +479,8 @@ def permutation_control(
     all shuffles is one gather (see ``_ChangeSample.changed``); each
     shuffle then fits slopes on the rows it selects and solves the
     least-squares problem. The coefficients equal, bit for bit, a
-    ``changed_word_fit`` run on each shuffled matrix.
+    ``psycholinguistic_regression`` run on each shuffled matrix. A matrix
+    whose kind is not relevance is refused.
 
     ``permutations`` overrides the seeded shuffles (for controls/tests);
     each must be a permutation of ``range(n_decades)``.
@@ -491,8 +488,7 @@ def permutation_control(
     n_shuffles = n_shuffles if permutations is None else len(permutations)
     if n_shuffles < 1:
         raise ValueError(f"need at least one shuffle, got {n_shuffles}")
-    values = np.asarray(matrix.values, dtype=np.float64)
-    n_dec = values.shape[1]
+    n_dec = np.shape(matrix.values)[1]
     if n_dec < MIN_SLOPE_DECADES:
         raise DataError(f"need at least {MIN_SLOPE_DECADES} decades, got {n_dec}")
     if permutations is None:
@@ -507,7 +503,7 @@ def permutation_control(
                                  f"{n_dec} decade columns")
         perms = np.stack(perms)
 
-    sample = _ChangeSample(values, list(matrix.words), *factor_tables(norms, frequencies))
+    sample = _ChangeSample(matrix, norms, frequencies)
     base_fit = sample.fit()[0]
     changed = sample.changed(perms)
     control = np.empty((len(REGRESSION_FACTORS), n_shuffles))

@@ -180,6 +180,20 @@ def word2vec_binary(path):
     return words, np.vstack(vectors), n_dup
 
 
+def space_index(words):
+    """An embedding space's word -> row index, built word by word; or,
+    for a vocabulary the space refuses, the message naming its first
+    empty or repeated word."""
+    index = {}
+    for i, w in enumerate(words):
+        if not w:
+            return "empty word in vocabulary"
+        if w in index:
+            return f"duplicate word in vocabulary: {w!r}"
+        index[w] = i
+    return index
+
+
 # ---------------------------------------------------------------------------
 # The change regression and its shuffled control, one full pass per shuffle
 # (the loop before the batched change filter)

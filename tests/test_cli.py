@@ -145,6 +145,34 @@ class TestConfigFile:
         assert code == 2
         assert "tier" in err
 
+    @pytest.mark.parametrize("line, message", [
+        ("model=bogus", "argument --model: invalid choice: 'bogus'"),
+        ("k=x", "argument --k: invalid int value: 'x'")])
+    def test_refused_value_names_path_and_line(self, capsys, world_files, tmp_path,
+                                               line, message):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"tier=relevance\n{line}\n")
+        code, _, err = run(capsys, "classify", *data_args(world_files),
+                           "--word", "riser", "--config", str(config))
+        assert code == 2
+        assert f"{config}:2: {message}" in err
+
+    @pytest.mark.parametrize("out_dir", ["a=b", "-out"])
+    def test_awkward_value_matches_flag(self, capsys, monkeypatch, world_files, tmp_path,
+                                        out_dir):
+        # A value holding "=" or starting with "-" reaches the option whole.
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "run.cfg"
+        config.write_text(f"out-dir={out_dir}\n")
+        args = ["timecourse", *data_args(world_files), "--word", "riser", "--tier", "relevance"]
+        written = []
+        for how in (["--config", str(config)], [f"--out-dir={out_dir}"]):
+            assert run(capsys, *args, *how)[0] == 0
+            written.append({p.name: p.read_bytes() for p in (tmp_path / out_dir).iterdir()})
+            shutil.rmtree(tmp_path / out_dir)
+        assert len(written[0]) == 2
+        assert written[0] == written[1]
+
     def test_unknown_config_key_is_data_error(self, capsys, world_files, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("# kde settings\nbandwith=0.3\n")

@@ -2,7 +2,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from moraldrift import (AlignmentError, CoverageError, DataError,
                         MoraldriftError, ParseError, align_diachronic,
                         align_procrustes, average_vector, load_diachronic,
@@ -406,6 +409,19 @@ class TestSpaceInvariants:
     def test_duplicate_words_rejected_in_constructor(self):
         with pytest.raises(DataError, match="duplicate"):
             EmbeddingSpace(1900, ["a", "a"], np.zeros((2, 2)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(["", "a", "b", "ab"]), st.text(max_size=3)),
+                    min_size=1, max_size=10))
+    def test_index_matches_word_by_word_oracle(self, words):
+        # Empty and repeated words: the same first refusal, or the same index.
+        expected = reference.space_index(words)
+        if isinstance(expected, str):
+            with pytest.raises(DataError) as info:
+                EmbeddingSpace(1900, words, np.zeros((len(words), 2)))
+            assert str(info.value) == expected
+        else:
+            assert EmbeddingSpace(1900, words, np.zeros((len(words), 2)))._index == expected
 
     def test_decades_strictly_increasing(self):
         from moraldrift import DiachronicEmbeddings

@@ -22,7 +22,7 @@ from moraldrift import (DataError, MoraldriftError, ParseError, load_diachronic,
                         load_wordlist, matrix_from_json)
 from moraldrift.embeddings import BINARY_FORMAT, TEXT_FORMAT
 from moraldrift.embeddings import NPY_FORMAT, EmbeddingSpace, save_embedding_space
-from moraldrift.stats import changed_word_fit, factor_tables, slope_rows
+from moraldrift.stats import _ChangeSample, factor_tables, slope_rows
 
 from conftest import write_binary, write_text
 
@@ -131,7 +131,8 @@ class TestWord2vecFaults:
     @pytest.mark.parametrize("format, write, where", [
         (TEXT_FORMAT, write_text, ":3: "), (BINARY_FORMAT, write_binary, ": ")])
     def test_non_finite_kept_row_named(self, tmp_path, format, write, where):
-        # The reader checks each row once, naming it; the space adds no pass.
+        # The reader checks each row and names the first bad one, before the
+        # space's own finiteness check, whose message names no row.
         rows = np.array([[1, 2], [np.nan, 4]], dtype=np.float32)
         path = tmp_path / "v"
         write(path, ["a", "b"], rows)
@@ -293,13 +294,11 @@ class TestMatrixFromJson:
 
 def test_changed_word_fit_returns_its_slopes_and_factors(changer_files):
     matrix = matrix_from_json(changer_files.matrix)
-    tables = factor_tables(load_norms(changer_files.norms),
-                           load_wordlist(changer_files.wordlist))
-    fit, words, slopes, factors = changed_word_fit(matrix.values, list(matrix.words),
-                                                   *tables)
+    norms, frequencies = load_norms(changer_files.norms), load_wordlist(changer_files.wordlist)
+    fit, words, slopes, factors = _ChangeSample(matrix, norms, frequencies).fit()
     rows = [matrix.words.index(w) for w in words]
     np.testing.assert_array_equal(slopes, slope_rows(matrix.values[rows])[0])
-    concreteness, log_frequency = tables
+    concreteness, log_frequency = factor_tables(norms, frequencies)
     np.testing.assert_array_equal(factors["concreteness"], [concreteness[w] for w in words])
     np.testing.assert_array_equal(factors["frequency"], [log_frequency[w] for w in words])
     np.testing.assert_array_equal(factors["length"], [len(w) for w in words])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -251,21 +253,6 @@ class TestMultipleRegression:
         with pytest.raises(DataError, match="samples"):
             multiple_regression([1.0, 2.0], {"x": [1.0, 2.0]})
 
-    def test_matches_statsmodels_ols(self):
-        sm = pytest.importorskip("statsmodels.api")
-        rng = np.random.default_rng(32)
-        n = 120
-        factors = {"a": rng.standard_normal(n), "b": rng.uniform(1, 5, n)}
-        y = 0.7 * factors["a"] - 0.1 * factors["b"] + rng.standard_normal(n)
-        fit = multiple_regression(y, factors)
-        design = sm.add_constant(np.column_stack([factors["a"], factors["b"]]))
-        want = sm.OLS(y, design).fit()
-        for j, name in enumerate(["intercept", "a", "b"]):
-            assert fit.coefficients[name] == pytest.approx(want.params[j], rel=1e-9)
-            assert fit.std_errors[name] == pytest.approx(want.bse[j], rel=1e-9)
-            assert fit.p_values[name] == pytest.approx(want.pvalues[j], rel=1e-7)
-        assert fit.r_squared == pytest.approx(want.rsquared, rel=1e-9)
-
     @pytest.mark.parametrize("n, seed", [(6, 1), (40, 2), (500, 3)])
     def test_matches_reference_ols(self, n, seed):
         rng = np.random.default_rng(seed)
@@ -363,6 +350,18 @@ class TestChangeRegression:
         norms = norm_table(words, 5.0, 2.0)
         with pytest.raises(DataError, match="qualify"):
             psycholinguistic_regression(matrix, norms, {w: 10.0 for w in words})
+
+
+    @pytest.mark.parametrize("regress", [
+        psycholinguistic_regression,
+        lambda *inputs: permutation_control(*inputs, n_shuffles=3)],
+        ids=["regression", "permutation"])
+    def test_polarity_matrix_refused(self, regress):
+        matrix, norms, frequencies = changer_inputs(n_words=100, seed=12)
+        polarity = dataclasses.replace(matrix, kind="polarity")
+        with pytest.raises(DataError) as info:
+            regress(polarity, norms, frequencies)
+        assert str(info.value) == "change regression needs a relevance matrix, got 'polarity'"
 
 
 class TestPermutationControl:
