@@ -166,17 +166,6 @@ def fit_tier(spec: ModelSpec, lexicon: SeedLexicon, space: EmbeddingSpace,
     return models[spec, tier]
 
 
-def _query_matrix(model: Classifier, queries) -> np.ndarray:
-    q = np.asarray(queries, dtype=np.float64)
-    if q.ndim == 1:
-        q = q.reshape(1, -1)
-    if q.shape[1] != model.dim:
-        raise DataError(f"query has dimension {q.shape[1]}, model expects {model.dim}")
-    if not np.all(np.isfinite(q)):
-        raise DataError("query vector contains non-finite entries")
-    return q
-
-
 def _nb_log_likelihood(q: np.ndarray, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
     """Diagonal-Gaussian log density of each row of ``q``; moments (d,) or per row.
     One n x d buffer, updated in place (addition commutes, so the terms
@@ -251,7 +240,18 @@ def posterior_batch(model: Classifier, queries) -> np.ndarray:
 
     Columns follow ``model.classes``. Rows are normalized exactly.
     """
-    q = _query_matrix(model, queries)
+    q = np.asarray(queries, dtype=np.float64)
+    if q.ndim == 1:
+        q = q.reshape(1, -1)
+    if q.shape[1] != model.dim:
+        raise DataError(f"query has dimension {q.shape[1]}, model expects {model.dim}")
+    if not np.all(np.isfinite(q)):
+        raise DataError("query vector contains non-finite entries")
+    return _posteriors(model, q)
+
+
+def _posteriors(model: Classifier, q: np.ndarray) -> np.ndarray:
+    """``posterior_batch`` of a finite float64 (n, dim) matrix, unchecked."""
     n_classes = len(model.classes)
     if model.spec.kind == CENTROID:
         return _normalize(-np.sqrt(_sq_dists(q, model.means)))

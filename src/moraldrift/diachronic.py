@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .classifiers import ModelSpec, fit_tier, posterior_batch
+from .classifiers import ModelSpec, _posteriors, fit_tier
 from .embeddings import Column, DiachronicEmbeddings, read_table
 from .errors import CoverageError, DataError, ParseError
 from .lexicon import CATEGORY, POLARITY, RELEVANCE, SeedLexicon, tier_classes
@@ -84,16 +84,18 @@ def _decade_scores(diachronic: DiachronicEmbeddings, lexicon: SeedLexicon,
     """Scores of words under each decade's model, fit once per decade: the
     tracked pole's probability for a binary tier, (n_words, n_decades); the
     class distribution for the category tier, (n_words, n_decades, 10).
-    NaN where a word has no embedding."""
+    NaN where a word has no embedding. Rows are gathered into one buffer
+    and scored unchecked: a space's rows are finite."""
     values = np.full((len(words), len(diachronic))
                      + ((len(tier_classes(tier)),) if tier == CATEGORY else ()), np.nan)
     row_of = {w: i for i, w in enumerate(words)}
+    buffer = np.empty((len(words), diachronic.dim))
     for j, space in enumerate(diachronic):
         model = fit_tier(spec, lexicon, space, tier)
-        matrix, found, _ = space.rows(words)
+        matrix, found, _ = space.rows(words, out=buffer)
         if not found:
             continue
-        probs = posterior_batch(model, matrix)
+        probs = _posteriors(model, matrix)
         if tier != CATEGORY:
             probs = probs[:, model.classes.index(_SCORE_CLASS[tier])]
         values[[row_of[w] for w in found], j] = probs

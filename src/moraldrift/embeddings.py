@@ -1,12 +1,12 @@
 """Decade-binned word embedding spaces: loading, lookup, and alignment.
 
 Spaces are read from word2vec-style files (text or binary) or from an
-``npy`` store (a float64 array plus a vocabulary file, memory-mapped at
-load), indexed by word, and optionally rotated into a common coordinate
-system with orthogonal Procrustes alignment so that vectors are
-comparable across decades. The npy store is the only format written:
-``_write_labelled`` and ``_map_labelled`` hold its layout, and word2vec
-files are read-only.
+``npy`` store (a float64 or float32 array plus a vocabulary file,
+memory-mapped at load), indexed by word, and optionally rotated into a
+common coordinate system with orthogonal Procrustes alignment so that
+vectors are comparable across decades. The npy store is the only format
+written: ``_write_labelled`` and ``_map_labelled`` hold its layout, and
+word2vec files are read-only.
 """
 from __future__ import annotations
 
@@ -29,22 +29,26 @@ TEXT_FORMAT = "text-word2vec"
 BINARY_FORMAT = "binary-word2vec"
 NPY_FORMAT = "npy"
 FORMATS = (TEXT_FORMAT, BINARY_FORMAT, NPY_FORMAT)
-# The npy store holds the matrix in this dtype, so loading maps it as is.
-NPY_DTYPE = np.dtype("<f8")
 
 
 class EmbeddingSpace:
     """One decade's word -> vector map with fixed dimensionality.
 
     Immutable after construction; safe for concurrent reads. Vectors are
-    stored as rows of a float64 matrix in insertion order.
+    rows of a read-only matrix in insertion order, float32 if given so,
+    else float64; ``vector`` and ``rows`` widen them exactly to float64.
     """
 
     def __init__(self, decade: int, words: Sequence[str], matrix: np.ndarray,
                  n_duplicates: int = 0):
         if decade % 10 != 0:
             raise DataError(f"decade must be a multiple of 10, got {decade}")
-        matrix = np.asarray(matrix, dtype=np.float64)
+        given, matrix = matrix, np.asarray(matrix)
+        if matrix.dtype != np.float32:
+            matrix = np.asarray(matrix, dtype=np.float64)
+        if matrix is given:  # the caller's own array keeps its flag
+            matrix = matrix.view()
+        matrix.flags.writeable = False
         if matrix.ndim != 2:
             raise DataError("embedding matrix must be 2-dimensional")
         if len(words) != matrix.shape[0]:
@@ -80,23 +84,32 @@ class EmbeddingSpace:
         return word in self._index
 
     def vector(self, word: str) -> np.ndarray | None:
-        """Raw stored vector for ``word``, or None if absent."""
+        """The vector for ``word`` as a read-only float64 row, or None."""
         i = self._index.get(word)
-        return None if i is None else self.matrix[i]
+        if i is None:
+            return None
+        row = self.matrix[i].astype(np.float64, copy=False)
+        row.flags.writeable = False
+        return row
 
-    def rows(self, words: Iterable[str]) -> tuple[np.ndarray, list[str], list[str]]:
-        """Matrix of vectors for the given words.
+    def rows(self, words: Iterable[str], out: np.ndarray | None = None
+             ) -> tuple[np.ndarray, list[str], list[str]]:
+        """Float64 matrix of vectors for the given words.
 
         Returns (matrix, found_words, missing_words); rows follow the
-        order of ``found_words``.
-        """
-        found, missing = [], []
-        for w in words:
-            (found if w in self._index else missing).append(w)
-        if found:
-            mat = self.matrix[[self._index[w] for w in found]]
+        order of ``found_words``. With ``out`` (float64, a row per word)
+        the matrix is its first rows."""
+        words = list(words)
+        at = list(map(self._index.get, words))  # one dict pass
+        found = [w for w, i in zip(words, at) if i is not None]
+        missing = [w for w, i in zip(words, at) if i is None]
+        index = [i for i in at if i is not None]
+        mat = np.empty((len(index), self.dim)) if out is None else out[:len(index)]
+        if self.matrix.dtype == np.float64:
+            # The indices are in range; mode "raise" would gather via a buffer.
+            np.take(self.matrix, index, axis=0, out=mat, mode="clip")
         else:
-            mat = np.empty((0, self.dim))
+            mat[...] = self.matrix.take(index, axis=0)
         return mat, found, missing
 
 
@@ -281,6 +294,7 @@ def _not_utf8(path: str | Path) -> ParseError:
 
 
 def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
+    matrix = np.asarray(matrix, dtype=np.float64)
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     return matrix / norms
@@ -379,8 +393,6 @@ def _load_binary(path: Path) -> tuple[list[str], np.ndarray, int]:
     if bad is not None:
         raise ParseError(f"{path}: entry {bad + 1}: word {words[bad]!r} contains whitespace")
     matrix = np.frombuffer(vectors, dtype="<f4").reshape(len(words), dim)
-    with np.errstate(invalid="ignore"):  # a signalling NaN; _first_rows refuses it
-        matrix = matrix.astype(np.float64)
     return _first_rows(path, count, words, matrix)
 
 
@@ -399,16 +411,17 @@ def _write_labelled(path: Path, words: Sequence[str], array: np.ndarray) -> None
     # itself, which truncating in place would pull from under it.
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:
-        np.save(fh, np.ascontiguousarray(array, dtype=NPY_DTYPE), allow_pickle=False)
+        np.save(fh, np.ascontiguousarray(array, dtype="<f8"), allow_pickle=False)
     os.replace(tmp, path)
     with open(path.with_suffix(".vocab"), "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(f"{w}\n" for w in words)
 
 
 def _map_labelled(path: Path) -> tuple[list[str], np.ndarray]:
-    """Map ``path`` read-only and read the words of ``<stem>.vocab``, one
-    per ``\n``-ended line (a ``\r`` before the ``\n`` is dropped); a word
-    the writer refuses (a ``\r`` or U+2028 inside it) is refused.
+    """Map ``path``, a 2-D ``<f4`` or ``<f8`` array, read-only and read the
+    words of ``<stem>.vocab``, one per ``\n``-ended line (a ``\r`` before
+    the ``\n`` is dropped); a word the writer refuses (a ``\r`` or U+2028
+    inside it) is refused.
 
     Rows are not checked here: the EmbeddingSpace checks (finite values,
     one row per word, no empty or duplicate word) apply to the map.
@@ -422,8 +435,8 @@ def _map_labelled(path: Path) -> tuple[list[str], np.ndarray]:
         array = np.load(path, mmap_mode="r", allow_pickle=False)
     except ValueError as exc:  # object data, truncated file
         raise ParseError(f"{path}: {exc}") from None
-    if array.dtype != NPY_DTYPE or array.ndim != 2:
-        raise ParseError(f"{path}: expected a 2-D {NPY_DTYPE.str} array, got "
+    if array.dtype.str not in ("<f4", "<f8") or array.ndim != 2:
+        raise ParseError(f"{path}: expected a 2-D <f4 or <f8 array, got "
                          f"{array.ndim}-D {array.dtype.str}")
     vocab = path.with_suffix(".vocab")
     try:
@@ -451,9 +464,9 @@ def load_embedding_space(path: str | Path, format: str, decade: int,
     A word2vec file must hold exactly the entries its header counts.
     Duplicate words keep their first occurrence; the number of dropped
     duplicates is recorded on the returned space. An npy store is
-    mapped read-only, not copied, and must not repeat a word. With
-    ``normalize``, every vector is scaled to unit L2 norm after loading
-    (into a new in-memory matrix).
+    mapped read-only, not copied, and must not repeat a word. Binary and
+    ``<f4`` stay float32. With ``normalize``, every vector is scaled to
+    unit L2 norm after loading (into a new float64 matrix).
     """
     readers = {TEXT_FORMAT: _load_text, BINARY_FORMAT: _load_binary,
                NPY_FORMAT: lambda path: (*_map_labelled(path), 0)}  # a store repeats no word
@@ -485,13 +498,14 @@ def _unstorable(words: Sequence[str], split: Callable[[str], list[str]],
 def save_embedding_space(space: EmbeddingSpace, path: str | Path) -> None:
     """Write a space as an npy store at ``path``. A path not ending in
     ``.npy``, or a word the store cannot hold, raises DataError before
-    anything is written. Loading the store reproduces every vector
-    bit-for-bit. word2vec files are read-only."""
+    anything is written. The store is float64, and loading it reproduces
+    every row ``rows`` gives bit-for-bit. word2vec files are read-only."""
     _write_labelled(Path(path), space.words, space.matrix)
 
 
 def lookup(space: EmbeddingSpace, word: str) -> np.ndarray | None:
-    """Exact-match lookup: the word's row, or None when it is absent."""
+    """Exact-match lookup: the word's row as a read-only float64 array, or
+    None when it is absent."""
     return space.vector(word)
 
 
@@ -533,7 +547,7 @@ def align_procrustes(source: EmbeddingSpace,
         raise DataError(f"SVD failed during alignment: {exc}") from exc
     rotation = vt.T @ u.T
     aligned = EmbeddingSpace(source.decade, source.words,
-                             source.matrix @ rotation,
+                             source.matrix.astype(np.float64, copy=False) @ rotation,
                              n_duplicates=source.n_duplicates)
     return rotation, aligned
 

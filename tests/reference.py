@@ -168,9 +168,10 @@ def word2vec_binary(path):
             raw = fh.read(4 * dim)
             if word is None or len(raw) != 4 * dim:
                 raise ValueError("truncated file")
-            vec = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-            if not np.all(np.isfinite(vec)):
+            vec = np.frombuffer(raw, dtype="<f4")
+            if not np.all(np.isfinite(vec)):  # before widening, which warns on a signalling NaN
                 raise ValueError(f"non-finite vector for word {word!r}")
+            vec = vec.astype(np.float64)
             if word in seen:
                 n_dup += 1
                 continue

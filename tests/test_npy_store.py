@@ -1,5 +1,6 @@
 """The npy embedding store: a float64 ``<stem>.npy`` array plus a
-``<stem>.vocab`` word list, memory-mapped read-only at load.
+``<stem>.vocab`` word list, memory-mapped read-only at load. A float32
+array is mapped too, and stays float32.
 
 Round trips must reproduce every bit (``-0.0``, subnormals and the
 extremes included), and a malformed store must be refused with its path
@@ -65,6 +66,24 @@ def test_loaded_matrix_is_a_read_only_map(tmp_path):
     assert isinstance(loaded.matrix.base, np.memmap)
     with pytest.raises(ValueError):
         loaded.matrix[0, 0] = 1.0
+
+
+def test_float32_store_is_mapped_as_float32(tmp_path):
+    rows = np.array([[0.1, -2.5e-40, 3.0], [-0.0, 1e30, 7.0]], dtype="<f4")
+    path = tmp_path / "space.npy"
+    np.save(path, rows)
+    (tmp_path / "space.vocab").write_text("a\nb\n", encoding="utf-8")
+    loaded = load_embedding_space(path, NPY_FORMAT, 1900)
+    assert loaded.matrix.dtype == np.float32
+    assert isinstance(loaded.matrix.base, np.memmap)
+    np.testing.assert_array_equal(loaded.matrix.view(np.uint32), rows.view(np.uint32))
+    widened = rows.astype(np.float64)
+    np.testing.assert_array_equal(loaded.rows(["b", "a"])[0].view(np.uint64),
+                                  widened[::-1].view(np.uint64))
+    # Saving writes <f8: the widened rows, bit for bit, over the map itself.
+    saved = save_and_load(loaded, tmp_path)
+    assert saved.matrix.dtype == np.float64
+    np.testing.assert_array_equal(saved.matrix.view(np.uint64), widened.view(np.uint64))
 
 
 def test_store_files(tmp_path):
@@ -141,7 +160,7 @@ class TestRejected:
     @pytest.mark.parametrize("shape", [(2,), (2, 3, 1)])
     def test_not_two_dimensional(self, tmp_path, shape):
         path = self.store(tmp_path, np.zeros(shape))
-        self.refused(path, ParseError, "expected a 2-D <f8 array")
+        self.refused(path, ParseError, "expected a 2-D <f4 or <f8 array")
 
     def test_object_array(self, tmp_path):
         array = np.empty((2, 1), dtype=object)
@@ -169,9 +188,10 @@ class TestRejected:
             load_embedding_space(path, NPY_FORMAT, 1900)
         assert str(info.value) == f"{path}: {message}"
 
-    def test_float32_array(self, tmp_path):
-        path = self.store(tmp_path, np.zeros((2, 3), dtype=np.float32))
-        self.refused(path, ParseError, "<f4")
+    @pytest.mark.parametrize("dtype", ["<f2", ">f4", ">f8", "<i8"])
+    def test_other_dtype(self, tmp_path, dtype):
+        path = self.store(tmp_path, np.zeros((2, 3), dtype=dtype))
+        self.refused(path, ParseError, f"got 2-D {re.escape(np.dtype(dtype).str)}$")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry(self, tmp_path, bad):
