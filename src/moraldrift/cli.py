@@ -56,6 +56,8 @@ _BOOL_STRINGS = {"true": True, "1": True, "yes": True, "on": True,
                  "false": False, "0": False, "no": False, "off": False}
 # Namespace entries that change no output, left out of the config hash.
 _UNHASHED = ("config", "verbose")
+# Percent-encoded in a word that names an output file, so the file stays in --out-dir.
+_FILE_NAME_ESCAPES = str.maketrans({"%": "%25", "/": "%2F", "\0": "%00"})
 
 
 class _UsageError(Exception):
@@ -271,7 +273,7 @@ def _cmd_timecourse(args) -> dict:
         body["log_odds"] = json_scores(odds)
         table = (["decade", "score", "log_odds"],
                  list(zip(tc.decades, tc.scores.tolist(), odds.tolist())))
-    stem = f"timecourse_{word}_{tier}"
+    stem = f"timecourse_{word.translate(_FILE_NAME_ESCAPES)}_{tier}"
     return {f"{stem}.csv": table, f"{stem}.json": body}
 
 

@@ -101,12 +101,15 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationReport:
     if sx == 0.0 or sy == 0.0:
         raise DataError("correlation is undefined for a constant input")
     r = float(np.clip(np.sum(xc * yc) / (sx * sy), -1.0, 1.0))
+    return CorrelationReport(r=r, p=_correlation_p(r, n - 2), n=n)
+
+
+def _correlation_p(r: float, dof: int) -> float:
+    """Two-sided p of the t-test of a correlation r on ``dof`` degrees of
+    freedom; 0 at |r| = 1."""
     if 1.0 - r * r <= 0.0:
-        p = 0.0
-    else:
-        t_stat = r * np.sqrt((n - 2) / (1.0 - r * r))
-        p = float(_two_sided_p(t_stat, n - 2))
-    return CorrelationReport(r=r, p=p, n=n)
+        return 0.0
+    return float(_two_sided_p(r * np.sqrt(dof / (1.0 - r * r)), dof))
 
 
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
@@ -117,6 +120,8 @@ _RATIO_SERIES = (-1 / 8, 1 / 192, -1 / 640, 17 / 14336, -31 / 18432, 691 / 18022
 _MAX_TERMS = 1000
 _TINY = 1e-300  # modified Lentz: a vanishing denominator is replaced by this
 _EPS = float(np.finfo(np.float64).eps)
+_RIDGE = 1e-6  # on the within-class scatter's diagonal: seeds can be fewer than dimensions
+_COLLINEAR = 8 * _EPS  # Fisher lambda_2 / lambda_1 at or below this is rounding
 
 
 def _two_sided_p(t_stat, df):
@@ -322,14 +327,19 @@ def multiple_regression(y: Sequence[float],
 def partial_correlation(target: Sequence[float], factor: Sequence[float],
                         controls: Mapping[str, Sequence[float]]) -> CorrelationReport:
     """Pearson correlation of the OLS residuals of target and factor on
-    the control columns. With no controls this is the plain correlation."""
+    the control columns. With no controls this is the plain correlation.
+    Its t-test has n - 2 - k degrees of freedom for k controls, so p equals
+    the factor's p in the OLS fit of target on factor and controls."""
     ta = _column("target", target)
-    fa = _column("factor", factor, ta.shape[0])
+    n = ta.shape[0]
+    fa = _column("factor", factor, n)
     if not controls:
         return pearson(ta, fa)
-    x, _ = _design(controls, ta.shape[0])
+    x, _ = _design(controls, n)
     if np.linalg.matrix_rank(x) < x.shape[1]:
         raise DataError("control design matrix is rank-deficient")
+    if n <= x.shape[1] + 1:
+        raise DataError(f"need more than {x.shape[1] + 1} samples, got {n}")
 
     def residualize(name, v):
         beta, _, _, _ = np.linalg.lstsq(x, v, rcond=None)
@@ -340,7 +350,8 @@ def partial_correlation(target: Sequence[float], factor: Sequence[float],
             raise DataError(f"{name} is (numerically) a linear function of the controls")
         return resid
 
-    return pearson(residualize("target", ta), residualize("factor", fa))
+    r = pearson(residualize("target", ta), residualize("factor", fa)).r
+    return CorrelationReport(r=r, p=_correlation_p(r, n - x.shape[1] - 1), n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -536,15 +547,15 @@ def permutation_control(
 
 def fisher_projection(class_vectors: Mapping[str, Sequence],
                       queries: Sequence,
-                      anchors: Mapping[str, Sequence] | None = None,
-                      ridge: float = 1e-6) -> ProjectionResult:
+                      anchors: Mapping[str, Sequence] | None = None) -> ProjectionResult:
     """Project queries onto the top-2 Fisher discriminant axes of three
     seed classes (typically virtue / vice / irrelevance).
 
-    The within-class scatter is ridge-regularized (seed counts can fall
-    below the embedding dimensionality). Axis signs are fixed so each
-    axis's largest-magnitude entry is positive. ``anchors`` adds extra
-    labelled vector sets whose centroids are projected as map anchors.
+    With S_w the ridge-regularized within-class scatter and G = [sqrt(n_c)
+    (mu_c - mu)], S_b = G G^T has rank 2: the axes are S_w^-1 G y / sqrt(l)
+    for the top two eigenpairs (l, y) of the 3x3 G^T S_w^-1 G. Collinear
+    class means are refused. Each axis's largest-magnitude entry is
+    positive. ``anchors`` adds sets whose centroids are map anchors.
     """
     if len(class_vectors) != 3:
         raise DataError(f"fisher_projection expects exactly 3 classes, got {len(class_vectors)}")
@@ -562,24 +573,22 @@ def fisher_projection(class_vectors: Mapping[str, Sequence],
 
     total = np.vstack(matrices)
     grand_mean = total.mean(axis=0)
-    s_w = ridge * np.eye(dim)
-    s_b = np.zeros((dim, dim))
-    centroids = {}
+    s_w = _RIDGE * np.eye(dim)
+    centroids, gaps = {}, []
     for label, m in zip(labels, matrices):
-        mu = m.mean(axis=0)
-        centroids[label] = mu
+        centroids[label] = mu = m.mean(axis=0)
         dev = m - mu
         s_w += dev.T @ dev
-        gap = (mu - grand_mean)[:, None]
-        s_b += m.shape[0] * (gap @ gap.T)
-
-    import scipy.linalg
-
+        gaps.append(math.sqrt(m.shape[0]) * (mu - grand_mean))
+    g = np.column_stack(gaps)
     try:
-        eigvals, eigvecs = scipy.linalg.eigh(s_b, s_w)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise DataError(f"discriminant eigensolve failed: {exc}") from exc
-    axes = eigvecs[:, [-1, -2]]
+        w = np.linalg.solve(s_w, g)
+        eigvals, eigvecs = np.linalg.eigh(g.T @ w)  # ascending
+    except np.linalg.LinAlgError as exc:
+        raise DataError(f"discriminant solve failed: {exc}") from exc
+    if not eigvals[1] > _COLLINEAR * eigvals[2]:
+        raise DataError("the three class means are collinear: no second discriminant axis")
+    axes = w @ (eigvecs[:, [2, 1]] / np.sqrt(eigvals[[2, 1]]))
     for j in range(2):
         col = axes[:, j]
         if col[int(np.argmax(np.abs(col)))] < 0:

@@ -314,6 +314,60 @@ def two_sided_t_p(t, df, dps=40):
         return float(incomplete(a, half, x, y, floor=True))
 
 
+def _signed_axes(axes):
+    """Each column flipped so that its largest-magnitude entry is positive."""
+    axes = np.array(axes, dtype=float)
+    for j in range(axes.shape[1]):
+        if axes[int(np.argmax(np.abs(axes[:, j]))), j] < 0:
+            axes[:, j] = -axes[:, j]
+    return axes
+
+
+def fisher_axes_scipy(class_vectors, ridge=1e-6):
+    """The top two generalized eigenvectors of (S_b, S_w + ridge I), both
+    d x d scatters built in full, from ``scipy.linalg.eigh``."""
+    import scipy.linalg
+
+    mats = [np.asarray(m, dtype=float) for m in class_vectors.values()]
+    grand = np.vstack(mats).mean(axis=0)
+    s_w = ridge * np.eye(grand.shape[0])
+    s_b = np.zeros_like(s_w)
+    for m in mats:
+        mu = m.mean(axis=0)
+        s_w += (m - mu).T @ (m - mu)
+        s_b += m.shape[0] * np.outer(mu - grand, mu - grand)
+    return _signed_axes(scipy.linalg.eigh(s_b, s_w)[1][:, [-1, -2]])
+
+
+def fisher_axes_mpmath(class_vectors, ridge=1e-6, dps=60):
+    """The same axes in mpmath at ``dps`` digits, rounded to floats: with
+    S_w = L L^T, the top two eigenvectors z of the d x d symmetric
+    L^-1 S_b L^-T give v = L^-T z, so that v^T S_w v = 1."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        mats = [mpmath.matrix(np.asarray(m, dtype=float).tolist())
+                for m in class_vectors.values()]
+        d, n = mats[0].cols, sum(m.rows for m in mats)
+
+        def column_mean(rows):
+            return mpmath.matrix([mpmath.fsum(m[i, j] for m in rows for i in range(m.rows))
+                                  / sum(m.rows for m in rows) for j in range(d)])
+
+        grand = column_mean(mats)
+        s_w, s_b = mpmath.eye(d) * mpmath.mpf(ridge), mpmath.zeros(d, d)
+        for m in mats:
+            mu = column_mean([m])
+            for i in range(m.rows):
+                s_w += (m[i, :].T - mu) * (m[i, :].T - mu).T
+            s_b += m.rows * (mu - grand) * (mu - grand).T
+        l_inv = mpmath.inverse(mpmath.cholesky(s_w))
+        eigvals, z = mpmath.eigsy(l_inv * s_b * l_inv.T)
+        v = l_inv.T * z
+        top = sorted(range(d), key=lambda k: eigvals[k], reverse=True)[:2]
+        return _signed_axes([[float(v[i, k]) for k in top] for i in range(d)])
+
+
 # ---------------------------------------------------------------------------
 # Per-decade scores with every model refit on every call (no memo)
 # ---------------------------------------------------------------------------

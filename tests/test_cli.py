@@ -4,15 +4,16 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import moraldrift
-from moraldrift import load_diachronic
+from moraldrift import cli, load_diachronic
 from moraldrift.cli import _HANDLERS, build_parser, dispatch
 
-from conftest import WORLD_DECADES, write_text
+from conftest import WORLD_DECADES, _world_positions, write_text
 
 
 def run(capsys, *argv):
@@ -24,6 +25,17 @@ def run(capsys, *argv):
 def data_args(files):
     return ["--manifest", str(files.manifest), "--mfd", str(files.mfd),
             "--norms", str(files.norms)]
+
+
+def edited_world(world_files, root, edit):
+    """A copy of the fixture world in ``root`` whose decade files hold the
+    positions after ``edit(decade_index, positions)``."""
+    shutil.copytree(world_files.root, root)
+    for i, decade in enumerate(WORLD_DECADES):
+        positions = _world_positions(i)
+        edit(i, positions)
+        write_text(root / f"embeddings_{decade}.txt", list(positions), list(positions.values()))
+    return SimpleNamespace(**{name: root / path.name for name, path in vars(world_files).items()})
 
 
 class TestDispatchBasics:
@@ -280,6 +292,49 @@ class TestTimecourse:
         assert payload["scores"][0] is None
         assert len(payload["scores"][3]) == 10
         assert payload["class_labels"][2] == "fairness+"
+
+    @pytest.mark.parametrize("word, stem", [("and/or", "and%2For"), ("100%", "100%25")])
+    def test_slash_and_percent_are_encoded_in_the_file_name(self, capsys, world_files,
+                                                            tmp_path, word, stem):
+        files = edited_world(world_files, tmp_path / "world",
+                             lambda i, positions: positions.update({word: positions["riser"]}))
+        out = tmp_path / "out"
+        code, _, _ = run(capsys, "timecourse", *data_args(files), "--word", word,
+                         "--tier", "relevance", "--out-dir", str(out))
+        assert code == 0
+        names = [f"timecourse_{stem}_relevance.csv", f"timecourse_{stem}_relevance.json"]
+        assert sorted(p.name for p in out.iterdir()) == names
+        payload = json.loads((out / names[1]).read_text())
+        assert payload["word"] == word
+        assert payload["missing"] == [False] * 6
+
+
+class TestNeutralInVocab:
+    """neutral00, the most valence-neutral norms word, has no vector in 1930."""
+
+    @pytest.mark.parametrize("how", ["default", "flag", "config"])
+    def test_missing_neutral_word_is_a_seed_only_without_the_option(
+            self, capsys, monkeypatch, world_files, tmp_path, how):
+        files = edited_world(world_files, tmp_path / "world",
+                             lambda i, positions: positions.pop("neutral00") if i == 3 else None)
+        chosen = []
+        build_tiers = cli.build_tiers
+        monkeypatch.setattr(cli, "build_tiers", lambda mfd, irrelevant: (
+            chosen.append(set(irrelevant)) or build_tiers(mfd, irrelevant)))
+        config = tmp_path / "run.cfg"
+        config.write_text("neutral_in_vocab=true\n")
+        option = {"default": [], "flag": ["--neutral-in-vocab"],
+                  "config": ["--config", str(config)]}[how]
+        code, _, _ = run(capsys, "evaluate", *data_args(files), *option, "--tier", "relevance",
+                         "--decade", "1930", "--out-dir", str(tmp_path / "out"))
+        assert code == 0
+        [irrelevant] = chosen
+        everywhere = {f"neutral{i:02d}" for i in range(1, 30)}
+        assert len(irrelevant) == 30 and irrelevant > everywhere
+        assert ("neutral00" in irrelevant) == (how == "default")
+        # 30 relevant seeds and the irrelevant ones that 1930 embeds
+        payload = json.loads((tmp_path / "out" / "evaluate_relevance_centroid.json").read_text())
+        assert payload["n"] == (59 if how == "default" else 60)
 
 
 @pytest.fixture(scope="module")
@@ -625,9 +680,10 @@ class TestAlign:
         assert from_npy == from_text
 
 
-def test_import_leaves_out_scipy_special(world_files, changer_files, tmp_path):
-    # No scipy module at all, after the import or after any command but
-    # project: KDE's log-sum-exp and the t-test p-values are numpy's.
+def test_import_leaves_out_scipy(world_files, changer_files, tmp_path):
+    # No scipy module at all, after the import or after any command: KDE's
+    # log-sum-exp, the t-test p-values and project's discriminant axes are
+    # numpy's.
     src = Path(moraldrift.__file__).resolve().parents[1]
     out = ["--out-dir", str(tmp_path)]
     lex = [*data_args(world_files), *out]
@@ -649,17 +705,22 @@ def test_import_leaves_out_scipy_special(world_files, changer_files, tmp_path):
         ["survey-corr", *lex, "--survey", str(world_files.survey)],
         ["regress", *regression],
         ["permute", *regression, "--shuffles", "20"],
+        ["project", *lex, "--words", "riser,alwayspos", "--all-decades"],
     ]
     probe = ("import json, sys, moraldrift.cli\n"
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+             "def report():\n"
+             "    print('scipy:', sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+             "report()\n"
              "for argv in json.loads(sys.argv[1]):\n"
              "    assert moraldrift.cli.dispatch(argv) == 0, argv\n"
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+             "    report()\n")
     result = subprocess.run([sys.executable, "-c", probe, json.dumps(commands)],
                             capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    lines = result.stdout.splitlines()  # classify prints its JSON in between
-    assert (lines[0], lines[-1]) == ("[]", "[]")
+    # classify also prints its JSON
+    reports = [line for line in result.stdout.splitlines() if line.startswith("scipy:")]
+    assert reports == ["scipy: []"] * (1 + len(commands))
+    assert {argv[0] for argv in commands} == set(_HANDLERS)
 
 
 class TestProject:
@@ -680,6 +741,24 @@ class TestProject:
         code, _, err = run(capsys, "project", *data_args(world_files),
                            "--words", "qq,zz", "--out-dir", str(tmp_path))
         assert code == 2
+
+    def test_empty_word_list_is_data_error(self, capsys, world_files, tmp_path):
+        code, _, err = run(capsys, "project", *data_args(world_files),
+                           "--words", " , ", "--out-dir", str(tmp_path))
+        assert code == 2
+        assert "--words must name at least one query word" in err
+        assert not (tmp_path / "project.csv").exists()
+
+    def test_class_with_one_seed_embedding_is_data_error(self, capsys, world_files,
+                                                         tmp_path):
+        mfd = tmp_path / "mfd.csv"
+        mfd.write_text("word,category\ncare0,1\nharm0,2\nharm1,2\n")
+        code, _, err = run(capsys, "project", "--manifest", str(world_files.manifest),
+                           "--mfd", str(mfd), "--norms", str(world_files.norms),
+                           "--words", "riser", "--out-dir", str(tmp_path))
+        assert code == 2
+        assert "class 'positive' has 1 seed embeddings in decade 1950; need >= 2" in err
+        assert not (tmp_path / "project.csv").exists()
 
 
 class TestNormalization:

@@ -276,6 +276,27 @@ class TestPartialCorrelation:
         y = rng.standard_normal(25)
         assert partial_correlation(x, y, {}) == pearson(x, y)
 
+    @pytest.mark.parametrize("n, n_controls", [(12, 2), (12, 1), (40, 3)])
+    def test_p_equals_the_regression_p_of_the_factor(self, n, n_controls):
+        # Frisch-Waugh-Lovell: the residual correlation's t-test is the
+        # factor's t-test in the full fit, on n - 2 - k degrees of freedom.
+        rng = np.random.default_rng(n + n_controls)
+        controls = {f"c{i}": rng.standard_normal(n) for i in range(n_controls)}
+        factor = rng.standard_normal(n) + sum(controls.values())
+        target = 0.5 * factor - 0.3 * controls["c0"] + rng.standard_normal(n)
+        report = partial_correlation(target, factor, controls)
+        fit = multiple_regression(target, {"factor": factor, **controls})
+        assert report.p == pytest.approx(fit.p_values["factor"], rel=1e-9)
+        t = fit.t_stats["factor"]
+        assert report.r == pytest.approx(t / np.sqrt(t * t + n - 2 - n_controls), rel=1e-9)
+        assert report.n == n
+
+    def test_too_few_samples_for_the_controls(self):
+        rng = np.random.default_rng(10)
+        with pytest.raises(DataError, match="^need more than 4 samples, got 4$"):
+            partial_correlation(rng.standard_normal(4), rng.standard_normal(4),
+                                {"a": rng.standard_normal(4), "b": rng.standard_normal(4)})
+
     def test_factor_linear_in_controls_rejected(self):
         rng = np.random.default_rng(8)
         z = rng.standard_normal(30)
@@ -533,6 +554,38 @@ class TestFisherProjection:
             w = result.axes[:, j]
             ratio = (s_b @ w) / (s_w @ w)
             assert np.allclose(ratio, eigvals[j], rtol=1e-6)
+
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_collinear_class_means_rejected(self, dim):
+        # Centres 0, (1, 2) and (3, 6), each the exact mean of +-0.5 steps
+        # along every axis; the second eigenvalue comes out within 1e-16
+        # of the first's scale, which is rounding.
+        steps = np.kron(np.eye(dim), [[0.5], [-0.5]])
+        classes = {label: np.pad(np.array(centre, dtype=float), (0, dim - 2)) + steps
+                   for label, centre in (("a", (0, 0)), ("b", (1, 2)), ("c", (3, 6)))}
+        with pytest.raises(DataError, match="^the three class means are collinear"):
+            fisher_projection(classes, [])
+
+    def test_axes_match_scipy_generalized_eigh(self):
+        # 24 seeds in 8 dimensions: cond(S_w) is 14. The largest difference
+        # measured is 6.7e-16 of the largest axis entry.
+        classes = self._three_classes(np.random.default_rng(0), dim=8, spread=1.0)
+        expected = reference.fisher_axes_scipy(classes)
+        axes = fisher_projection(classes, []).axes
+        assert np.max(np.abs(axes - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_axes_match_mpmath_when_seeds_are_fewer_than_dimensions(self):
+        # 12 seeds in 20 dimensions: 11 of the 20 eigenvalues of S_w are the
+        # ridge alone and cond(S_w) is 3.5e7, so a float64 solve is good to about
+        # cond * eps = 8e-9. Measured against a 60-digit solve: 1.1e-9 of
+        # the largest axis entry (the full scipy eigensolve: 8.1e-10).
+        rng = np.random.default_rng(100)
+        centres = {"virtue": np.eye(20)[0] * 5.0, "vice": np.eye(20)[1] * 5.0,
+                   "neutral": np.zeros(20)}
+        classes = {label: c + rng.standard_normal((4, 20)) for label, c in centres.items()}
+        expected = reference.fisher_axes_mpmath(classes)
+        axes = fisher_projection(classes, []).axes
+        assert np.max(np.abs(axes - expected)) <= 1e-7 * np.max(np.abs(expected))
 
 
 class TestPermutationControlRejectsNoShuffles:
