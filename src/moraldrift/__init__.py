@@ -9,13 +9,11 @@ move through historical time.
 
 __version__ = "0.1.0"
 
-from .classifiers import (Classifier, ModelSpec, classify, classify_batch, fit,
-                          fit_tier, log_odds, posterior, posterior_batch,
-                          select_bandwidth)
+from .classifiers import (Classifier, ModelSpec, fit, fit_tier, posterior,
+                          posterior_batch, select_bandwidth)
 from .diachronic import (ChangeRecord, PredictionMatrix, TimeCourse,
                          load_wordlist, matrix_from_json, matrix_to_json_dict,
-                         prediction_matrix, retrieve_changing, slope,
-                         switching_period, time_course)
+                         prediction_matrix, retrieve_changing, time_course)
 from .embeddings import (DiachronicEmbeddings, EmbeddingSpace, align_diachronic,
                          align_procrustes, average_vector, load_diachronic,
                          load_embedding_space, lookup, save_embedding_space)
@@ -30,7 +28,7 @@ from .lexicon import (NormTable, SeedLexicon, build_irrelevant_seeds,
 from .stats import (CorrelationReport, PermutationReport, ProjectionResult,
                     RegressionFit, fisher_projection, multiple_regression,
                     partial_correlation, pearson, permutation_control,
-                    psycholinguistic_regression, slope_test)
+                    psycholinguistic_regression)
 
 __all__ = [
     "__version__",
@@ -44,19 +42,18 @@ __all__ = [
     "category_label", "tier_classes",
     # classifiers
     "ModelSpec", "Classifier", "fit", "fit_tier", "posterior",
-    "posterior_batch", "classify", "classify_batch", "log_odds",
-    "select_bandwidth",
+    "posterior_batch", "select_bandwidth",
     # evaluation
     "AccuracyReport", "HistoricalAccuracy", "loo_accuracy",
     "loo_accuracy_historical", "valence_correlation", "survey_correlation",
     "load_survey", "chance_level",
     # diachronic analysis
     "TimeCourse", "PredictionMatrix", "ChangeRecord", "time_course",
-    "prediction_matrix", "slope", "switching_period", "retrieve_changing",
+    "prediction_matrix", "retrieve_changing",
     "load_wordlist", "matrix_to_json_dict", "matrix_from_json",
     # stats
     "CorrelationReport", "RegressionFit", "PermutationReport",
-    "ProjectionResult", "pearson", "slope_test", "multiple_regression",
+    "ProjectionResult", "pearson", "multiple_regression",
     "partial_correlation", "psycholinguistic_regression",
     "permutation_control", "fisher_projection",
     # errors

@@ -36,7 +36,6 @@ MODEL_KINDS = (CENTROID, NAIVE_BAYES, KNN, KDE)
 BANDWIDTH_GRID = tuple(round(0.1 * i, 1) for i in range(1, 11))
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
-_CLAMP = 1e-6
 _MAX_H = sys.float_info.max / 2.0
 
 
@@ -276,27 +275,6 @@ def posterior(model: Classifier, query) -> dict[str, float]:
     if row.shape[0] != 1:
         raise DataError("posterior() takes a single query; use posterior_batch()")
     return {label: float(p) for label, p in zip(model.classes, row[0])}
-
-
-def classify_batch(model: Classifier, queries) -> list[str]:
-    """Argmax class labels; ties go to the earlier class in model.classes."""
-    probs = posterior_batch(model, queries)
-    return [model.classes[i] for i in np.argmax(probs, axis=1)]
-
-
-def classify(model: Classifier, query) -> str:
-    return classify_batch(model, query)[0]
-
-
-def log_odds(p: Mapping[str, float], numerator: str, denominator: str) -> float:
-    """Natural log of the ratio of two class probabilities.
-
-    Probabilities are clamped to [1e-6, 1 - 1e-6] so degenerate
-    posteriors still produce finite, plot-ready values.
-    """
-    num = min(max(p[numerator], _CLAMP), 1.0 - _CLAMP)
-    den = min(max(p[denominator], _CLAMP), 1.0 - _CLAMP)
-    return float(np.log(num / den))
 
 
 def _loo_predict(spec: ModelSpec, class_vectors: Mapping[str, Sequence],

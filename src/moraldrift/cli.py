@@ -58,6 +58,7 @@ _BOOL_STRINGS = {"true": True, "1": True, "yes": True, "on": True,
 _UNHASHED = ("config", "verbose")
 # Percent-encoded in a word that names an output file, so the file stays in --out-dir.
 _FILE_NAME_ESCAPES = str.maketrans({"%": "%25", "/": "%2F", "\0": "%00"})
+_NAME_BYTES = 255  # the longest file name, in bytes, that common file systems take
 
 
 class _UsageError(Exception):
@@ -273,7 +274,13 @@ def _cmd_timecourse(args) -> dict:
         body["log_odds"] = json_scores(odds)
         table = (["decade", "score", "log_odds"],
                  list(zip(tc.decades, tc.scores.tolist(), odds.tolist())))
-    stem = f"timecourse_{word.translate(_FILE_NAME_ESCAPES)}_{tier}"
+    name = word.translate(_FILE_NAME_ESCAPES)
+    room = _NAME_BYTES - len(f"timecourse__{tier}.json")
+    if len(name.encode()) > room:  # cut on a character and outside any %XX escape
+        tag = "-" + hashlib.sha256(word.encode()).hexdigest()[:16]
+        name = name.encode()[:room - len(tag)].decode(errors="ignore")
+        name = name[:-2] + name[-2:].split("%")[0] + tag
+    stem = f"timecourse_{name}_{tier}"
     return {f"{stem}.csv": table, f"{stem}.json": body}
 
 

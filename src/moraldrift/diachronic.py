@@ -137,29 +137,12 @@ def prediction_matrix(diachronic: DiachronicEmbeddings, lexicon: SeedLexicon,
                             decades=diachronic.decades, values=values)
 
 
-def slope(tc: TimeCourse, min_decades: int = MIN_SLOPE_DECADES) -> tuple[float, float]:
-    """OLS slope of the score on the decade index 1..n over unmasked
-    decades, with a two-sided t-test p-value. Slopes are per decade
-    index, i.e. per calendar decade for contiguous data."""
-    if tc.scores.ndim != 1:
-        raise DataError("slope is defined for binary-tier time courses")
-    present = ~tc.missing
-    need = max(min_decades, 3)  # a slope test's own minimum
-    if int(present.sum()) < need:
-        raise DataError(
-            f"word {tc.word!r}: {int(present.sum())} unmasked decades; "
-            f"need at least {need} for a slope")
-    if not np.all(np.isfinite(tc.scores[present])):
-        raise DataError(f"word {tc.word!r}: non-finite score in an unmasked decade")
-    slopes, p = slope_rows(tc.scores[None, :])
-    return float(slopes[0]), float(p[0])
-
-
 def _switching_index(values: np.ndarray, tier: str) -> np.ndarray:
     """Per row of a binary-tier score matrix (NaN = missing), the index of
     the earliest decade from which every later scored prediction equals
     the last scored decade's predicted class; -1 for a row with no score.
-    Ties at 0.5 go to the first declared class, as in classify()."""
+    Ties at 0.5 go to the first class of ``tier_classes(tier)``, as the
+    argmax of a posterior row does."""
     present = np.isfinite(values)
     if tier_classes(tier).index(_SCORE_CLASS[tier]) == 0:
         classes = values >= 0.5
@@ -170,15 +153,6 @@ def _switching_index(values: np.ndarray, tier: str) -> np.ndarray:
     mismatch = present & (classes != classes[np.arange(len(values)), last][:, None])
     index = np.where(mismatch.any(axis=1), n - np.argmax(mismatch[:, ::-1], axis=1), 0)
     return np.where(present.any(axis=1), index, -1)
-
-
-def switching_period(tc: TimeCourse) -> int | None:
-    """Earliest decade from which every later unmasked prediction equals
-    the final decade's predicted class. None if fully masked."""
-    if tc.scores.ndim != 1:
-        raise DataError("switching period is defined for binary-tier time courses")
-    index = int(_switching_index(tc.scores[None, :], tc.tier)[0])
-    return None if index < 0 else tc.decades[index]
 
 
 def retrieve_changing(matrix: PredictionMatrix, lexicon: SeedLexicon,

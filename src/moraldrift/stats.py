@@ -264,23 +264,6 @@ def _slopes(values: np.ndarray, t_values: np.ndarray | None = None):
     return np.sum(tc * yc, axis=1) / sxx, tc, yc, k, sxx
 
 
-def slope_test(y: Sequence[float], t_values: Sequence[float] | None = None
-               ) -> tuple[float, float]:
-    """OLS slope of y on t (default t = 1..n) with a two-sided t-test p.
-
-    The one-row case of ``slope_rows``, for complete data. Degenerate
-    zero-residual fits use the convention p=0 for a nonzero slope and
-    p=1 for a zero slope.
-    """
-    ya = _column("y", y)
-    n = ya.shape[0]
-    ta = None if t_values is None else _column("t", t_values, n)
-    if n < 3:
-        raise DataError(f"need at least 3 points for a slope test, got {n}")
-    slopes, p = slope_rows(ya[None, :], ta)
-    return float(slopes[0]), float(p[0])
-
-
 def _design(factors: Mapping[str, Sequence[float]], n: int) -> tuple[np.ndarray, list[str]]:
     names = ["intercept"] + list(factors)
     cols = [np.ones(n)]

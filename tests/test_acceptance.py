@@ -14,14 +14,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moraldrift import (EmbeddingSpace, ModelSpec, TimeCourse,
-                        align_procrustes, build_tiers, fit, fit_tier,
-                        load_diachronic, load_mfd, load_norms, loo_accuracy,
+from moraldrift import (EmbeddingSpace, ModelSpec, align_procrustes,
+                        build_tiers, fit, fit_tier, load_diachronic, load_mfd,
+                        load_norms, loo_accuracy,
                         loo_accuracy_historical, permutation_control,
                         posterior_batch, prediction_matrix,
-                        psycholinguistic_regression, retrieve_changing, slope,
+                        psycholinguistic_regression, retrieve_changing,
                         valence_correlation)
 from moraldrift.cli import dispatch
+from moraldrift.stats import slope_rows
 
 import reference
 from conftest import CHANGER_DECADES, changer_courses, norm_table
@@ -145,22 +146,17 @@ def test_loo_separable_clusters():
 def test_slope_recovery():
     """Planted 0.005/decade under sigma=0.01 noise: recovered within
     +/- 0.003 with p < 0.05 in at least 90 of 100 seeded trials."""
-    decades = tuple(range(1800, 2000, 10))
     t_idx = np.arange(1, 21, dtype=float)
-    hits = 0
-    for trial in range(100):
-        rng = np.random.default_rng(200 + trial)
-        scores = 0.5 + 0.005 * (t_idx - 10.5) + 0.01 * rng.standard_normal(20)
-        tc = TimeCourse(word="w", tier="relevance", decades=decades,
-                        scores=scores)
-        b, p = slope(tc)
-        if abs(b - 0.005) <= 0.003 and p < 0.05:
-            hits += 1
+    scores = np.vstack([
+        0.5 + 0.005 * (t_idx - 10.5)
+        + 0.01 * np.random.default_rng(200 + trial).standard_normal(20)
+        for trial in range(100)])
+    b, p = slope_rows(scores)
+    hits = int(np.count_nonzero((np.abs(b - 0.005) <= 0.003) & (p < 0.05)))
     assert hits >= 90, f"only {hits}/100 trials recovered the trend"
 
-    flat = TimeCourse(word="w", tier="relevance", decades=decades,
-                      scores=np.full(20, 0.5))
-    assert slope(flat) == (0.0, 1.0)
+    b, p = slope_rows(np.full((1, 20), 0.5))
+    assert (b.tolist(), p.tolist()) == ([0.0], [1.0])
     ok("slope-recovery")
 
 

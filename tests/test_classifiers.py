@@ -4,9 +4,8 @@ import sys
 import numpy as np
 import pytest
 
-from moraldrift import (DataError, ModelSpec, classify, classify_batch, fit,
-                        fit_tier, log_odds, posterior, posterior_batch,
-                        select_bandwidth)
+from moraldrift import (DataError, ModelSpec, fit, fit_tier, posterior,
+                        posterior_batch, select_bandwidth)
 from moraldrift.classifiers import BANDWIDTH_GRID, _loo_predict
 
 import reference
@@ -126,9 +125,10 @@ class TestCentroidPosterior:
         shift = np.array([100.0, -50.0, 3.0, 7.0])
         shifted = {c: np.asarray(v) + shift for c, v in vectors.items()}
         shifted_model = fit(ModelSpec("centroid"), shifted)
-        for _ in range(50):
-            q = rng.standard_normal(4)
-            assert classify(model, q) == classify(shifted_model, q + shift)
+        queries = rng.standard_normal((50, 4))
+        np.testing.assert_array_equal(
+            np.argmax(posterior_batch(model, queries), axis=1),
+            np.argmax(posterior_batch(shifted_model, queries + shift), axis=1))
 
 
 class TestKnnPosterior:
@@ -243,16 +243,21 @@ class TestKdePosterior:
         assert str(info.value) == message
 
 
+def predicted(model, query) -> str:
+    """The predicted class: the argmax of the posterior row."""
+    return model.classes[int(np.argmax(posterior_batch(model, query)[0]))]
+
+
 class TestClassify:
     def test_argmax(self):
         model = fit(ModelSpec("centroid"),
                     {"near": [[0.0, 0.0]], "far": [[2.0, 0.0]]})
-        assert classify(model, np.array([0.0, 0.0])) == "near"
+        assert predicted(model, np.array([0.0, 0.0])) == "near"
 
     def test_exact_tie_goes_to_first_declared_class(self):
         model = fit(ModelSpec("centroid"),
                     {"first": [[1.0, 0.0]], "second": [[-1.0, 0.0]]})
-        assert classify(model, np.array([0.0, 0.0])) == "first"
+        assert predicted(model, np.array([0.0, 0.0])) == "first"
 
     @pytest.mark.parametrize("kind,params", [
         ("centroid", {}), ("naive_bayes", {}), ("knn", {"k": 3}),
@@ -274,7 +279,7 @@ class TestClassify:
         for _ in range(100):
             target = int(rng.integers(0, 10))
             q = centers[target] + 0.5 * rng.standard_normal(5)
-            got = classify(model, q)
+            got = predicted(model, q)
             want = reference.argmax_label(oracle(q), list(vectors))
             assert got == want
             hits += got == f"c{target}"
@@ -319,30 +324,15 @@ class TestPosteriorContracts:
                 single = posterior(model, queries[i])
                 for j, label in enumerate(model.classes):
                     assert single[label] == pytest.approx(batch[i, j], rel=1e-12)
-        assert classify_batch(model, queries) == \
-            [classify(model, queries[i]) for i in range(5)]
 
 
 class TestLogOdds:
-    def test_even_posterior_is_zero(self):
-        assert log_odds({"a": 0.5, "b": 0.5}, "a", "b") == 0.0
-
     def test_distance_two_example(self):
         model = fit(ModelSpec("centroid"),
                     {"near": [[0.0, 0.0]], "far": [[2.0, 0.0]]})
         p = posterior(model, np.array([0.0, 0.0]))
         # odds ratio is exactly e^2
-        assert log_odds(p, "near", "far") == pytest.approx(2.0, abs=1e-12)
-
-    def test_clamped_for_degenerate_posterior(self):
-        value = log_odds({"a": 1.0, "b": 0.0}, "a", "b")
-        assert value == pytest.approx(math.log((1 - 1e-6) / 1e-6), abs=1e-9)
-        assert value == pytest.approx(13.8155, abs=1e-4)
-        assert math.isfinite(value)
-
-    def test_unknown_class(self):
-        with pytest.raises(KeyError):
-            log_odds({"a": 0.5, "b": 0.5}, "a", "zzz")
+        assert math.log(p["near"] / p["far"]) == pytest.approx(2.0, abs=1e-12)
 
 
 class TestFitTier:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -307,6 +308,34 @@ class TestTimecourse:
         payload = json.loads((out / names[1]).read_text())
         assert payload["word"] == word
         assert payload["missing"] == [False] * 6
+
+    def test_overlong_word_names_a_cut_file_with_a_hash(self, capsys, world_files, tmp_path):
+        def cut(part, word):
+            return part + "-" + hashlib.sha256(word.encode()).hexdigest()[:16]
+
+        # timecourse_<part>_relevance.json leaves 229 bytes for the part.
+        # A cut part keeps 212 bytes at most: whole characters, no partial
+        # %XX escape, then a hash tag of the word.
+        long_a, long_b = "a" * 299 + "x", "a" * 299 + "y"
+        wide = "x" + "ü" * 115  # 231 bytes; byte 212 splits an ü
+        fits = "ü" * 114 + "x"  # 229 bytes: the name is 255 bytes and stays as it is
+        slash = "a" * 211 + "/" + "b" * 30  # byte 212 splits its %2F
+        parts = {long_a: cut("a" * 212, long_a), long_b: cut("a" * 212, long_b),
+                 wide: cut("x" + "ü" * 105, wide), fits: fits, slash: cut("a" * 211, slash)}
+        files = edited_world(world_files, tmp_path / "world", lambda i, positions: positions.update(
+            dict.fromkeys(parts, positions["riser"])))
+        out = tmp_path / "out"
+        for word in parts:
+            code, _, err = run(capsys, "timecourse", *data_args(files), "--word", word,
+                               "--tier", "relevance", "--out-dir", str(out))
+            assert (code, err) == (0, "")
+        names = sorted(f"timecourse_{part}_relevance.{suffix}"
+                       for part in parts.values() for suffix in ("csv", "json"))
+        assert sorted(p.name for p in out.iterdir()) == names
+        assert max(len(name.encode()) for name in names) == 255
+        for word, part in parts.items():
+            payload = json.loads((out / f"timecourse_{part}_relevance.json").read_text())
+            assert payload["word"] == word
 
 
 class TestNeutralInVocab:

@@ -7,8 +7,9 @@ import pytest
 from moraldrift import (CoverageError, DataError, ModelSpec, ParseError,
                         PredictionMatrix, TimeCourse, load_wordlist,
                         matrix_from_json, matrix_to_json_dict,
-                        prediction_matrix, retrieve_changing, slope,
-                        switching_period, time_course)
+                        prediction_matrix, retrieve_changing, time_course)
+from moraldrift.diachronic import _switching_index
+from moraldrift.stats import slope_rows
 
 import reference
 
@@ -117,101 +118,76 @@ class TestPredictionMatrix:
 
 
 class TestSlope:
+    """Time-course rows of ``slope_rows``; NaN is a masked decade."""
+
     def test_exact_linear_course(self):
-        tc = binary_course([0.1, 0.2, 0.3, 0.4, 0.5])
-        b, p = slope(tc)
-        assert b == pytest.approx(0.1, abs=1e-12)
+        b, p = slope_rows(np.array([[0.1, 0.2, 0.3, 0.4, 0.5]]))
+        assert b[0] == pytest.approx(0.1, abs=1e-12)
 
     def test_constant_course(self):
-        tc = binary_course([0.3] * 6)
-        b, p = slope(tc)
-        assert b == 0.0 and p == 1.0
-
-    def test_fewer_than_five_points_rejected(self):
-        tc = binary_course([0.1, 0.2, 0.3, 0.4])
-        with pytest.raises(DataError, match="at least 5"):
-            slope(tc)
+        b, p = slope_rows(np.full((1, 6), 0.3))
+        assert (b.tolist(), p.tolist()) == ([0.0], [1.0])
 
     def test_lowered_minimum_still_needs_three_points(self):
-        tc = binary_course([0.1, np.nan, 0.3, np.nan])
         with pytest.raises(DataError,
-                           match="^word 'w': 2 unmasked decades; need at least 3 for a slope$"):
-            slope(tc, min_decades=2)
+                           match="^row 0 has 2 finite entries; a slope test needs at least 3$"):
+            slope_rows(np.array([[0.1, np.nan, 0.3, np.nan]]))
 
     def test_masked_decades_excluded(self):
         scores = np.array([0.1, np.nan, 0.3, 0.4, 0.5, 0.6])
-        tc = binary_course(scores)
-        b, _ = slope(tc)
+        b, _ = slope_rows(scores[None, :])
         # abscissa keeps the original decade indices 1..6 minus the gap
         t = np.array([1.0, 3.0, 4.0, 5.0, 6.0])
         y = scores[np.isfinite(scores)]
         expected = np.polyfit(t, y, 1)[0]
-        assert b == pytest.approx(expected, abs=1e-12)
-
-    def test_non_finite_unmasked_score_rejected(self):
-        for infinite in (np.inf, -np.inf):
-            tc = binary_course([0.1, infinite, 0.3, 0.4, 0.5, 0.6])
-            assert not tc.missing.any()
-            with pytest.raises(DataError,
-                               match="^word 'w': non-finite score in an unmasked decade$"):
-                slope(tc)
-
-    def test_category_course_rejected(self, world):
-        tc = time_course(world.diachronic, world.lexicon, SPEC,
-                         "alwayspos", "category")
-        with pytest.raises(DataError, match="binary"):
-            slope(tc)
+        assert b[0] == pytest.approx(expected, abs=1e-12)
 
     def test_seeded_noisy_recovery(self):
         rng = np.random.default_rng(0)
         scores = 0.4 + 0.005 * np.arange(1, 21) + 0.01 * rng.standard_normal(20)
-        b, p = slope(binary_course(scores))
-        assert b == pytest.approx(0.005, abs=0.003)
-        assert p < 0.05
+        b, p = slope_rows(scores[None, :])
+        assert b[0] == pytest.approx(0.005, abs=0.003)
+        assert p[0] < 0.05
+
+
+def switching_decades(rows, tier="polarity"):
+    """The switching decade of each row of one ``_switching_index`` call,
+    decades from 1800 (None for a row with no score), checked against the
+    reference."""
+    rows = np.asarray(rows, dtype=float)
+    got = [None if i < 0 else 1800 + 10 * i for i in _switching_index(rows, tier).tolist()]
+    assert got == [reference.switching_period(binary_course(row, tier)) for row in rows]
+    return got
 
 
 class TestSwitchingPeriod:
     def test_neg_neg_pos_pos(self):
-        tc = binary_course([0.2, 0.3, 0.8, 0.9], decades=(1800, 1810, 1820, 1830))
-        assert switching_period(tc) == 1820
+        assert switching_decades([[0.2, 0.3, 0.8, 0.9]]) == [1820]
 
     def test_all_positive_course_switches_at_start(self):
-        tc = binary_course([0.8, 0.9, 0.7, 0.95], decades=(1800, 1810, 1820, 1830))
-        assert switching_period(tc) == 1800
+        assert switching_decades([[0.8, 0.9, 0.7, 0.95]]) == [1800]
 
     def test_alternating_course_switches_at_final_decade(self):
-        tc = binary_course([0.8, 0.2, 0.9, 0.1, 0.7],
-                           decades=(1800, 1810, 1820, 1830, 1840))
-        assert switching_period(tc) == 1840
+        assert switching_decades([[0.8, 0.2, 0.9, 0.1, 0.7]]) == [1840]
 
     def test_fully_masked_course(self):
-        tc = binary_course([np.nan, np.nan], decades=(1800, 1810))
-        assert switching_period(tc) is None
+        assert switching_decades([[np.nan, np.nan], [np.nan, 0.7]]) == [None, 1800]
 
     def test_output_class_agrees_with_final_class(self):
         rng = np.random.default_rng(1)
-        for _ in range(50):
-            scores = rng.uniform(0.0, 1.0, size=8)
-            tc = binary_course(scores)
-            decade = switching_period(tc)
-            idx = tc.decades.index(decade)
-            final = scores[~tc.missing][-1] >= 0.5
-            trailing = [s >= 0.5 for i, s in enumerate(scores)
-                        if i >= idx and not tc.missing[i]]
-            assert all(t == final for t in trailing)
-
-    def test_category_course_rejected(self, world):
-        tc = time_course(world.diachronic, world.lexicon, SPEC,
-                         "alwayspos", "category")
-        with pytest.raises(DataError, match="switching period is defined for binary-tier"):
-            switching_period(tc)
+        rows = rng.uniform(0.0, 1.0, size=(50, 8))
+        rows[rng.random(rows.shape) < 0.2] = np.nan
+        for row, decade in zip(rows, switching_decades(rows)):
+            scored = row[(decade - 1800) // 10:]
+            final = scored[np.isfinite(scored)][-1] >= 0.5
+            assert all((s >= 0.5) == final for s in scored[np.isfinite(scored)])
 
     def test_relevance_tie_goes_to_irrelevant(self):
-        tc = binary_course([0.4, 0.5, 0.8], tier="relevance",
-                           decades=(1800, 1810, 1820))
         # 0.5 is classified irrelevant (first class), so the switch to
-        # 'relevant' happens only at the last decade
-        assert switching_period(tc) == 1820
+        # 'relevant' happens only at the last decade; polarity's first
+        # class is positive, so there 0.5 already counts as positive
+        assert switching_decades([[0.4, 0.5, 0.8]], "relevance") == [1820]
+        assert switching_decades([[0.4, 0.5, 0.8]], "polarity") == [1810]
 
 
 @pytest.fixture(scope="module")

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from moraldrift import (DataError, PredictionMatrix, fisher_projection,
                         multiple_regression, partial_correlation, pearson,
-                        permutation_control, psycholinguistic_regression,
-                        slope_test)
+                        permutation_control, psycholinguistic_regression)
 from moraldrift.stats import _two_sided_p, slope_rows
 
 import reference
@@ -81,40 +80,40 @@ class TestPearson:
 
 
 class TestSlopeTest:
+    """Single rows and row pairs of ``slope_rows``."""
+
     def test_exact_linear_sequence(self):
-        slope, p = slope_test([0.1, 0.2, 0.3, 0.4, 0.5])
-        assert slope == pytest.approx(0.1, abs=1e-12)
-        assert p == pytest.approx(0.0, abs=1e-12)
+        slope, p = slope_rows(np.array([[0.1, 0.2, 0.3, 0.4, 0.5]]))
+        assert slope[0] == pytest.approx(0.1, abs=1e-12)
+        assert p[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_series(self):
-        slope, p = slope_test([0.4] * 8)
-        assert slope == 0.0
-        assert p == 1.0
+        slope, p = slope_rows(np.full((1, 8), 0.4))
+        assert (slope.tolist(), p.tolist()) == ([0.0], [1.0])
 
     def test_pair_reordering_invariance(self):
         rng = np.random.default_rng(2)
         y = rng.standard_normal(12)
         t = np.arange(1.0, 13.0)
-        base, base_p = slope_test(y, t)
+        base, base_p = slope_rows(y[None, :], t)
         perm = rng.permutation(12)
-        got, got_p = slope_test(y[perm], t[perm])
-        assert got == pytest.approx(base, abs=1e-12)
-        assert got_p == pytest.approx(base_p, abs=1e-12)
+        got, got_p = slope_rows(y[perm][None, :], t[perm])
+        assert got[0] == pytest.approx(base[0], abs=1e-12)
+        assert got_p[0] == pytest.approx(base_p[0], abs=1e-12)
 
     def test_constant_shift_leaves_slope(self):
         rng = np.random.default_rng(3)
         y = rng.standard_normal(10)
-        base, _ = slope_test(y)
-        shifted, _ = slope_test(y + 5.0)
+        base, shifted = slope_rows(np.vstack([y, y + 5.0]))[0]
         assert shifted == pytest.approx(base, abs=1e-12)
 
     def test_planted_noisy_slope(self):
         rng = np.random.default_rng(4)
         t = np.arange(1.0, 21.0)
         y = 0.3 + 0.005 * t + 0.01 * rng.standard_normal(20)
-        slope, p = slope_test(y, t)
-        assert slope == pytest.approx(0.005, abs=0.003)
-        assert p < 0.05
+        slope, p = slope_rows(y[None, :], t)
+        assert slope[0] == pytest.approx(0.005, abs=0.003)
+        assert p[0] < 0.05
 
     def test_matches_scipy_linregress(self):
         from scipy.stats import linregress
@@ -122,10 +121,10 @@ class TestSlopeTest:
         for _ in range(10):
             t = np.sort(rng.uniform(0, 10, size=15))
             y = 0.2 * t + rng.standard_normal(15)
-            slope, p = slope_test(y, t)
+            slope, p = slope_rows(y[None, :], t)
             want = linregress(t, y)
-            assert slope == pytest.approx(want.slope, rel=1e-10)
-            assert p == pytest.approx(want.pvalue, rel=1e-9)
+            assert slope[0] == pytest.approx(want.slope, rel=1e-10)
+            assert p[0] == pytest.approx(want.pvalue, rel=1e-9)
 
 
 @st.composite
