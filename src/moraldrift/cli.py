@@ -42,8 +42,7 @@ from .errors import CoverageError, DataError, MoraldriftError, ParseError
 from .evaluate import (load_survey, loo_accuracy, loo_accuracy_historical,
                        survey_correlation, valence_correlation)
 from .lexicon import (TIERS, NormTable, SeedLexicon, build_irrelevant_seeds,
-                      build_tiers, category_label, load_mfd, load_norms,
-                      relevant_words)
+                      build_tiers, load_mfd, load_norms, relevant_words)
 from .stats import (_ChangeSample, fisher_projection, partial_correlation,
                     permutation_control)
 
@@ -165,7 +164,7 @@ def _seed_inputs(args: argparse.Namespace, norms: NormTable | None = None
     if args.neutral_in_vocab:
         vocabulary = set(diachronic.spaces[0].words)
         for space in diachronic.spaces[1:]:
-            vocabulary &= set(space.words)
+            vocabulary.intersection_update(space.words)
     irrelevant = build_irrelevant_seeds(norms, words, vocabulary=vocabulary)
     return diachronic, build_tiers(entries, irrelevant)
 
@@ -298,6 +297,8 @@ def _cmd_matrix(args) -> dict:
 
 def _cmd_evaluate(args) -> dict:
     tier = _required(args, "tier")
+    if args.historical and args.decade is not None:
+        raise DataError("--historical evaluates every decade and takes no --decade")
     spec, diachronic, lexicon = _model_inputs(args)
     if args.historical:
         report = loo_accuracy_historical(spec, lexicon, diachronic, tier)
@@ -405,20 +406,13 @@ def _cmd_project(args) -> dict:
     diachronic, lexicon = _seed_inputs(args)
     space = _pick_space(args, diachronic)
     classes = {}
-    for label, word_set in (("positive", lexicon.positive),
-                            ("negative", lexicon.negative),
-                            ("irrelevant", lexicon.irrelevant)):
-        matrix, found, _ = space.rows(sorted(word_set))
-        if len(found) < 2:
-            raise CoverageError(f"class {label!r} has {len(found)} seed embeddings "
+    for label in ("positive", "negative", "irrelevant"):
+        classes[label], _ = space.rows(sorted(getattr(lexicon, label)))
+        if len(classes[label]) < 2:
+            raise CoverageError(f"class {label!r} has {len(classes[label])} seed embeddings "
                                 f"in decade {space.decade}; need >= 2")
-        classes[label] = matrix
-
-    anchors = {}
-    for cid, word_set in sorted(lexicon.categories.items()):
-        matrix, found, _ = space.rows(sorted(word_set))
-        if found:
-            anchors[category_label(cid)] = matrix
+    anchors = {label: space.rows(sorted(seeds))[0]
+               for label, seeds in lexicon.classes_for("category").items()}
 
     query_rows = []
     query_keys = []
@@ -434,15 +428,14 @@ def _cmd_project(args) -> dict:
     if not query_rows:
         raise CoverageError("none of the query words have embeddings in the "
                             "requested decades")
-    result = fisher_projection(classes, query_rows, anchors=anchors)
+    axes = fisher_projection(classes)
 
-    rows = []
-    for label, xy in result.class_coords.items():
-        rows.append(("class", label, None, float(xy[0]), float(xy[1])))
-    for label, xy in result.anchor_coords.items():
-        rows.append(("anchor", label, None, float(xy[0]), float(xy[1])))
-    for (word, decade), xy in zip(query_keys, result.query_coords):
-        rows.append(("query", word, decade, float(xy[0]), float(xy[1])))
+    rows = [("class", label, None, *(m.mean(axis=0) @ axes).tolist())
+            for label, m in classes.items()]
+    rows += [("anchor", label, None, *(m.mean(axis=0) @ axes).tolist())
+             for label, m in anchors.items() if len(m)]
+    rows += [("query", word, decade, *xy)
+             for (word, decade), xy in zip(query_keys, (np.asarray(query_rows) @ axes).tolist())]
     return {"project.csv": (["kind", "label", "decade", "x", "y"], rows)}
 
 

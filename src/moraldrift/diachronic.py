@@ -17,7 +17,7 @@ from .classifiers import ModelSpec, _posteriors, fit_tier
 from .embeddings import Column, DiachronicEmbeddings, read_table
 from .errors import CoverageError, DataError, ParseError
 from .lexicon import CATEGORY, POLARITY, RELEVANCE, SeedLexicon, tier_classes
-from .stats import MIN_SLOPE_DECADES, slope_rows
+from .stats import MIN_SLOPE_DECADES, _refuse_infinite, slope_rows
 
 logger = logging.getLogger(__name__)
 
@@ -88,17 +88,16 @@ def _decade_scores(diachronic: DiachronicEmbeddings, lexicon: SeedLexicon,
     and scored unchecked: a space's rows are finite."""
     values = np.full((len(words), len(diachronic))
                      + ((len(tier_classes(tier)),) if tier == CATEGORY else ()), np.nan)
-    row_of = {w: i for i, w in enumerate(words)}
     buffer = np.empty((len(words), diachronic.dim))
     for j, space in enumerate(diachronic):
         model = fit_tier(spec, lexicon, space, tier)
-        matrix, found, _ = space.rows(words, out=buffer)
-        if not found:
+        matrix, present = space.rows(words, out=buffer)
+        if not len(matrix):
             continue
         probs = _posteriors(model, matrix)
         if tier != CATEGORY:
             probs = probs[:, model.classes.index(_SCORE_CLASS[tier])]
-        values[[row_of[w] for w in found], j] = probs
+        values[present, j] = probs
     return values
 
 
@@ -168,7 +167,8 @@ def retrieve_changing(matrix: PredictionMatrix, lexicon: SeedLexicon,
     multiplier is the number of words that survived the filters, with
     'all-words' it is the full word-list size. Top records get a
     switching decade plus fine-grained categories at the earliest
-    morally-relevant decade and in the modern period.
+    morally-relevant decade and in the modern period. A ±inf score in
+    either matrix is refused (NaN means missing).
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}; expected one of {DIRECTIONS}")
@@ -200,6 +200,7 @@ def retrieve_changing(matrix: PredictionMatrix, lexicon: SeedLexicon,
         if scores.decades != diachronic.decades:
             raise DataError(f"{scores.kind} matrix decades {list(scores.decades)} do not "
                             f"match the embeddings' {list(diachronic.decades)}")
+        _refuse_infinite(scores.values, scores.words)
 
     scored = np.isfinite(relevance_matrix.values)
     with np.errstate(invalid="ignore"):  # 0/0 on a row without a relevance score

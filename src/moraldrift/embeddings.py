@@ -16,6 +16,7 @@ import math
 import os
 from array import array
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -93,24 +94,20 @@ class EmbeddingSpace:
         return row
 
     def rows(self, words: Iterable[str], out: np.ndarray | None = None
-             ) -> tuple[np.ndarray, list[str], list[str]]:
-        """Float64 matrix of vectors for the given words.
-
-        Returns (matrix, found_words, missing_words); rows follow the
-        order of ``found_words``. With ``out`` (float64, a row per word)
-        the matrix is its first rows."""
-        words = list(words)
-        at = list(map(self._index.get, words))  # one dict pass
-        found = [w for w, i in zip(words, at) if i is not None]
-        missing = [w for w, i in zip(words, at) if i is None]
-        index = [i for i in at if i is not None]
+             ) -> tuple[np.ndarray, np.ndarray]:
+        """Float64 rows of the words the space holds, in input order, and a
+        boolean mask over ``words`` that is True where the word is held.
+        With ``out`` (float64, a row per word) the matrix is its first rows."""
+        at = np.fromiter(map(self._index.get, words, repeat(-1)), dtype=np.intp)  # one dict pass
+        present = at >= 0
+        index = at[present]
         mat = np.empty((len(index), self.dim)) if out is None else out[:len(index)]
         if self.matrix.dtype == np.float64:
             # The indices are in range; mode "raise" would gather via a buffer.
             np.take(self.matrix, index, axis=0, out=mat, mode="clip")
         else:
             mat[...] = self.matrix.take(index, axis=0)
-        return mat, found, missing
+        return mat, present
 
 
 class DiachronicEmbeddings:
@@ -512,11 +509,12 @@ def lookup(space: EmbeddingSpace, word: str) -> np.ndarray | None:
 def average_vector(space: EmbeddingSpace, words: Sequence[str]) -> np.ndarray:
     """Arithmetic mean of the vectors of the words present in the space.
     Absent words are skipped and logged; none present is a coverage error."""
-    matrix, found, missing = space.rows(words)
-    if not found:
+    matrix, present = space.rows(words)
+    if not len(matrix):
         raise CoverageError(
             f"none of the words {list(words)!r} have embeddings in decade {space.decade}")
-    if missing:
+    if not present.all():
+        missing = [w for w, p in zip(words, present) if not p]
         logger.warning("decade %d: skipped %d word(s) without embeddings: %s",
                        space.decade, len(missing), ", ".join(missing))
     return matrix.mean(axis=0)
@@ -538,8 +536,8 @@ def align_procrustes(source: EmbeddingSpace,
         raise AlignmentError(
             f"shared vocabulary has {len(shared)} words; need at least "
             f"dim={source.dim} for a stable alignment")
-    x, _, _ = source.rows(shared)
-    y, _, _ = target.rows(shared)
+    x, _ = source.rows(shared)
+    y, _ = target.rows(shared)
     # R = V U^T from the SVD of Y^T X = U S V^T.
     try:
         u, _, vt = np.linalg.svd(y.T @ x)

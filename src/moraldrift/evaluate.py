@@ -110,14 +110,12 @@ def valence_correlation(polarity_model: Classifier, space: EmbeddingSpace,
                         norms: NormTable) -> CorrelationReport:
     """Correlate human valence ratings with predicted positive-polarity
     probability over all rated words that have embeddings."""
-    rated = [i for i, w in enumerate(norms.words) if w in space]
-    if len(rated) < 3:
-        raise DataError(f"only {len(rated)} rated words have embeddings; need >= 3")
-    valences = norms.valence[rated]
-    matrix, _, _ = space.rows(norms.words[i] for i in rated)
+    matrix, present = space.rows(norms.words)
+    if len(matrix) < 3:
+        raise DataError(f"only {len(matrix)} rated words have embeddings; need >= 3")
     probs = posterior_batch(polarity_model, matrix)
     positive = probs[:, polarity_model.classes.index("positive")]
-    return pearson(valences, positive)
+    return pearson(norms.valence[present], positive)
 
 
 def load_survey(path: str | Path) -> list[tuple[list[str], float, float]]:

@@ -215,12 +215,12 @@ def seed_vectors(lexicon: SeedLexicon, space: EmbeddingSpace,
     """
     out: dict[str, np.ndarray] = {}
     for label, words in lexicon.classes_for(tier).items():
-        matrix, found, missing = space.rows(sorted(words))
-        if not found:
+        matrix, _ = space.rows(sorted(words))
+        if not len(matrix):
             raise CoverageError(
                 f"class {label!r} has no seed embeddings in decade {space.decade}")
-        if missing:
+        if len(matrix) < len(words):
             logger.debug("decade %d, class %s: %d/%d seeds have embeddings",
-                         space.decade, label, len(found), len(words))
+                         space.decade, label, len(matrix), len(words))
         out[label] = matrix
     return out

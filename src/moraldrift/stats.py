@@ -66,16 +66,6 @@ class PermutationReport:
     seed: int
 
 
-@dataclass(frozen=True)
-class ProjectionResult:
-    """2D discriminant coordinates for queries and class anchors."""
-
-    query_coords: np.ndarray               # (n_queries, 2)
-    class_coords: dict[str, np.ndarray]    # class label -> (2,)
-    anchor_coords: dict[str, np.ndarray]   # anchor label -> (2,)
-    axes: np.ndarray                        # (dim, 2) projection matrix
-
-
 def _column(name: str, values, n: int | None = None) -> np.ndarray:
     col = np.asarray(values, dtype=np.float64)
     if col.ndim != 1:
@@ -221,15 +211,16 @@ def slope_rows(values: np.ndarray, t_values: np.ndarray | None = None
 
     NaN entries are missing: each row is fitted on its finite entries
     only, against the matching abscissa values (default 1..n_columns).
-    Every row needs at least 3 finite entries. Degenerate zero-residual
-    fits use the convention p=0 for a nonzero slope and p=1 for a zero
-    slope.
+    Every row needs at least 3 finite entries, and a ±inf entry is
+    refused. Degenerate zero-residual fits use the convention p=0 for a
+    nonzero slope and p=1 for a zero slope.
 
     The row sums follow the input's memory layout, so the last bits of a
     slope depend on it: callers pass C-ordered rows (a column gather such
     as ``values[:, perm]`` is Fortran-ordered).
     """
     values = np.asarray(values, dtype=np.float64)
+    _refuse_infinite(values)
     counts = np.isfinite(values).sum(axis=1)
     if (short := np.flatnonzero(counts < 3)).size:
         raise DataError(f"row {short[0]} has {counts[short[0]]} finite entries; "
@@ -243,6 +234,14 @@ def slope_rows(values: np.ndarray, t_values: np.ndarray | None = None
     degenerate = se == 0.0
     p[degenerate] = np.where(slopes[degenerate] == 0.0, 1.0, 0.0)
     return slopes, p
+
+
+def _refuse_infinite(values: np.ndarray, words: Sequence[str] | None = None) -> None:
+    """Refuse a score row holding ±inf, naming the row (or its word): only
+    NaN means a missing score."""
+    if (bad := np.flatnonzero(np.isinf(values).any(axis=1))).size:
+        row = f"word {words[bad[0]]!r}" if words is not None else f"row {bad[0]}"
+        raise DataError(f"{row} has an infinite score; only NaN marks a missing one")
 
 
 def _slopes(values: np.ndarray, t_values: np.ndarray | None = None):
@@ -273,10 +272,13 @@ def _design(factors: Mapping[str, Sequence[float]], n: int) -> tuple[np.ndarray,
 
 
 def _solve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients of ``y`` on the full-rank design ``x``."""
-    if np.linalg.matrix_rank(x) < x.shape[1]:
+    """Least-squares coefficients of ``y`` on the full-rank design ``x``;
+    the rank is the solve's own (singular values above eps * max(n, p)
+    times the largest, as ``matrix_rank`` counts them)."""
+    beta, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
+    if rank < x.shape[1]:
         raise DataError("design matrix is rank-deficient (collinear factors)")
-    return np.linalg.lstsq(x, y, rcond=None)[0]
+    return beta
 
 
 def multiple_regression(y: Sequence[float],
@@ -348,7 +350,7 @@ class _ChangeSample:
     in both tables of ``factor_tables(norms, frequencies)``. Holds their
     score rows (C-ordered) and factor columns, and the design matrix
     (intercept, then ``REGRESSION_FACTORS``). A matrix whose kind is not
-    relevance is refused."""
+    relevance, or that holds a ±inf score, is refused."""
 
     def __init__(self, matrix: "PredictionMatrix", norms: NormTable,
                  frequencies: Mapping[str, float] | Sequence[tuple[str, float]]):
@@ -357,6 +359,7 @@ class _ChangeSample:
         concreteness, log_frequency = factor_tables(norms, frequencies)
         values = np.asarray(matrix.values, dtype=np.float64)
         words = matrix.words
+        _refuse_infinite(values, words)
         usable = np.isfinite(values).sum(axis=1) >= MIN_SLOPE_DECADES
         rows = [i for i in np.flatnonzero(usable)
                 if words[i] in concreteness and words[i] in log_frequency]
@@ -444,8 +447,8 @@ def psycholinguistic_regression(
     The sample is restricted to words whose relevance class (score vs
     0.5) differs between their first and last unmasked decades, i.e.
     words that changed relevance in either direction. Returns the fit
-    and the words that entered it. A matrix whose kind is not relevance
-    is refused.
+    and the words that entered it. A matrix whose kind is not relevance,
+    or that holds a ±inf score, is refused.
     """
     fit, words, _, _ = _ChangeSample(matrix, norms, frequencies).fit()
     return fit, words
@@ -474,7 +477,7 @@ def permutation_control(
     shuffle then fits slopes on the rows it selects and solves the
     least-squares problem. The coefficients equal, bit for bit, a
     ``psycholinguistic_regression`` run on each shuffled matrix. A matrix
-    whose kind is not relevance is refused.
+    whose kind is not relevance, or that holds a ±inf score, is refused.
 
     ``permutations`` overrides the seeded shuffles (for controls/tests);
     each must be a permutation of ``range(n_decades)``.
@@ -528,24 +531,21 @@ def permutation_control(
 # Fisher discriminant projection
 # ---------------------------------------------------------------------------
 
-def fisher_projection(class_vectors: Mapping[str, Sequence],
-                      queries: Sequence,
-                      anchors: Mapping[str, Sequence] | None = None) -> ProjectionResult:
-    """Project queries onto the top-2 Fisher discriminant axes of three
-    seed classes (typically virtue / vice / irrelevance).
+def fisher_projection(class_vectors: Mapping[str, Sequence]) -> np.ndarray:
+    """The (dim, 2) top-2 Fisher discriminant axes of three seed classes
+    (typically virtue / vice / irrelevance); ``points @ axes`` projects.
 
     With S_w the ridge-regularized within-class scatter and G = [sqrt(n_c)
     (mu_c - mu)], S_b = G G^T has rank 2: the axes are S_w^-1 G y / sqrt(l)
     for the top two eigenpairs (l, y) of the 3x3 G^T S_w^-1 G. Collinear
     class means are refused. Each axis's largest-magnitude entry is
-    positive. ``anchors`` adds sets whose centroids are map anchors.
+    positive.
     """
     if len(class_vectors) != 3:
         raise DataError(f"fisher_projection expects exactly 3 classes, got {len(class_vectors)}")
-    labels = list(class_vectors)
     matrices = []
-    for label in labels:
-        m = np.asarray(class_vectors[label], dtype=np.float64)
+    for label, vectors in class_vectors.items():
+        m = np.asarray(vectors, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] < 2:
             raise DataError(f"class {label!r} needs at least 2 vectors")
         matrices.append(m)
@@ -554,12 +554,11 @@ def fisher_projection(class_vectors: Mapping[str, Sequence],
         raise DataError(f"classes disagree on dimensionality: {sorted(dims)}")
     dim = dims.pop()
 
-    total = np.vstack(matrices)
-    grand_mean = total.mean(axis=0)
+    grand_mean = np.vstack(matrices).mean(axis=0)
     s_w = _RIDGE * np.eye(dim)
-    centroids, gaps = {}, []
-    for label, m in zip(labels, matrices):
-        centroids[label] = mu = m.mean(axis=0)
+    gaps = []
+    for m in matrices:
+        mu = m.mean(axis=0)
         dev = m - mu
         s_w += dev.T @ dev
         gaps.append(math.sqrt(m.shape[0]) * (mu - grand_mean))
@@ -576,19 +575,4 @@ def fisher_projection(class_vectors: Mapping[str, Sequence],
         col = axes[:, j]
         if col[int(np.argmax(np.abs(col)))] < 0:
             axes[:, j] = -col
-
-    q = np.asarray(queries, dtype=np.float64)
-    if q.size and (q.ndim != 2 or q.shape[1] != dim):
-        raise DataError(f"queries have shape {q.shape}, classes have dimension {dim}")
-    query_coords = q @ axes if q.size else np.empty((0, 2))
-
-    class_coords = {label: centroids[label] @ axes for label in labels}
-    anchor_coords = {}
-    if anchors:
-        for label, vectors in anchors.items():
-            m = np.asarray(vectors, dtype=np.float64)
-            if m.ndim == 1:
-                m = m.reshape(1, -1)
-            anchor_coords[label] = m.mean(axis=0) @ axes
-    return ProjectionResult(query_coords=query_coords, class_coords=class_coords,
-                            anchor_coords=anchor_coords, axes=axes)
+    return axes

@@ -385,10 +385,10 @@ def decade_scores(diachronic, lexicon, spec, words, tier):
                      + ((len(tier_classes(tier)),) if tier == CATEGORY else ()), np.nan)
     for j, space in enumerate(diachronic):
         model = fit(spec, seed_vectors(lexicon, space, tier), tier=tier)
-        matrix, found, _ = space.rows(words)
+        found = [w for w in words if w in space]
         if not found:
             continue
-        probs = posterior_batch(model, matrix)
+        probs = posterior_batch(model, np.array([space.vector(w) for w in found]))
         if tier != CATEGORY:
             probs = probs[:, model.classes.index(_SCORE_CLASS[tier])]
         values[[words.index(w) for w in found], j] = probs

@@ -268,6 +268,20 @@ class TestEvaluate:
         assert len(lines) == 2 + 6
 
 
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_historical_refuses_a_decade(self, capsys, world_files, tmp_path, how):
+        # 1234 is no decade of the manifest; it was ignored all the same.
+        config = tmp_path / "run.cfg"
+        config.write_text("decade=1234\n")
+        extra = ["--decade", "1234"] if how == "flag" else ["--config", str(config)]
+        code, out, err = run(capsys, "evaluate", *data_args(world_files), "--tier", "relevance",
+                             "--historical", *extra, "--out-dir", str(tmp_path / "out"))
+        assert (code, out) == (2, "")
+        assert err == ("moraldrift: error: --historical evaluates every decade "
+                       "and takes no --decade\n")
+        assert not (tmp_path / "out").exists()
+
+
 class TestTimecourse:
     def test_binary_course_with_log_odds(self, capsys, world_files, tmp_path):
         code, _, _ = run(capsys, "timecourse", *data_args(world_files),

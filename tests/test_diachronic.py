@@ -198,6 +198,21 @@ def relevance_matrix(world):
 
 
 class TestRetrieveChanging:
+    @pytest.mark.parametrize("direction", ["toward-relevance", "toward-negative"])
+    def test_infinite_score_refused(self, world, relevance_matrix, direction):
+        values = relevance_matrix.values.copy()
+        values[3, 2] = np.inf
+        relevance = dataclasses.replace(relevance_matrix, values=values)
+        matrix, kwargs = relevance, {}
+        if direction != "toward-relevance":
+            matrix = prediction_matrix(world.diachronic, world.lexicon, SPEC,
+                                       list(relevance.words), "polarity")
+            kwargs["relevance_matrix"] = relevance
+        with pytest.raises(DataError, match=f"^word {relevance.words[3]!r} has an infinite "
+                                            f"score; only NaN marks a missing one$"):
+            retrieve_changing(matrix, world.lexicon, world.diachronic, SPEC, direction,
+                              **kwargs)
+
     def test_planted_riser_ranks_first(self, world, relevance_matrix):
         records = retrieve_changing(relevance_matrix, world.lexicon,
                                     world.diachronic, SPEC,

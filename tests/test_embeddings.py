@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis.extra.numpy import arrays
 from hypothesis import strategies as st
 
 import reference
@@ -239,8 +240,8 @@ class TestProcrustes:
         target = random_space(1910, 30, 6, seed=13)
         rotation, _ = align_procrustes(source, target)
         shared = sorted(source.words)
-        x, _, _ = source.rows(shared)
-        y, _, _ = target.rows(shared)
+        x, _ = source.rows(shared)
+        y, _ = target.rows(shared)
         want, _ = orthogonal_procrustes(x, y)
         np.testing.assert_allclose(rotation, want, atol=1e-10)
 
@@ -433,3 +434,31 @@ class TestSpaceInvariants:
     def test_make_space_helper(self):
         space = make_space(1950, {"x": np.array([1.0, 2.0])})
         assert space.decade == 1950 and space.dim == 2
+
+
+@st.composite
+def gathers(draw):
+    """A float32 or float64 space and a word list with absent and
+    repeated words."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    n, dim = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    width = 32 if dtype is np.float32 else 64
+    matrix = draw(arrays(dtype, (n, dim), elements=st.floats(-1e6, 1e6, width=width)))
+    vocabulary = [f"w{i}" for i in range(n)]
+    words = draw(st.lists(st.sampled_from(vocabulary + ["absent", "gone"]), max_size=20))
+    return EmbeddingSpace(1900, vocabulary, matrix), words
+
+
+class TestRowsGather:
+    @settings(max_examples=200, deadline=None)
+    @given(gathers())
+    def test_rows_stack_the_vectors_of_the_present_words(self, data):
+        space, words = data
+        want = np.array([space.vector(w) for w in words if w in space]).reshape(-1, space.dim)
+        buffer = np.full((len(words), space.dim), np.nan)
+        for matrix, present in (space.rows(words), space.rows(iter(words), out=buffer)):
+            assert matrix.dtype == np.float64 and matrix.shape == want.shape
+            np.testing.assert_array_equal(matrix.view(np.uint64), want.view(np.uint64))
+            assert present.dtype == bool
+            assert present.tolist() == [w in space for w in words]
+        assert np.shares_memory(matrix, buffer) or not len(matrix)

@@ -162,7 +162,7 @@ class TestValenceCorrelation:
 
     def test_norms_equal_to_predictions_give_unit_correlation(self):
         model, space, words = self._polarity_model_and_space()
-        matrix, _, _ = space.rows(words)
+        matrix, _ = space.rows(words)
         probs = posterior_batch(model, matrix)[:, 0]
         norms = norm_table(words, 1.0 + 8.0 * probs)
         report = valence_correlation(model, space, norms)
@@ -171,7 +171,7 @@ class TestValenceCorrelation:
 
     def test_inverted_norms_give_negative_unit_correlation(self):
         model, space, words = self._polarity_model_and_space()
-        matrix, _, _ = space.rows(words)
+        matrix, _ = space.rows(words)
         probs = posterior_batch(model, matrix)[:, 0]
         norms = norm_table(words, 1.0 + 8.0 * (1.0 - probs))
         report = valence_correlation(model, space, norms)
@@ -185,7 +185,7 @@ class TestValenceCorrelation:
 
     def test_rated_words_without_embeddings_skipped(self):
         model, space, words = self._polarity_model_and_space()
-        matrix, _, _ = space.rows(words)
+        matrix, _ = space.rows(words)
         probs = posterior_batch(model, matrix)[:, 0]
         norms = norm_table([*words, "ghost"], [*(1.0 + 8.0 * probs), 2.0])
         report = valence_correlation(model, space, norms)

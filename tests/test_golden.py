@@ -83,12 +83,13 @@ def _file(path: Path):
     return path.read_text().splitlines()
 
 
-def run_suite(root: Path) -> dict:
-    """Write the fixture world under ``root``, run every command there and
-    return ``{label: result}`` in the golden files' form."""
+def run_suite(root: Path, src: Path = SRC) -> dict:
+    """Write the fixture world under ``root``, run every command there with
+    the package in ``src`` and return ``{label: result}`` in the golden
+    files' form. Each command's files stay in ``root/out/<label>``."""
     write_world_files(root / "world")
     write_changer_files(root / "changers", decade_noise=0.02)
-    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1",
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     results = {}
     for label, argv in COMMANDS:

@@ -67,7 +67,7 @@ def assert_reads_as_reference(path, format, oracle):
     assert space.words == tuple(words)
     assert space.n_duplicates == n_dup
     assert space.matrix.dtype == (np.float32 if format == BINARY_FORMAT else np.float64)
-    rows, _, _ = space.rows(space.words)
+    rows, _ = space.rows(space.words)
     np.testing.assert_array_equal(rows.view(np.uint64), matrix.view(np.uint64))
 
 
