@@ -17,7 +17,7 @@ import logging
 import numbers
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -37,6 +37,7 @@ BANDWIDTH_GRID = tuple(round(0.1 * i, 1) for i in range(1, 11))
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _MAX_H = sys.float_info.max / 2.0
+_BLOCK_ROWS = 256  # queries scored at once: 256 x 300 float64 rows are 600 KB
 
 
 @dataclass(frozen=True)
@@ -234,8 +235,16 @@ def _normalize(logits: np.ndarray) -> np.ndarray:
     return probs
 
 
+def _blocks(n: int) -> Iterator[slice]:
+    """The row blocks that ``n`` queries are scored in, ``_BLOCK_ROWS`` at a
+    time, so no temporary grows with ``n``. A score's last bits can depend on
+    its block (BLAS), so ``posterior_batch`` and ``_decade_scores`` share them."""
+    return (slice(s, s + _BLOCK_ROWS) for s in range(0, n, _BLOCK_ROWS))
+
+
 def posterior_batch(model: Classifier, queries) -> np.ndarray:
-    """Posterior probabilities for a batch of queries, shape (n, n_classes).
+    """Posterior probabilities for a batch of queries, shape (n, n_classes),
+    scored in ``_blocks``.
 
     Columns follow ``model.classes``. Rows are normalized exactly.
     """
@@ -246,11 +255,15 @@ def posterior_batch(model: Classifier, queries) -> np.ndarray:
         raise DataError(f"query has dimension {q.shape[1]}, model expects {model.dim}")
     if not np.all(np.isfinite(q)):
         raise DataError("query vector contains non-finite entries")
-    return _posteriors(model, q)
+    out = np.empty((len(q), len(model.classes)))
+    for block in _blocks(len(q)):
+        out[block] = _posteriors(model, q[block])
+    return out
 
 
 def _posteriors(model: Classifier, q: np.ndarray) -> np.ndarray:
-    """``posterior_batch`` of a finite float64 (n, dim) matrix, unchecked."""
+    """Posteriors of one block of queries, a finite float64 (n, dim) matrix,
+    unchecked."""
     n_classes = len(model.classes)
     if model.spec.kind == CENTROID:
         return _normalize(-np.sqrt(_sq_dists(q, model.means)))

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .classifiers import ModelSpec, _posteriors, fit_tier
+from .classifiers import _BLOCK_ROWS, ModelSpec, _blocks, _posteriors, fit_tier
 from .embeddings import Column, DiachronicEmbeddings, read_table
 from .errors import CoverageError, DataError, ParseError
 from .lexicon import CATEGORY, POLARITY, RELEVANCE, SeedLexicon, tier_classes
@@ -84,20 +84,21 @@ def _decade_scores(diachronic: DiachronicEmbeddings, lexicon: SeedLexicon,
     """Scores of words under each decade's model, fit once per decade: the
     tracked pole's probability for a binary tier, (n_words, n_decades); the
     class distribution for the category tier, (n_words, n_decades, 10).
-    NaN where a word has no embedding. Rows are gathered into one buffer
-    and scored unchecked: a space's rows are finite."""
+    NaN where a word has no embedding. Each of the word list's ``_blocks``
+    is gathered, decade by decade, into one reused buffer and scored
+    unchecked: a space's rows are finite."""
     values = np.full((len(words), len(diachronic))
                      + ((len(tier_classes(tier)),) if tier == CATEGORY else ()), np.nan)
-    buffer = np.empty((len(words), diachronic.dim))
-    for j, space in enumerate(diachronic):
-        model = fit_tier(spec, lexicon, space, tier)
-        matrix, present = space.rows(words, out=buffer)
-        if not len(matrix):
-            continue
-        probs = _posteriors(model, matrix)
-        if tier != CATEGORY:
-            probs = probs[:, model.classes.index(_SCORE_CLASS[tier])]
-        values[present, j] = probs
+    buffer = np.empty((min(len(words), _BLOCK_ROWS), diachronic.dim))
+    for block in _blocks(len(words)):
+        chunk, scores = words[block], values[block]
+        for j, space in enumerate(diachronic):
+            model = fit_tier(spec, lexicon, space, tier)
+            matrix, present = space.rows(chunk, out=buffer)
+            probs = _posteriors(model, matrix)
+            if tier != CATEGORY:
+                probs = probs[:, model.classes.index(_SCORE_CLASS[tier])]
+            scores[present, j] = probs
     return values
 
 

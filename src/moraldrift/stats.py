@@ -348,9 +348,10 @@ class _ChangeSample:
     change regression, found once for any number of decade shuffles:
     words with at least ``MIN_SLOPE_DECADES`` scored decades and an entry
     in both tables of ``factor_tables(norms, frequencies)``. Holds their
-    score rows (C-ordered) and factor columns, and the design matrix
-    (intercept, then ``REGRESSION_FACTORS``). A matrix whose kind is not
-    relevance, or that holds a ±inf score, is refused."""
+    score rows (C-ordered), relevance classes (score > 0.5) and factor
+    columns, the rows with gaps (with their presence and classes), and
+    the design matrix (intercept, then ``REGRESSION_FACTORS``). A matrix
+    whose kind is not relevance, or that holds a ±inf score, is refused."""
 
     def __init__(self, matrix: "PredictionMatrix", norms: NormTable,
                  frequencies: Mapping[str, float] | Sequence[tuple[str, float]]):
@@ -371,32 +372,24 @@ class _ChangeSample:
             "concreteness": np.array([concreteness[w] for w in self.words]),
         }
         self.design = np.column_stack([np.ones(len(rows)), *self.factors.values()])
+        present = np.isfinite(self.values)
+        self.high = self.values > 0.5
+        gappy = np.flatnonzero(~present.all(axis=1))
+        self.gaps = gappy, present[gappy], self.high[gappy]
 
-    def changed(self, perms: np.ndarray) -> np.ndarray:
-        """(rows, shuffles) booleans: the word's relevance class (score vs
-        0.5) differs between its first and last scored decade once the
-        decade columns are reordered by that row of ``perms``.
-
-        A row without gaps starts at column ``perm[0]`` and ends at
-        ``perm[-1]`` under every shuffle, so its filter is one gather; a
-        row with gaps finds its first and last scored decade per shuffle."""
-        high = self.values > 0.5
-        changed = high[:, perms[:, 0]] != high[:, perms[:, -1]]
-        gappy = np.flatnonzero(~np.isfinite(self.values).all(axis=1))
+    def slopes(self, perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows one decade shuffle selects and their change slopes over
+        the decades in ``perm`` order. A row is selected when its relevance
+        class (score vs 0.5) differs between its first and last scored
+        decade in that order: column ``perm[0]`` and ``perm[-1]`` for a row
+        without gaps, found per shuffle for a row with gaps."""
+        changed = self.high[:, perm[0]] != self.high[:, perm[-1]]
+        gappy, present, high = self.gaps
         if gappy.size:
-            present, high = np.isfinite(self.values[gappy]), high[gappy]
-            rows, last = np.arange(gappy.size), perms.shape[1] - 1
-            for i, perm in enumerate(perms):
-                shuffled = present[:, perm]
-                first_col = perm[np.argmax(shuffled, axis=1)]
-                last_col = perm[last - np.argmax(shuffled[:, ::-1], axis=1)]
-                changed[gappy, i] = high[rows, first_col] != high[rows, last_col]
-        return changed
-
-    def slopes(self, changed: np.ndarray, perm: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
-        """The rows one shuffle selects (one column of ``changed``) and
-        their change slopes over the decades in ``perm`` order."""
+            shuffled, rows = present[:, perm], np.arange(gappy.size)
+            first_col = perm[np.argmax(shuffled, axis=1)]
+            last_col = perm[len(perm) - 1 - np.argmax(shuffled[:, ::-1], axis=1)]
+            changed[gappy] = high[rows, first_col] != high[rows, last_col]
         sel = np.flatnonzero(changed)
         if sel.size <= len(REGRESSION_FACTORS) + 1:
             raise DataError(
@@ -408,8 +401,7 @@ class _ChangeSample:
         """The unshuffled regression (see ``psycholinguistic_regression``):
         the fit, the words that entered it, and their slopes and factor
         columns."""
-        identity = np.arange(self.values.shape[1])
-        sel, slopes = self.slopes(self.changed(identity[None, :])[:, 0], identity)
+        sel, slopes = self.slopes(np.arange(self.values.shape[1]))
         factors = {name: col[sel] for name, col in self.factors.items()}
         return (multiple_regression(slopes, factors), [self.words[i] for i in sel],
                 slopes, factors)
@@ -472,10 +464,11 @@ def permutation_control(
     correction. Deterministic under a fixed seed.
 
     The candidate words, their factor columns and the design matrix do
-    not depend on the shuffle and are found once. The change filter for
-    all shuffles is one gather (see ``_ChangeSample.changed``); each
-    shuffle then fits slopes on the rows it selects and solves the
-    least-squares problem. The coefficients equal, bit for bit, a
+    not depend on the shuffle and are found once, and so are each word's
+    relevance classes and the words with gaps. Each shuffle then takes its
+    own change filter, one column per word (see ``_ChangeSample.slopes``),
+    fits slopes on the rows it selects and solves the least-squares
+    problem. The coefficients equal, bit for bit, a
     ``psycholinguistic_regression`` run on each shuffled matrix. A matrix
     whose kind is not relevance, or that holds a ±inf score, is refused.
 
@@ -502,11 +495,10 @@ def permutation_control(
 
     sample = _ChangeSample(matrix, norms, frequencies)
     base_fit = sample.fit()[0]
-    changed = sample.changed(perms)
     control = np.empty((len(REGRESSION_FACTORS), n_shuffles))
     for i, perm in enumerate(perms):
         try:
-            sel, slopes = sample.slopes(changed[:, i], perm)
+            sel, slopes = sample.slopes(perm)
             x = sample.design[sel]
             for name, col in zip(("y",) + REGRESSION_FACTORS, (slopes, *x.T[1:])):
                 _column(name, col)  # the refusals of multiple_regression

@@ -11,7 +11,11 @@ own directory under OUT with relative paths, so the config hash in
 - ``golden``: the 16 commands of ``test_golden.py`` on the fixture world;
 - ``bench-text`` and ``bench-binary``: the 13 cli-pipeline commands of
   ``bench/workloads.py`` on ``bench/gen.py``'s seed-1 corpus, as word2vec
-  text and as word2vec binary.
+  text and as word2vec binary;
+- ``bench-scan``: on the seed-1 matrix-scan corpus (word2vec binary, a
+  4,210-word list, so more than one scoring block), ``matrix`` of both
+  kinds with ``centroid`` and with ``kde --bandwidth 0.5``, ``retrieve``
+  toward-relevance and toward-negative, ``regress`` and ``permute``.
 
 A suite directory keeps its inputs, the commands' files under ``out/``
 and ``commands.json``: each command's argv, exit code, stdout and stderr.
@@ -43,7 +47,7 @@ import numpy as np
 
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
-SUITES = ("golden", "bench-text", "bench-binary")
+SUITES = ("golden", "bench-text", "bench-binary", "bench-scan")
 BENCH_SEED = 1
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
 
@@ -68,26 +72,52 @@ def _golden(root: Path, src: Path) -> dict:
             for label, result in run_suite(root, src).items()}
 
 
-def _bench(root: Path, src: Path, fmt: str) -> dict:
+def _bench(root: Path, src: Path, workload: str, fmt: str) -> dict:
     sys.path.insert(0, str(ROOT / "bench"))
     import gen
     import workloads
 
-    corpus = gen.generate(root / "inputs", BENCH_SEED, workloads.SHAPES["cli-pipeline"],
+    corpus = gen.generate(root / "inputs", BENCH_SEED, workloads.SHAPES[workload],
                           formats=(fmt,))
     paths = {"manifest": corpus.manifests[fmt], "mfd": corpus.mfd, "norms": corpus.norms,
              "wordlist": corpus.wordlist}
     inputs = {key: str(path.relative_to(root)) for key, path in paths.items()}
     inputs.update(risers=corpus.risers, fallers=corpus.fallers, changers=corpus.changers)
+    commands = (workloads.cli_commands(inputs, "out") if workload == "cli-pipeline"
+                else _scan_commands(inputs, workloads.MATRIX_SCAN_H, workloads.SHUFFLES))
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     results = {}
-    for label, argv in workloads.cli_commands(inputs, "out"):
+    for label, argv in commands:
         proc = subprocess.run([sys.executable, "-m", "moraldrift.cli", *argv], cwd=root,
                               env=env, capture_output=True, text=True)
         results[label] = {"argv": argv, "exit": proc.returncode,
                           "stdout": _stdout(proc.stdout), "stderr": proc.stderr}
     return results
+
+
+def _scan_commands(inputs: dict, h: float, shuffles: int) -> list[tuple[str, list[str]]]:
+    """(label, argv tail) of the bench-scan suite: both matrix kinds per
+    model, each model's files in its own directory, then retrieval,
+    regression and the permutation control on the centroid matrices."""
+    lex = ["--manifest", inputs["manifest"], "--mfd", inputs["mfd"], "--norms", inputs["norms"]]
+    models = {"centroid": ["--model", "centroid"],
+              "kde": ["--model", "kde", "--bandwidth", str(h)]}
+    cmds = [(f"matrix.{name}.{kind}", ["matrix", *lex, *model, "--wordlist", inputs["wordlist"],
+                                       "--kind", kind, "--out-dir", f"out/{name}"])
+            for name, model in models.items() for kind in ("relevance", "polarity")]
+    rel, pol = "out/centroid/matrix_relevance.json", "out/centroid/matrix_polarity.json"
+    reg = ["--matrix", rel, "--norms", inputs["norms"], "--wordlist", inputs["wordlist"],
+           "--out-dir", "out"]
+    return cmds + [
+        ("retrieve.toward-relevance", ["retrieve", *lex, "--matrix", rel,
+                                       "--direction", "toward-relevance", "--out-dir", "out"]),
+        ("retrieve.toward-negative", ["retrieve", *lex, "--matrix", pol,
+                                      "--relevance-matrix", rel, "--direction",
+                                      "toward-negative", "--out-dir", "out"]),
+        ("regress", ["regress", *reg]),
+        ("permute", ["permute", *reg, "--shuffles", str(shuffles), "--seed", "0"]),
+    ]
 
 
 def run(src: Path, out: Path) -> None:
@@ -96,8 +126,12 @@ def run(src: Path, out: Path) -> None:
     for suite in SUITES:
         root = out.resolve() / suite
         root.mkdir(parents=True, exist_ok=False)
-        results = (_golden(root, src) if suite == "golden"
-                   else _bench(root, src, suite.split("-")[1]))
+        if suite == "golden":
+            results = _golden(root, src)
+        elif suite == "bench-scan":
+            results = _bench(root, src, "matrix-scan", "binary")
+        else:
+            results = _bench(root, src, "cli-pipeline", suite.split("-")[1])
         (root / "commands.json").write_text(json.dumps(results, indent=1) + "\n")
 
 

@@ -375,8 +375,9 @@ def fisher_axes_mpmath(class_vectors, ridge=1e-6, dps=60):
 def decade_scores(diachronic, lexicon, spec, words, tier):
     """The library's ``_decade_scores`` without ``fit_tier``: each decade's
     model is built with ``fit(spec, seed_vectors(...))`` on every call, and
-    the found words are scored in one batch, as the library does."""
-    from moraldrift.classifiers import fit, posterior_batch
+    the found words of each block of ``_BLOCK_ROWS`` words of the list are
+    scored in one batch, the block partition the library scores in."""
+    from moraldrift.classifiers import _BLOCK_ROWS, fit, posterior_batch
     from moraldrift.diachronic import _SCORE_CLASS
     from moraldrift.lexicon import CATEGORY, seed_vectors, tier_classes
 
@@ -385,13 +386,14 @@ def decade_scores(diachronic, lexicon, spec, words, tier):
                      + ((len(tier_classes(tier)),) if tier == CATEGORY else ()), np.nan)
     for j, space in enumerate(diachronic):
         model = fit(spec, seed_vectors(lexicon, space, tier), tier=tier)
-        found = [w for w in words if w in space]
-        if not found:
-            continue
-        probs = posterior_batch(model, np.array([space.vector(w) for w in found]))
-        if tier != CATEGORY:
-            probs = probs[:, model.classes.index(_SCORE_CLASS[tier])]
-        values[[words.index(w) for w in found], j] = probs
+        for start in range(0, len(words), _BLOCK_ROWS):
+            found = [w for w in words[start:start + _BLOCK_ROWS] if w in space]
+            if not found:
+                continue
+            probs = posterior_batch(model, np.array([space.vector(w) for w in found]))
+            if tier != CATEGORY:
+                probs = probs[:, model.classes.index(_SCORE_CLASS[tier])]
+            values[[words.index(w) for w in found], j] = probs
     return values
 
 
