@@ -26,8 +26,8 @@ from .lexicon import (NormTable, SeedLexicon, build_irrelevant_seeds,
                       build_tiers, category_label, load_mfd, load_norms,
                       relevant_words, seed_vectors, tier_classes)
 from .stats import (CorrelationReport, PermutationReport, RegressionFit,
-                    fisher_projection, multiple_regression, partial_correlation,
-                    pearson, permutation_control, psycholinguistic_regression)
+                    fisher_projection, multiple_regression, pearson,
+                    permutation_control, psycholinguistic_regression)
 
 __all__ = [
     "__version__",
@@ -52,8 +52,7 @@ __all__ = [
     "load_wordlist", "matrix_to_json_dict", "matrix_from_json",
     # stats
     "CorrelationReport", "RegressionFit", "PermutationReport",
-    "pearson", "multiple_regression",
-    "partial_correlation", "psycholinguistic_regression",
+    "pearson", "multiple_regression", "psycholinguistic_regression",
     "permutation_control", "fisher_projection",
     # errors
     "MoraldriftError", "ParseError", "DataError", "CoverageError",

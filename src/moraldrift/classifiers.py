@@ -80,7 +80,6 @@ class Classifier:
     spec: ModelSpec
     classes: tuple[str, ...]
     dim: int
-    tier: str | None = None
     # Sufficient statistics; which fields are set depends on spec.kind.
     means: np.ndarray | None = field(default=None, repr=False)       # (C, d)
     variances: np.ndarray | None = field(default=None, repr=False)   # (C, d)
@@ -126,8 +125,7 @@ def _sq_dists(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
-def fit(spec: ModelSpec, class_vectors: Mapping[str, Sequence],
-        tier: str | None = None) -> Classifier:
+def fit(spec: ModelSpec, class_vectors: Mapping[str, Sequence]) -> Classifier:
     """Fit a classifier from per-class seed vectors.
 
     Class order (and hence tie-breaking order) follows the mapping's
@@ -151,8 +149,7 @@ def fit(spec: ModelSpec, class_vectors: Mapping[str, Sequence],
             logger.info("selected KDE bandwidth h=%g by leave-one-out accuracy", spec.h)
     for array in arrays.values():
         array.flags.writeable = False
-    return Classifier(spec=spec, classes=labels, dim=matrices[0].shape[1], tier=tier,
-                      **arrays)
+    return Classifier(spec=spec, classes=labels, dim=matrices[0].shape[1], **arrays)
 
 
 def fit_tier(spec: ModelSpec, lexicon: SeedLexicon, space: EmbeddingSpace,
@@ -162,7 +159,7 @@ def fit_tier(spec: ModelSpec, lexicon: SeedLexicon, space: EmbeddingSpace,
     model. A fit that raises is not kept, so it raises again."""
     models = lexicon._models.setdefault(space, {})
     if (spec, tier) not in models:
-        models[spec, tier] = fit(spec, seed_vectors(lexicon, space, tier), tier=tier)
+        models[spec, tier] = fit(spec, seed_vectors(lexicon, space, tier))
     return models[spec, tier]
 
 

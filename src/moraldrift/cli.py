@@ -43,8 +43,7 @@ from .evaluate import (load_survey, loo_accuracy, loo_accuracy_historical,
                        survey_correlation, valence_correlation)
 from .lexicon import (TIERS, NormTable, SeedLexicon, build_irrelevant_seeds,
                       build_tiers, load_mfd, load_norms, relevant_words)
-from .stats import (_ChangeSample, fisher_projection, partial_correlation,
-                    permutation_control)
+from .stats import fisher_projection, permutation_control, psycholinguistic_regression
 
 logger = logging.getLogger(__name__)
 
@@ -370,13 +369,10 @@ def _regression_inputs(args):
 
 
 def _cmd_regress(args) -> dict:
-    fit, words, slopes, factors = _ChangeSample(*_regression_inputs(args)).fit()
-    partial = partial_correlation(
-        slopes, factors["concreteness"],
-        {"frequency": factors["frequency"], "length": factors["length"]})
+    fit, words = psycholinguistic_regression(*_regression_inputs(args))
     return {
         "regress.json": {"fit": dataclasses.asdict(fit),
-                         "partial_concreteness": dataclasses.asdict(partial),
+                         "partial_concreteness": dataclasses.asdict(fit.partial("concreteness")),
                          "words": words},
         "regress.csv": (["factor", "coefficient", "std_error", "t_stat", "p_value"],
                         [(name, fit.coefficients[name], fit.std_errors[name],

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .classifiers import Classifier, ModelSpec, _loo_predict, posterior, posterior_batch
+from .classifiers import (_BLOCK_ROWS, Classifier, ModelSpec, _blocks, _loo_predict,
+                          posterior, posterior_batch)
 from .embeddings import (Column, DiachronicEmbeddings, EmbeddingSpace, average_vector,
                          read_table)
 from .errors import DataError
@@ -109,12 +111,18 @@ def loo_accuracy_historical(spec: ModelSpec, lexicon: SeedLexicon,
 def valence_correlation(polarity_model: Classifier, space: EmbeddingSpace,
                         norms: NormTable) -> CorrelationReport:
     """Correlate human valence ratings with predicted positive-polarity
-    probability over all rated words that have embeddings."""
-    matrix, present = space.rows(norms.words)
-    if len(matrix) < 3:
-        raise DataError(f"only {len(matrix)} rated words have embeddings; need >= 3")
-    probs = posterior_batch(polarity_model, matrix)
-    positive = probs[:, polarity_model.classes.index("positive")]
+    probability over all rated words that have embeddings. Those words are
+    found first, then gathered and scored in ``_blocks`` through one reused
+    buffer: the blocks of a ``posterior_batch`` over all their rows."""
+    present = np.fromiter((w in space for w in norms.words), dtype=bool, count=len(norms))
+    found = list(compress(norms.words, present))
+    if len(found) < 3:
+        raise DataError(f"only {len(found)} rated words have embeddings; need >= 3")
+    positive = np.empty(len(found))
+    buffer = np.empty((min(len(found), _BLOCK_ROWS), space.dim))
+    for block in _blocks(len(found)):
+        probs = posterior_batch(polarity_model, space.rows(found[block], out=buffer)[0])
+        positive[block] = probs[:, polarity_model.classes.index("positive")]
     return pearson(norms.valence[present], positive)
 
 

@@ -48,6 +48,16 @@ class RegressionFit:
     n: int
     r_squared: float
 
+    def partial(self, name: str) -> CorrelationReport:
+        """The partial correlation of y and factor ``name`` given the fit's
+        other columns, read off the fit (Frisch-Waugh-Lovell; Lovell, JASA
+        1963): r = t / sqrt(t^2 + dof) for dof = n - len(coefficients), ±1
+        with the coefficient's sign at infinite t, and p is the factor's p."""
+        t = self.t_stats[name]
+        dof = self.n - len(self.coefficients)
+        r = math.copysign(1.0, t) if math.isinf(t) else t / math.hypot(t, math.sqrt(dof))
+        return CorrelationReport(r=r, p=self.p_values[name], n=self.n)
+
 
 @dataclass(frozen=True)
 class FactorControl:
@@ -91,15 +101,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationReport:
     if sx == 0.0 or sy == 0.0:
         raise DataError("correlation is undefined for a constant input")
     r = float(np.clip(np.sum(xc * yc) / (sx * sy), -1.0, 1.0))
-    return CorrelationReport(r=r, p=_correlation_p(r, n - 2), n=n)
-
-
-def _correlation_p(r: float, dof: int) -> float:
-    """Two-sided p of the t-test of a correlation r on ``dof`` degrees of
-    freedom; 0 at |r| = 1."""
-    if 1.0 - r * r <= 0.0:
-        return 0.0
-    return float(_two_sided_p(r * np.sqrt(dof / (1.0 - r * r)), dof))
+    t = r * np.sqrt((n - 2) / (1.0 - r * r)) if r * r < 1.0 else np.inf  # p = 0 at |r| = 1
+    return CorrelationReport(r=r, p=float(_two_sided_p(t, n - 2)), n=n)
 
 
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
@@ -274,7 +277,7 @@ def _design(factors: Mapping[str, Sequence[float]], n: int) -> tuple[np.ndarray,
 def _solve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Least-squares coefficients of ``y`` on the full-rank design ``x``;
     the rank is the solve's own (singular values above eps * max(n, p)
-    times the largest, as ``matrix_rank`` counts them)."""
+    times the largest)."""
     beta, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
     if rank < x.shape[1]:
         raise DataError("design matrix is rank-deficient (collinear factors)")
@@ -299,44 +302,15 @@ def multiple_regression(y: Sequence[float],
     se = np.sqrt(np.diag(cov))
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_stats = np.where(se == 0.0, np.where(beta == 0.0, 0.0, np.inf), beta / se)
-    p = _two_sided_p(t_stats, dof)  # 1 at t = 0, 0 at t = inf
+        t_stats = np.where(se == 0.0, np.where(beta == 0.0, 0.0, np.copysign(np.inf, beta)),
+                           beta / se)
+    p = _two_sided_p(t_stats, dof)  # 1 at t = 0, 0 at t = ±inf
     tss = float(np.sum((ya - ya.mean()) ** 2))
     r_squared = 1.0 if tss == 0.0 else 1.0 - rss / tss
     return RegressionFit(coefficients=dict(zip(names, beta.tolist())),
                          std_errors=dict(zip(names, se.tolist())),
                          t_stats=dict(zip(names, t_stats.tolist())),
                          p_values=dict(zip(names, p.tolist())), n=n, r_squared=r_squared)
-
-
-def partial_correlation(target: Sequence[float], factor: Sequence[float],
-                        controls: Mapping[str, Sequence[float]]) -> CorrelationReport:
-    """Pearson correlation of the OLS residuals of target and factor on
-    the control columns. With no controls this is the plain correlation.
-    Its t-test has n - 2 - k degrees of freedom for k controls, so p equals
-    the factor's p in the OLS fit of target on factor and controls."""
-    ta = _column("target", target)
-    n = ta.shape[0]
-    fa = _column("factor", factor, n)
-    if not controls:
-        return pearson(ta, fa)
-    x, _ = _design(controls, n)
-    if np.linalg.matrix_rank(x) < x.shape[1]:
-        raise DataError("control design matrix is rank-deficient")
-    if n <= x.shape[1] + 1:
-        raise DataError(f"need more than {x.shape[1] + 1} samples, got {n}")
-
-    def residualize(name, v):
-        beta, _, _, _ = np.linalg.lstsq(x, v, rcond=None)
-        resid = v - x @ beta
-        centered = v - v.mean()
-        total = float(centered @ centered)
-        if total == 0.0 or float(resid @ resid) <= 1e-10 * total:
-            raise DataError(f"{name} is (numerically) a linear function of the controls")
-        return resid
-
-    r = pearson(residualize("target", ta), residualize("factor", fa)).r
-    return CorrelationReport(r=r, p=_correlation_p(r, n - x.shape[1] - 1), n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -397,14 +371,12 @@ class _ChangeSample:
                 f"need more than {len(REGRESSION_FACTORS) + 1}")
         return sel, _slopes(self.values[sel[:, None], perm])[0]  # C-ordered gather
 
-    def fit(self) -> tuple[RegressionFit, list[str], np.ndarray, dict[str, np.ndarray]]:
+    def fit(self) -> tuple[RegressionFit, list[str]]:
         """The unshuffled regression (see ``psycholinguistic_regression``):
-        the fit, the words that entered it, and their slopes and factor
-        columns."""
+        the fit and the words that entered it."""
         sel, slopes = self.slopes(np.arange(self.values.shape[1]))
         factors = {name: col[sel] for name, col in self.factors.items()}
-        return (multiple_regression(slopes, factors), [self.words[i] for i in sel],
-                slopes, factors)
+        return multiple_regression(slopes, factors), [self.words[i] for i in sel]
 
 
 def factor_tables(norms: NormTable,
@@ -442,8 +414,7 @@ def psycholinguistic_regression(
     and the words that entered it. A matrix whose kind is not relevance,
     or that holds a ±inf score, is refused.
     """
-    fit, words, _, _ = _ChangeSample(matrix, norms, frequencies).fit()
-    return fit, words
+    return _ChangeSample(matrix, norms, frequencies).fit()
 
 
 def permutation_control(

@@ -285,6 +285,26 @@ def ols(y, factors):
             dict(zip(names, p.tolist())), r_squared)
 
 
+def partial_correlation(target, factor, controls):
+    """``(r, p)``: the Pearson correlation of the OLS residuals of ``target``
+    and ``factor`` on an intercept and the ``controls`` columns (the plain
+    correlation with no controls), and the two-sided p of its t-test on
+    n - 2 - len(controls) degrees of freedom, from ``scipy.stats.t``."""
+    from scipy import stats
+
+    target, factor = np.asarray(target, dtype=float), np.asarray(factor, dtype=float)
+    n = len(target)
+    if controls:
+        x = np.column_stack([np.ones(n)] + [np.asarray(v, dtype=float)
+                                            for v in controls.values()])
+        target, factor = (v - x @ np.linalg.lstsq(x, v, rcond=None)[0]
+                          for v in (target, factor))
+    tc, fc = target - target.mean(), factor - factor.mean()
+    r = float(np.sum(tc * fc) / (np.sqrt(np.sum(tc * tc)) * np.sqrt(np.sum(fc * fc))))
+    dof = n - 2 - len(controls)
+    return r, float(2.0 * stats.t.sf(abs(r) * math.sqrt(dof / (1.0 - r * r)), dof))
+
+
 def two_sided_t_p(t, df, dps=40):
     """2 P(T_df > |t|) in mpmath at ``dps`` digits, rounded to a float:
     I_x(a, 1/2) with a = df/2, x = df / (df + t^2), y = 1 - x, from
@@ -385,7 +405,7 @@ def decade_scores(diachronic, lexicon, spec, words, tier):
     values = np.full((len(words), len(diachronic))
                      + ((len(tier_classes(tier)),) if tier == CATEGORY else ()), np.nan)
     for j, space in enumerate(diachronic):
-        model = fit(spec, seed_vectors(lexicon, space, tier), tier=tier)
+        model = fit(spec, seed_vectors(lexicon, space, tier))
         for start in range(0, len(words), _BLOCK_ROWS):
             found = [w for w in words[start:start + _BLOCK_ROWS] if w in space]
             if not found:

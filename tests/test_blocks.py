@@ -6,7 +6,8 @@ scored bit for bit as ``reference.decade_scores`` scores it block by
 block, for all four model kinds and all three tiers, and ``posterior_batch``
 scores its rows in the same blocks. Memory does not grow
 with the word list: ``tracemalloc`` (which sees numpy's buffers) bounds a
-prediction matrix over 8,000 words and a 1,000-shuffle permutation control.
+prediction matrix over 8,000 words, a valence correlation over 8,000 rated
+words and a 1,000-shuffle permutation control.
 """
 import tracemalloc
 
@@ -15,7 +16,7 @@ import pytest
 
 from moraldrift import (DiachronicEmbeddings, EmbeddingSpace, ModelSpec, PredictionMatrix,
                         build_tiers, fit_tier, permutation_control, posterior_batch,
-                        prediction_matrix)
+                        prediction_matrix, valence_correlation)
 from moraldrift.classifiers import _BLOCK_ROWS
 from moraldrift.diachronic import _decade_scores
 
@@ -129,6 +130,18 @@ def test_prediction_matrix_memory_stays_near_one_block(spec):
     output = len(words) * len(diachronic) * 8
     peak = traced_peak(lambda: prediction_matrix(diachronic, lexicon, spec, words,
                                                  "relevance"))
+    # An unblocked 8,000 x 300 float64 gather alone is 19.2 MB.
+    assert peak < 4 * (block + output), (peak, block, output)
+
+
+def test_valence_correlation_memory_stays_near_one_block():
+    diachronic, lexicon, words = seeded_world(8000, 300, 1, seed=7)
+    space = diachronic.spaces[0]
+    model = fit_tier(ModelSpec("centroid"), lexicon, space, "polarity")
+    norms = norm_table(words, np.random.default_rng(7).uniform(1.0, 9.0, len(words)))
+    block = _BLOCK_ROWS * 300 * 8
+    output = len(words) * 8
+    peak = traced_peak(lambda: valence_correlation(model, space, norms))
     # An unblocked 8,000 x 300 float64 gather alone is 19.2 MB.
     assert peak < 4 * (block + output), (peak, block, output)
 

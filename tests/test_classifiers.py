@@ -340,7 +340,6 @@ class TestFitTier:
         model = fit_tier(ModelSpec("centroid"), world.lexicon,
                          world.spaces[0], "polarity")
         assert model.classes == ("positive", "negative")
-        assert model.tier == "polarity"
         p = posterior(model, world.spaces[0].vector("posmean"))
         assert p["positive"] > 0.5
 

@@ -533,6 +533,19 @@ class TestRegressAndPermute:
         assert lines[1] == "factor,coefficient,std_error,t_stat,p_value"
         assert len(lines) == 2 + 4
 
+    def test_partial_concreteness_is_the_fits_t_test(self, capsys, changer_files, tmp_path):
+        code, _, _ = run(capsys, "regress", "--matrix", str(changer_files.matrix),
+                         "--norms", str(changer_files.norms),
+                         "--wordlist", str(changer_files.wordlist), "--out-dir", str(tmp_path))
+        assert code == 0
+        payload = json.loads((tmp_path / "regress.json").read_text())
+        fit, partial = payload["fit"], payload["partial_concreteness"]
+        assert list(partial) == ["r", "p", "n"]
+        assert partial["p"] == fit["p_values"]["concreteness"]
+        assert partial["n"] == fit["n"]
+        t = fit["t_stats"]["concreteness"]
+        assert partial["r"] == pytest.approx(t / np.hypot(t, np.sqrt(fit["n"] - 4)), rel=1e-15)
+
     def test_permute_deterministic(self, capsys, changer_files, tmp_path):
         args = ["permute", "--matrix", str(changer_files.matrix),
                 "--norms", str(changer_files.norms),

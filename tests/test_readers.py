@@ -19,10 +19,11 @@ from hypothesis import strategies as st
 import reference
 from moraldrift import (DataError, MoraldriftError, ParseError, load_diachronic,
                         load_embedding_space, load_mfd, load_norms, load_survey,
-                        load_wordlist, matrix_from_json)
+                        load_wordlist, matrix_from_json, multiple_regression,
+                        psycholinguistic_regression)
 from moraldrift.embeddings import BINARY_FORMAT, TEXT_FORMAT
 from moraldrift.embeddings import NPY_FORMAT, EmbeddingSpace, save_embedding_space
-from moraldrift.stats import _ChangeSample, factor_tables, slope_rows
+from moraldrift.stats import factor_tables, slope_rows
 
 from conftest import write_binary, write_text
 
@@ -295,16 +296,17 @@ class TestMatrixFromJson:
             matrix_from_json(path)
 
 
-def test_changed_word_fit_returns_its_slopes_and_factors(changer_files):
+def test_changed_word_fit_is_the_fit_of_its_slopes_and_factors(changer_files):
     matrix = matrix_from_json(changer_files.matrix)
     norms, frequencies = load_norms(changer_files.norms), load_wordlist(changer_files.wordlist)
-    fit, words, slopes, factors = _ChangeSample(matrix, norms, frequencies).fit()
+    fit, words = psycholinguistic_regression(matrix, norms, frequencies)
     rows = [matrix.words.index(w) for w in words]
-    np.testing.assert_array_equal(slopes, slope_rows(matrix.values[rows])[0])
+    slopes = slope_rows(matrix.values[rows])[0]
     concreteness, log_frequency = factor_tables(norms, frequencies)
-    np.testing.assert_array_equal(factors["concreteness"], [concreteness[w] for w in words])
-    np.testing.assert_array_equal(factors["frequency"], [log_frequency[w] for w in words])
-    np.testing.assert_array_equal(factors["length"], [len(w) for w in words])
+    factors = {"frequency": [log_frequency[w] for w in words],
+               "length": [len(w) for w in words],
+               "concreteness": [concreteness[w] for w in words]}
+    assert fit == multiple_regression(slopes, factors)
     assert fit.n == len(words)
 
 

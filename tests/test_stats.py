@@ -6,8 +6,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from moraldrift import (DataError, PredictionMatrix, fisher_projection,
-                        multiple_regression, partial_correlation, pearson,
-                        permutation_control, psycholinguistic_regression)
+                        multiple_regression, pearson, permutation_control,
+                        psycholinguistic_regression)
 from moraldrift.stats import _two_sided_p, slope_rows
 
 import reference
@@ -259,6 +259,13 @@ class TestMultipleRegression:
         with pytest.raises(DataError, match="samples"):
             multiple_regression([1.0, 2.0], {"x": [1.0, 2.0]})
 
+    def test_zero_residual_t_has_the_coefficient_sign(self):
+        # y = 1 - x exactly: se is 0, or a rounding residue on some BLAS builds.
+        fit = multiple_regression([2.0, -1.0, 0.0, 3.0], {"x": [-1.0, 2.0, 1.0, -2.0]})
+        assert fit.coefficients["x"] == pytest.approx(-1.0, rel=1e-12)
+        assert np.sign(fit.t_stats["x"]) == np.sign(fit.coefficients["x"]) == -1.0
+        assert fit.partial("x").r == -1.0
+
     @pytest.mark.parametrize("n, seed", [(6, 1), (40, 2), (500, 3)])
     def test_matches_reference_ols(self, n, seed):
         rng = np.random.default_rng(seed)
@@ -276,38 +283,55 @@ class TestMultipleRegression:
 
 
 class TestPartialCorrelation:
+    """``RegressionFit.partial``: the partial correlation read off the fit's
+    t-test (Frisch-Waugh-Lovell), against the residual correlation of
+    ``reference.partial_correlation``."""
+
     def test_empty_controls_equals_pearson(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal(25)
         y = rng.standard_normal(25)
-        assert partial_correlation(x, y, {}) == pearson(x, y)
+        report, want = multiple_regression(x, {"y": y}).partial("y"), pearson(x, y)
+        assert report.r == pytest.approx(want.r, rel=1e-12)
+        assert report.p == pytest.approx(want.p, rel=1e-9)
+        assert report.n == want.n == 25
 
     @pytest.mark.parametrize("n, n_controls", [(12, 2), (12, 1), (40, 3)])
     def test_p_equals_the_regression_p_of_the_factor(self, n, n_controls):
-        # Frisch-Waugh-Lovell: the residual correlation's t-test is the
-        # factor's t-test in the full fit, on n - 2 - k degrees of freedom.
         rng = np.random.default_rng(n + n_controls)
         controls = {f"c{i}": rng.standard_normal(n) for i in range(n_controls)}
         factor = rng.standard_normal(n) + sum(controls.values())
         target = 0.5 * factor - 0.3 * controls["c0"] + rng.standard_normal(n)
-        report = partial_correlation(target, factor, controls)
         fit = multiple_regression(target, {"factor": factor, **controls})
-        assert report.p == pytest.approx(fit.p_values["factor"], rel=1e-9)
-        t = fit.t_stats["factor"]
-        assert report.r == pytest.approx(t / np.sqrt(t * t + n - 2 - n_controls), rel=1e-9)
+        report = fit.partial("factor")
+        r, p = reference.partial_correlation(target, factor, controls)
+        assert report.p == fit.p_values["factor"]
+        assert report.p == pytest.approx(p, rel=1e-9)
+        assert report.r == pytest.approx(r, rel=1e-10)
         assert report.n == n
 
-    def test_too_few_samples_for_the_controls(self):
-        rng = np.random.default_rng(10)
-        with pytest.raises(DataError, match="^need more than 4 samples, got 4$"):
-            partial_correlation(rng.standard_normal(4), rng.standard_normal(4),
-                                {"a": rng.standard_normal(4), "b": rng.standard_normal(4)})
+    @settings(max_examples=100, deadline=None)
+    @given(n_controls=st.integers(0, 3), extra=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1), effect=st.floats(-2.0, 2.0))
+    def test_matches_the_residual_oracle(self, n_controls, extra, seed, effect):
+        n = n_controls + 2 + extra  # at least one degree of freedom
+        rng = np.random.default_rng(seed)
+        controls = {f"c{i}": rng.standard_normal(n) for i in range(n_controls)}
+        factor = rng.standard_normal(n) + sum(controls.values(), np.zeros(n))
+        target = effect * factor + sum(controls.values(), np.zeros(n)) + rng.standard_normal(n)
+        fit = multiple_regression(target, {"factor": factor, **controls})
+        report = fit.partial("factor")
+        r, p = reference.partial_correlation(target, factor, controls)
+        assert report.r == pytest.approx(r, rel=1e-10)
+        assert report.p == fit.p_values["factor"]
+        assert report.p == pytest.approx(p, rel=1e-7)
+        assert report.n == n
 
     def test_factor_linear_in_controls_rejected(self):
         rng = np.random.default_rng(8)
         z = rng.standard_normal(30)
-        with pytest.raises(DataError, match="linear function"):
-            partial_correlation(rng.standard_normal(30), 2.0 * z + 1.0, {"z": z})
+        with pytest.raises(DataError, match="rank-deficient"):
+            multiple_regression(rng.standard_normal(30), {"factor": 2.0 * z + 1.0, "z": z})
 
     def test_planted_partial_structure(self):
         rng = np.random.default_rng(9)
@@ -317,7 +341,7 @@ class TestPartialCorrelation:
         factor = u + 5.0 * z
         target = u - 5.0 * z
         raw = pearson(target, factor).r
-        partial = partial_correlation(target, factor, {"z": z}).r
+        partial = multiple_regression(target, {"factor": factor, "z": z}).partial("factor").r
         assert partial > raw
         assert partial > 0.9
 
