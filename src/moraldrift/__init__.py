@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 
 from .classifiers import (Classifier, ModelSpec, fit, fit_tier, posterior,
                           posterior_batch, select_bandwidth)
-from .diachronic import (ChangeRecord, PredictionMatrix, TimeCourse,
-                         load_wordlist, matrix_from_json, matrix_to_json_dict,
+from .diachronic import (ChangeRecord, PredictionMatrix, load_wordlist,
+                         matrix_from_json, matrix_to_json_dict,
                          prediction_matrix, retrieve_changing, time_course)
 from .embeddings import (DiachronicEmbeddings, EmbeddingSpace, align_diachronic,
                          align_procrustes, average_vector, load_diachronic,
@@ -47,7 +47,7 @@ __all__ = [
     "loo_accuracy_historical", "valence_correlation", "survey_correlation",
     "load_survey", "chance_level",
     # diachronic analysis
-    "TimeCourse", "PredictionMatrix", "ChangeRecord", "time_course",
+    "PredictionMatrix", "ChangeRecord", "time_course",
     "prediction_matrix", "retrieve_changing",
     "load_wordlist", "matrix_to_json_dict", "matrix_from_json",
     # stats

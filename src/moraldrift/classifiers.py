@@ -235,8 +235,22 @@ def _normalize(logits: np.ndarray) -> np.ndarray:
 def _blocks(n: int) -> Iterator[slice]:
     """The row blocks that ``n`` queries are scored in, ``_BLOCK_ROWS`` at a
     time, so no temporary grows with ``n``. A score's last bits can depend on
-    its block (BLAS), so ``posterior_batch`` and ``_decade_scores`` share them."""
+    its block (BLAS), so ``posterior_batch`` and ``_word_posteriors`` share them."""
     return (slice(s, s + _BLOCK_ROWS) for s in range(0, n, _BLOCK_ROWS))
+
+
+def _word_posteriors(model: Classifier, space: EmbeddingSpace,
+                     words: Sequence[str]) -> np.ndarray:
+    """Posteriors of a word list in one space, shape (n, n_classes), with a
+    NaN row where the space lacks the word. Each of the list's ``_blocks``
+    is gathered into one reused buffer and its present rows are scored
+    unchecked: a space's rows are finite. ``model.dim`` must be ``space.dim``."""
+    out = np.full((len(words), len(model.classes)), np.nan)
+    buffer = np.empty((min(len(words), _BLOCK_ROWS), space.dim))
+    for block in _blocks(len(words)):
+        matrix, present = space.rows(words[block], out=buffer)
+        out[block][present] = _posteriors(model, matrix)
+    return out
 
 
 def posterior_batch(model: Classifier, queries) -> np.ndarray:
@@ -281,9 +295,10 @@ def _posteriors(model: Classifier, q: np.ndarray) -> np.ndarray:
 def posterior(model: Classifier, query) -> dict[str, float]:
     """Posterior over the model's classes for one query vector,
     ``{label: probability}`` in class order."""
-    row = posterior_batch(model, query)
-    if row.shape[0] != 1:
+    q = np.asarray(query, dtype=np.float64)
+    if q.ndim > 1 and q.shape[0] != 1:
         raise DataError("posterior() takes a single query; use posterior_batch()")
+    row = posterior_batch(model, q)
     return {label: float(p) for label, p in zip(model.classes, row[0])}
 
 

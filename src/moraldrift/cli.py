@@ -42,7 +42,7 @@ from .errors import CoverageError, DataError, MoraldriftError, ParseError
 from .evaluate import (load_survey, loo_accuracy, loo_accuracy_historical,
                        survey_correlation, valence_correlation)
 from .lexicon import (TIERS, NormTable, SeedLexicon, build_irrelevant_seeds,
-                      build_tiers, load_mfd, load_norms, relevant_words)
+                      build_tiers, load_mfd, load_norms, relevant_words, tier_classes)
 from .stats import fisher_projection, permutation_control, psycholinguistic_regression
 
 logger = logging.getLogger(__name__)
@@ -255,23 +255,26 @@ def _cmd_timecourse(args) -> dict:
     word = _required(args, "word").lower()
     tier = _required(args, "tier")
     spec, diachronic, lexicon = _model_inputs(args)
-    tc = time_course(diachronic, lexicon, spec, word, tier)
-    body: dict = {"word": word, "tier": tier, "decades": list(tc.decades),
-                  "missing": [bool(b) for b in tc.missing]}
+    scores = time_course(diachronic, lexicon, spec, word, tier)
+    decades = diachronic.decades
+    missing = np.isnan(scores) if tier != "category" else np.isnan(scores).all(axis=1)
+    body: dict = {"word": word, "tier": tier, "decades": list(decades),
+                  "missing": [bool(b) for b in missing]}
     if tier == "category":
-        body["class_labels"] = list(tc.class_labels)
+        labels = tier_classes(tier)
+        body["class_labels"] = list(labels)
         body["scores"] = [(json_scores(row) if not m else None)
-                          for row, m in zip(tc.scores, tc.missing)]
-        rows = [(d, label, score) for d, scores in zip(tc.decades, tc.scores.tolist())
-                for label, score in zip(tc.class_labels, scores)]
+                          for row, m in zip(scores, missing)]
+        rows = [(d, label, score) for d, row in zip(decades, scores.tolist())
+                for label, score in zip(labels, row)]
         table = (["decade", "label", "probability"], rows)
     else:
-        body["scores"] = json_scores(tc.scores)
-        clamped = np.clip(tc.scores, 1e-6, 1.0 - 1e-6)
+        body["scores"] = json_scores(scores)
+        clamped = np.clip(scores, 1e-6, 1.0 - 1e-6)
         odds = np.log(clamped / (1.0 - clamped))
         body["log_odds"] = json_scores(odds)
         table = (["decade", "score", "log_odds"],
-                 list(zip(tc.decades, tc.scores.tolist(), odds.tolist())))
+                 list(zip(decades, scores.tolist(), odds.tolist())))
     name = word.translate(_FILE_NAME_ESCAPES)
     room = _NAME_BYTES - len(f"timecourse__{tier}.json")
     if len(name.encode()) > room:  # cut on a character and outside any %XX escape

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .classifiers import _BLOCK_ROWS, ModelSpec, _blocks, _posteriors, fit_tier
+from .classifiers import ModelSpec, _word_posteriors, fit_tier
 from .embeddings import Column, DiachronicEmbeddings, read_table
 from .errors import CoverageError, DataError, ParseError
 from .lexicon import CATEGORY, POLARITY, RELEVANCE, SeedLexicon, tier_classes
@@ -30,31 +30,6 @@ MODERN_RANGE = (1900, 1999)
 
 # The binary-tier score column tracks one pole of the class pair.
 _SCORE_CLASS = {RELEVANCE: "relevant", POLARITY: "positive"}
-
-
-@dataclass(frozen=True)
-class TimeCourse:
-    """Per-decade scores for one word at one tier.
-
-    For the binary tiers ``scores`` has shape (n_decades,) and holds the
-    probability of the tracked pole (relevant / positive). For the
-    category tier it has shape (n_decades, 10) holding the full
-    distribution; ``class_labels`` names the columns. A decade where the
-    word had no embedding holds NaN scores.
-    """
-
-    word: str
-    tier: str
-    decades: tuple[int, ...]
-    scores: np.ndarray
-    class_labels: tuple[str, ...] | None = None
-
-    @property
-    def missing(self) -> np.ndarray:
-        """True exactly at the decades without an embedding: a NaN score,
-        or a row of NaNs for the category tier."""
-        missing = np.isnan(self.scores)
-        return missing if missing.ndim == 1 else missing.all(axis=1)
 
 
 @dataclass(frozen=True)
@@ -84,33 +59,30 @@ def _decade_scores(diachronic: DiachronicEmbeddings, lexicon: SeedLexicon,
     """Scores of words under each decade's model, fit once per decade: the
     tracked pole's probability for a binary tier, (n_words, n_decades); the
     class distribution for the category tier, (n_words, n_decades, 10).
-    NaN where a word has no embedding. Each of the word list's ``_blocks``
-    is gathered, decade by decade, into one reused buffer and scored
-    unchecked: a space's rows are finite."""
-    values = np.full((len(words), len(diachronic))
-                     + ((len(tier_classes(tier)),) if tier == CATEGORY else ()), np.nan)
-    buffer = np.empty((min(len(words), _BLOCK_ROWS), diachronic.dim))
-    for block in _blocks(len(words)):
-        chunk, scores = words[block], values[block]
-        for j, space in enumerate(diachronic):
-            model = fit_tier(spec, lexicon, space, tier)
-            matrix, present = space.rows(chunk, out=buffer)
-            probs = _posteriors(model, matrix)
-            if tier != CATEGORY:
-                probs = probs[:, model.classes.index(_SCORE_CLASS[tier])]
-            scores[present, j] = probs
+    NaN where a word has no embedding. Decade by decade, ``_word_posteriors``
+    scores the word list."""
+    values = np.empty((len(words), len(diachronic))
+                      + ((len(tier_classes(tier)),) if tier == CATEGORY else ()))
+    for j, space in enumerate(diachronic):
+        model = fit_tier(spec, lexicon, space, tier)
+        probs = _word_posteriors(model, space, words)
+        if tier != CATEGORY:
+            probs = probs[:, model.classes.index(_SCORE_CLASS[tier])]
+        values[:, j] = probs
     return values
 
 
 def time_course(diachronic: DiachronicEmbeddings, lexicon: SeedLexicon,
-                spec: ModelSpec, word: str, tier: str) -> TimeCourse:
+                spec: ModelSpec, word: str, tier: str) -> np.ndarray:
     """Score one word against per-decade classifiers fitted from each
-    decade's seed vectors. Decades without the word hold NaN."""
+    decade's seed vectors: the tracked pole's probability (relevant or
+    positive) per decade for a binary tier, shape (n_decades,); the class
+    distribution, columns ``tier_classes(tier)``, for the category tier,
+    shape (n_decades, 10). Decades without the word hold NaN."""
     scores = _decade_scores(diachronic, lexicon, spec, [word], tier)[0]
     if np.isnan(scores).all():
         raise CoverageError(f"word {word!r} has no embedding in any decade")
-    return TimeCourse(word=word, tier=tier, decades=diachronic.decades, scores=scores,
-                      class_labels=tier_classes(tier) if tier == CATEGORY else None)
+    return scores
 
 
 def prediction_matrix(diachronic: DiachronicEmbeddings, lexicon: SeedLexicon,

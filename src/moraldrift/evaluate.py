@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import compress
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .classifiers import (_BLOCK_ROWS, Classifier, ModelSpec, _blocks, _loo_predict,
-                          posterior, posterior_batch)
+from .classifiers import Classifier, ModelSpec, _loo_predict, _word_posteriors, posterior
 from .embeddings import (Column, DiachronicEmbeddings, EmbeddingSpace, average_vector,
                          read_table)
 from .errors import DataError
@@ -111,19 +109,17 @@ def loo_accuracy_historical(spec: ModelSpec, lexicon: SeedLexicon,
 def valence_correlation(polarity_model: Classifier, space: EmbeddingSpace,
                         norms: NormTable) -> CorrelationReport:
     """Correlate human valence ratings with predicted positive-polarity
-    probability over all rated words that have embeddings. Those words are
-    found first, then gathered and scored in ``_blocks`` through one reused
-    buffer: the blocks of a ``posterior_batch`` over all their rows."""
-    present = np.fromiter((w in space for w in norms.words), dtype=bool, count=len(norms))
-    found = list(compress(norms.words, present))
-    if len(found) < 3:
-        raise DataError(f"only {len(found)} rated words have embeddings; need >= 3")
-    positive = np.empty(len(found))
-    buffer = np.empty((min(len(found), _BLOCK_ROWS), space.dim))
-    for block in _blocks(len(found)):
-        probs = posterior_batch(polarity_model, space.rows(found[block], out=buffer)[0])
-        positive[block] = probs[:, polarity_model.classes.index("positive")]
-    return pearson(norms.valence[present], positive)
+    probability over all rated words that have embeddings, scored by
+    ``_word_posteriors``. A model of another dimension than the space is
+    refused."""
+    if polarity_model.dim != space.dim:
+        raise DataError(f"query has dimension {space.dim}, model expects {polarity_model.dim}")
+    probs = _word_posteriors(polarity_model, space, norms.words)
+    present = ~np.isnan(probs[:, 0])
+    if (n := int(np.count_nonzero(present))) < 3:
+        raise DataError(f"only {n} rated words have embeddings; need >= 3")
+    return pearson(norms.valence[present],
+                   probs[present, polarity_model.classes.index("positive")])
 
 
 def load_survey(path: str | Path) -> list[tuple[list[str], float, float]]:

@@ -4,7 +4,7 @@
     python tests/equivalence.py compare A B
 
 ``run`` runs SRC's package (``python -m moraldrift.cli`` with SRC on
-PYTHONPATH and one BLAS thread) on three suites. Each suite runs in its
+PYTHONPATH and one BLAS thread) on five suites. Each suite runs in its
 own directory under OUT with relative paths, so the config hash in
 ``_meta`` does not depend on OUT:
 
@@ -13,9 +13,14 @@ own directory under OUT with relative paths, so the config hash in
   ``bench/workloads.py`` on ``bench/gen.py``'s seed-1 corpus, as word2vec
   text and as word2vec binary;
 - ``bench-scan``: on the seed-1 matrix-scan corpus (word2vec binary, a
-  4,210-word list, so more than one scoring block), ``matrix`` of both
-  kinds with ``centroid`` and with ``kde --bandwidth 0.5``, ``retrieve``
-  toward-relevance and toward-negative, ``regress`` and ``permute``.
+  4,210-word list and 14,000 rated words, so more than one scoring
+  block), ``matrix`` of both kinds and ``valence-corr`` with ``centroid``
+  and with ``kde --bandwidth 0.5``, ``retrieve`` toward-relevance and
+  toward-negative, ``regress``, ``permute``, and ``timecourse`` of a
+  planted riser at the relevance and category tiers;
+- ``bench-npy``: the bench-scan commands on the same corpus as ``<f4``
+  npy stores (``.npy``, ``.vocab`` and an ``npy`` manifest), which this
+  script writes from the word2vec binary files.
 
 A suite directory keeps its inputs, the commands' files under ``out/``
 and ``commands.json``: each command's argv, exit code, stdout and stderr.
@@ -47,7 +52,10 @@ import numpy as np
 
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
-SUITES = ("golden", "bench-text", "bench-binary", "bench-scan")
+_BENCH_SUITES = {"bench-text": ("cli-pipeline", "text"),  # suite: (workload, format)
+                 "bench-binary": ("cli-pipeline", "binary"),
+                 "bench-scan": ("matrix-scan", "binary"), "bench-npy": ("matrix-scan", "npy")}
+SUITES = ("golden", *_BENCH_SUITES)
 BENCH_SEED = 1
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
 
@@ -78,8 +86,10 @@ def _bench(root: Path, src: Path, workload: str, fmt: str) -> dict:
     import workloads
 
     corpus = gen.generate(root / "inputs", BENCH_SEED, workloads.SHAPES[workload],
-                          formats=(fmt,))
-    paths = {"manifest": corpus.manifests[fmt], "mfd": corpus.mfd, "norms": corpus.norms,
+                          formats=("binary",) if fmt == "npy" else (fmt,))
+    manifest = (_npy_stores(corpus.manifests["binary"]) if fmt == "npy"
+                else corpus.manifests[fmt])
+    paths = {"manifest": manifest, "mfd": corpus.mfd, "norms": corpus.norms,
              "wordlist": corpus.wordlist}
     inputs = {key: str(path.relative_to(root)) for key, path in paths.items()}
     inputs.update(risers=corpus.risers, fallers=corpus.fallers, changers=corpus.changers)
@@ -96,10 +106,41 @@ def _bench(root: Path, src: Path, workload: str, fmt: str) -> dict:
     return results
 
 
+def _npy_stores(binary_manifest: Path) -> Path:
+    """Write each decade of a word2vec binary manifest as a ``<f4`` npy
+    store beside it (``npy/<decade>.npy`` and ``.vocab``), and the ``npy``
+    manifest that lists them. Returns the manifest's path."""
+    inputs = binary_manifest.parent
+    (inputs / "npy").mkdir()
+    lines = binary_manifest.read_text(encoding="utf-8").splitlines()
+    rows = ["decade,path,format"]
+    for line in lines[1:]:
+        decade, path, _ = line.split(",")
+        data = (inputs / path).read_bytes()
+        header_end = data.index(b"\n")
+        n, dim = map(int, data[:header_end].split())
+        words, matrix, at = [], np.empty((n, dim), dtype="<f4"), header_end + 1
+        for i in range(n):
+            if data[at:at + 1] == b"\n":  # a newline may end the previous vector
+                at += 1
+            space = data.index(b" ", at)
+            words.append(data[at:space].decode("utf-8"))
+            at = space + 1 + 4 * dim
+            matrix[i] = np.frombuffer(data[space + 1:at], dtype="<f4")
+        np.save(inputs / "npy" / f"{decade}.npy", matrix, allow_pickle=False)
+        (inputs / "npy" / f"{decade}.vocab").write_text(
+            "".join(f"{w}\n" for w in words), encoding="utf-8", newline="\n")
+        rows.append(f"{decade},npy/{decade}.npy,npy")
+    manifest = inputs / "manifest_npy.csv"
+    manifest.write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
+    return manifest
+
+
 def _scan_commands(inputs: dict, h: float, shuffles: int) -> list[tuple[str, list[str]]]:
     """(label, argv tail) of the bench-scan suite: both matrix kinds per
     model, each model's files in its own directory, then retrieval,
-    regression and the permutation control on the centroid matrices."""
+    regression and the permutation control on the centroid matrices, each
+    model's valence correlation, and a riser's time courses."""
     lex = ["--manifest", inputs["manifest"], "--mfd", inputs["mfd"], "--norms", inputs["norms"]]
     models = {"centroid": ["--model", "centroid"],
               "kde": ["--model", "kde", "--bandwidth", str(h)]}
@@ -117,7 +158,11 @@ def _scan_commands(inputs: dict, h: float, shuffles: int) -> list[tuple[str, lis
                                       "toward-negative", "--out-dir", "out"]),
         ("regress", ["regress", *reg]),
         ("permute", ["permute", *reg, "--shuffles", str(shuffles), "--seed", "0"]),
-    ]
+    ] + [(f"valence-corr.{name}", ["valence-corr", *lex, *model, "--out-dir", f"out/{name}"])
+         for name, model in models.items()] + [
+        (f"timecourse.{tier}", ["timecourse", *lex, *models["centroid"], "--word",
+                                inputs["risers"][0], "--tier", tier, "--out-dir", "out"])
+        for tier in ("relevance", "category")]
 
 
 def run(src: Path, out: Path) -> None:
@@ -128,10 +173,8 @@ def run(src: Path, out: Path) -> None:
         root.mkdir(parents=True, exist_ok=False)
         if suite == "golden":
             results = _golden(root, src)
-        elif suite == "bench-scan":
-            results = _bench(root, src, "matrix-scan", "binary")
         else:
-            results = _bench(root, src, "cli-pipeline", suite.split("-")[1])
+            results = _bench(root, src, *_BENCH_SUITES[suite])
         (root / "commands.json").write_text(json.dumps(results, indent=1) + "\n")
 
 

@@ -418,49 +418,57 @@ def decade_scores(diachronic, lexicon, spec, words, tier):
 
 
 # ---------------------------------------------------------------------------
-# Retrieval word by word: a loop over the rows for the filters, and time
-# courses for each top word (before retrieval read the matrix as arrays)
+# Retrieval word by word: a loop over the rows for the filters, and score
+# rows for each top word (before retrieval read the matrix as arrays)
 # ---------------------------------------------------------------------------
 
-def _binary_classes(tc):
+def _binary_classes(scores, tier):
     """Predicted pole per decade; ties at 0.5 go to the first class."""
     from moraldrift.diachronic import _SCORE_CLASS
     from moraldrift.lexicon import tier_classes
 
-    if tier_classes(tc.tier).index(_SCORE_CLASS[tc.tier]) == 0:
-        return tc.scores >= 0.5
-    return tc.scores > 0.5
+    if tier_classes(tier).index(_SCORE_CLASS[tier]) == 0:
+        return scores >= 0.5
+    return scores > 0.5
 
 
-def switching_period(tc):
-    """Earliest decade from which every later unmasked prediction equals
-    the final decade's predicted class. None if fully masked."""
-    present = np.flatnonzero(~tc.missing)
+def switching_period(scores, decades, tier):
+    """Earliest decade from which every later unmasked prediction of a
+    binary-tier score row equals the final decade's predicted class. None
+    if fully masked."""
+    present = np.flatnonzero(~np.isnan(scores))
     if present.size == 0:
         return None
-    classes = _binary_classes(tc)
+    classes = _binary_classes(scores, tier)
     final = classes[present[-1]]
     mismatches = [i for i in present if classes[i] != final]
     idx = 0 if not mismatches else int(max(mismatches)) + 1
-    return tc.decades[idx]
+    return decades[idx]
 
 
-def _mean_modern_category(course):
+def _mean_modern_category(scores, decades):
+    """The most probable category of a (decades, 10) score block's mean
+    over its scored modern decades."""
     from moraldrift.diachronic import MODERN_RANGE
+    from moraldrift.lexicon import CATEGORY, tier_classes
 
     lo, hi = MODERN_RANGE
-    idx = [i for i, d in enumerate(course.decades)
-           if lo <= d <= hi and not course.missing[i]]
+    missing = np.isnan(scores).all(axis=1)
+    idx = [i for i, d in enumerate(decades) if lo <= d <= hi and not missing[i]]
     if not idx:
         return None
-    return course.class_labels[int(np.argmax(course.scores[idx].mean(axis=0)))]
+    return tier_classes(CATEGORY)[int(np.argmax(scores[idx].mean(axis=0)))]
 
 
-def _early_category(course, relevance_row):
-    for i in range(len(course.decades)):
-        if np.isfinite(relevance_row[i]) and relevance_row[i] > 0.5 \
-                and not course.missing[i]:
-            return course.class_labels[int(np.argmax(course.scores[i]))]
+def _early_category(scores, relevance_row):
+    """The most probable category of a (decades, 10) score block at its
+    first scored decade whose relevance score is above 0.5."""
+    from moraldrift.lexicon import CATEGORY, tier_classes
+
+    missing = np.isnan(scores).all(axis=1)
+    for i in range(len(scores)):
+        if np.isfinite(relevance_row[i]) and relevance_row[i] > 0.5 and not missing[i]:
+            return tier_classes(CATEGORY)[int(np.argmax(scores[i]))]
     return None
 
 
@@ -468,11 +476,11 @@ def retrieve_changing(matrix, lexicon, diachronic, spec, direction, top_n=10,
                       relevance_matrix=None, bonferroni_family="filtered"):
     """``retrieve_changing`` for valid arguments: each row filtered on its
     own, the survivors sorted on (slope, word), and each top word
-    annotated from its own time courses, scored by ``decade_scores``."""
+    annotated from its own score rows, scored by ``decade_scores``."""
     from moraldrift.diachronic import (TOWARD_NEGATIVE, TOWARD_RELEVANCE, ChangeRecord,
-                                       PredictionMatrix, TimeCourse)
+                                       PredictionMatrix)
     from moraldrift.errors import CoverageError
-    from moraldrift.lexicon import CATEGORY, RELEVANCE, tier_classes
+    from moraldrift.lexicon import CATEGORY, RELEVANCE
     from moraldrift.stats import MIN_SLOPE_DECADES, slope_rows
 
     if direction == TOWARD_RELEVANCE:
@@ -502,18 +510,15 @@ def retrieve_changing(matrix, lexicon, diachronic, spec, direction, top_n=10,
     categories = decade_scores(diachronic, lexicon, spec, [c[0] for c in top], CATEGORY)
     records = []
     for (word, b, p, mean_rel), cat_scores in zip(top, categories):
-        cat_course = TimeCourse(word=word, tier=CATEGORY, decades=diachronic.decades,
-                                scores=cat_scores, class_labels=tier_classes(CATEGORY))
-        if cat_course.missing.all():
+        if np.isnan(cat_scores).all():
             raise CoverageError(f"word {word!r} has no embedding in any decade")
         i = matrix.words.index(word)
-        course = TimeCourse(word=word, tier=matrix.kind, decades=matrix.decades,
-                            scores=matrix.values[i])
         records.append(ChangeRecord(
             word=word, slope=b, p_raw=p, p_bonferroni=min(1.0, m * p),
-            mean_relevance=mean_rel, switching_decade=switching_period(course),
-            early_category=_early_category(cat_course, relevance_matrix.values[i]),
-            modern_category=_mean_modern_category(cat_course)))
+            mean_relevance=mean_rel,
+            switching_decade=switching_period(matrix.values[i], matrix.decades, matrix.kind),
+            early_category=_early_category(cat_scores, relevance_matrix.values[i]),
+            modern_category=_mean_modern_category(cat_scores, diachronic.decades)))
     return records
 
 

@@ -3,20 +3,22 @@
 A word list of 2 blocks plus 37 words, with absent words on both sides of
 each block edge and a last block that one decade lacks entirely, is
 scored bit for bit as ``reference.decade_scores`` scores it block by
-block, for all four model kinds and all three tiers, and ``posterior_batch``
-scores its rows in the same blocks. Memory does not grow
-with the word list: ``tracemalloc`` (which sees numpy's buffers) bounds a
-prediction matrix over 8,000 words, a valence correlation over 8,000 rated
-words and a 1,000-shuffle permutation control.
+block, for all four model kinds and all three tiers, and as a rated-word
+list by ``valence_correlation``; ``posterior_batch`` scores its rows in
+the same blocks. A prediction matrix asks ``fit_tier`` once per decade.
+Memory does not grow with the word list: ``tracemalloc`` (which sees
+numpy's buffers) bounds a prediction matrix over 8,000 words, a valence
+correlation over 8,000 rated words and a 1,000-shuffle permutation control.
 """
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import moraldrift.diachronic
 from moraldrift import (DiachronicEmbeddings, EmbeddingSpace, ModelSpec, PredictionMatrix,
-                        build_tiers, fit_tier, permutation_control, posterior_batch,
-                        prediction_matrix, valence_correlation)
+                        build_tiers, fit_tier, pearson, permutation_control,
+                        posterior_batch, prediction_matrix, valence_correlation)
 from moraldrift.classifiers import _BLOCK_ROWS
 from moraldrift.diachronic import _decade_scores
 
@@ -98,6 +100,32 @@ def test_category_scores_match_blockwise_oracle(edge_world, spec):
     want = reference.decade_scores(diachronic, lexicon, spec, words, "category")
     assert got.shape == (N_WORDS, 4, 10)
     np.testing.assert_array_equal(bits(got), bits(want))
+
+
+def test_prediction_matrix_fits_once_per_decade(edge_world, monkeypatch):
+    diachronic, lexicon, words = edge_world
+    spaces = []
+
+    def counting_fit_tier(spec, lexicon, space, tier):
+        spaces.append(space)
+        return fit_tier(spec, lexicon, space, tier)
+
+    monkeypatch.setattr(moraldrift.diachronic, "fit_tier", counting_fit_tier)
+    prediction_matrix(diachronic, lexicon, SPECS[0], words, "relevance")
+    assert spaces == list(diachronic.spaces)  # 4 calls, not one per block and decade
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+def test_valence_correlation_matches_blockwise_oracle(edge_world, spec):
+    diachronic, lexicon, words = edge_world
+    norms = norm_table(words, np.random.default_rng(3).uniform(1.0, 9.0, len(words)))
+    for space in diachronic:
+        positive = reference.decade_scores(DiachronicEmbeddings([space]), lexicon, spec,
+                                           norms.words, "polarity")[:, 0]
+        present = ~np.isnan(positive)
+        assert not present.all()
+        got = valence_correlation(fit_tier(spec, lexicon, space, "polarity"), space, norms)
+        assert got == pearson(norms.valence[present], positive[present])
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)

@@ -310,6 +310,14 @@ class TestPosteriorContracts:
         with pytest.raises(DataError, match="dimension"):
             posterior(model, np.array([0.0]))
 
+    @pytest.mark.parametrize("queries", [[[0.0, 0.0], [np.nan, 0.0]],
+                                         [[0.0, 0.0], [1.0, 0.0]]], ids=["nan", "clean"])
+    def test_two_rows_refused_before_scoring(self, queries):
+        model = fit(ModelSpec("centroid"), {"a": [[0.0, 1.0]], "b": [[1.0, 0.0]]})
+        with pytest.raises(DataError, match=r"^posterior\(\) takes a single query; "
+                                            r"use posterior_batch\(\)$"):
+            posterior(model, queries)
+
     def test_batch_matches_single(self):
         # row reductions may round differently per array shape; agreement
         # is to relative precision, not bitwise

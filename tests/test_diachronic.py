@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from moraldrift import (CoverageError, DataError, ModelSpec, ParseError,
-                        PredictionMatrix, TimeCourse, load_wordlist,
-                        matrix_from_json, matrix_to_json_dict,
-                        prediction_matrix, retrieve_changing, time_course)
+                        PredictionMatrix, load_wordlist, matrix_from_json,
+                        matrix_to_json_dict, prediction_matrix, retrieve_changing,
+                        time_course, tier_classes)
 from moraldrift.diachronic import _switching_index
 from moraldrift.stats import slope_rows
 
@@ -16,44 +16,33 @@ import reference
 SPEC = ModelSpec("centroid")
 
 
-def binary_course(scores, tier="polarity", decades=None):
-    scores = np.asarray(scores, dtype=float)
-    n = scores.shape[0]
-    decades = tuple(decades) if decades is not None else \
-        tuple(1800 + 10 * i for i in range(n))
-    return TimeCourse(word="w", tier=tier, decades=decades, scores=scores)
-
-
 class TestTimeCourse:
     def test_word_at_positive_mean_scores_above_half(self, world):
-        tc = time_course(world.diachronic, world.lexicon, SPEC,
-                         "posmean", "polarity")
-        assert not tc.missing.any()
-        assert np.all(tc.scores > 0.5)
+        scores = time_course(world.diachronic, world.lexicon, SPEC,
+                             "posmean", "polarity")
+        assert scores.shape == (6,)
+        assert np.all(scores > 0.5)
         # oracle check in the first decade: brute-force posterior of the
         # same seed vectors must agree
         space = world.spaces[0]
         from moraldrift import seed_vectors
         vectors = seed_vectors(world.lexicon, space, "polarity")
         want = reference.centroid_posterior(space.vector("posmean"), vectors)
-        assert tc.scores[0] == pytest.approx(want["positive"], rel=1e-9)
+        assert scores[0] == pytest.approx(want["positive"], rel=1e-9)
 
     def test_missing_decades_masked(self, world):
         for tier in ("relevance", "category"):
-            tc = time_course(world.diachronic, world.lexicon, SPEC, "gapword", tier)
-            assert list(tc.missing) == [True, True, True, False, False, False]
-            assert np.all(np.isnan(tc.scores[:3]))
-            assert np.all(np.isfinite(tc.scores[3:]))
-        # missing is derived from the NaNs, so it cannot disagree with them
-        assert "missing" not in {f.name for f in dataclasses.fields(TimeCourse)}
+            scores = time_course(world.diachronic, world.lexicon, SPEC, "gapword", tier)
+            assert np.all(np.isnan(scores[:3]))
+            assert np.all(np.isfinite(scores[3:]))
 
     def test_category_tier_distributions(self, world):
-        tc = time_course(world.diachronic, world.lexicon, SPEC,
-                         "alwayspos", "category")
-        assert tc.scores.shape == (6, 10)
-        assert tc.class_labels[0] == "care+"
-        np.testing.assert_allclose(tc.scores.sum(axis=1), 1.0, atol=1e-9)
-        assert np.all(np.argmax(tc.scores, axis=1) == 0)  # care+ everywhere
+        scores = time_course(world.diachronic, world.lexicon, SPEC,
+                             "alwayspos", "category")
+        assert scores.shape == (6, 10)
+        assert tier_classes("category")[0] == "care+"
+        np.testing.assert_allclose(scores.sum(axis=1), 1.0, atol=1e-9)
+        assert np.all(np.argmax(scores, axis=1) == 0)  # care+ everywhere
 
     def test_absent_everywhere_is_coverage_error(self, world):
         with pytest.raises(CoverageError, match="nowhere"):
@@ -76,11 +65,11 @@ class TestPredictionMatrix:
         matrix = prediction_matrix(world.diachronic, world.lexicon, SPEC,
                                    words, kind)
         for i, word in enumerate(words):
-            tc = time_course(world.diachronic, world.lexicon, SPEC, word, kind)
-            np.testing.assert_array_equal(np.isnan(matrix.values[i]), tc.missing)
-            present = ~tc.missing
+            scores = time_course(world.diachronic, world.lexicon, SPEC, word, kind)
+            np.testing.assert_array_equal(np.isnan(matrix.values[i]), np.isnan(scores))
+            present = ~np.isnan(scores)
             np.testing.assert_allclose(matrix.values[i][present],
-                                       tc.scores[present], rtol=1e-12)
+                                       scores[present], rtol=1e-12)
 
     def test_empty_wordlist_rejected(self, world):
         with pytest.raises(DataError, match="empty"):
@@ -156,7 +145,8 @@ def switching_decades(rows, tier="polarity"):
     reference."""
     rows = np.asarray(rows, dtype=float)
     got = [None if i < 0 else 1800 + 10 * i for i in _switching_index(rows, tier).tolist()]
-    assert got == [reference.switching_period(binary_course(row, tier)) for row in rows]
+    decades = tuple(1800 + 10 * i for i in range(rows.shape[1]))
+    assert got == [reference.switching_period(row, decades, tier) for row in rows]
     return got
 
 
@@ -352,14 +342,15 @@ class TestRetrieveBatchedCategories:
                                     world.diachronic, SPEC,
                                     "toward-relevance", top_n=10)
         lo, hi = 1900, 1999
+        labels = tier_classes("category")
         for r in records:
-            tc = time_course(world.diachronic, world.lexicon, SPEC, r.word, "category")
-            present = ~tc.missing
-            modern = present & np.array([lo <= d <= hi for d in tc.decades])
-            expected = (tc.class_labels[int(np.argmax(tc.scores[modern].mean(axis=0)))]
+            scores = time_course(world.diachronic, world.lexicon, SPEC, r.word, "category")
+            present = ~np.isnan(scores).all(axis=1)
+            modern = present & np.array([lo <= d <= hi for d in world.diachronic.decades])
+            expected = (labels[int(np.argmax(scores[modern].mean(axis=0)))]
                         if modern.any() else None)
             assert r.modern_category == expected, r.word
             rel = relevance_matrix.values[relevance_matrix.words.index(r.word)]
             early = [i for i in np.flatnonzero(present) if rel[i] > 0.5]
-            expected = tc.class_labels[int(np.argmax(tc.scores[early[0]]))] if early else None
+            expected = labels[int(np.argmax(scores[early[0]]))] if early else None
             assert r.early_category == expected, r.word

@@ -183,6 +183,12 @@ class TestValenceCorrelation:
         with pytest.raises(DataError, match=">= 3"):
             valence_correlation(model, space, norms)
 
+    def test_model_of_another_dimension_refused(self):
+        model, space, words = self._polarity_model_and_space()
+        wider = make_space(1900, {w: np.append(space.vector(w), 0.0) for w in space.words})
+        with pytest.raises(DataError, match="^query has dimension 5, model expects 4$"):
+            valence_correlation(model, wider, norm_table(words, 5.0))
+
     def test_rated_words_without_embeddings_skipped(self):
         model, space, words = self._polarity_model_and_space()
         matrix, _ = space.rows(words)

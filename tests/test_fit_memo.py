@@ -50,7 +50,7 @@ def test_time_courses_match_refit_oracle(world, spec, tier):
         for word in WORDS:
             course = time_course(world.diachronic, lexicon, spec, word, tier)
             want = reference.decade_scores(world.diachronic, lexicon, spec, [word], tier)[0]
-            np.testing.assert_array_equal(bits(course.scores), bits(want))
+            np.testing.assert_array_equal(bits(course), bits(want))
     assert set(lexicon._models) == set(world.spaces)
     assert all(set(models) == {(spec, tier)} for models in lexicon._models.values())
 
@@ -96,7 +96,7 @@ def test_query_order_does_not_change_bits(world, order):
         word, tier, spec = QUERIES[i]
         course = time_course(world.diachronic, lexicon, spec, word, tier)
         want = reference.decade_scores(world.diachronic, lexicon, spec, [word], tier)[0]
-        np.testing.assert_array_equal(bits(course.scores), bits(want))
+        np.testing.assert_array_equal(bits(course), bits(want))
 
 
 def test_same_model_object_per_key(world, caplog):

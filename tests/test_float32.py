@@ -86,8 +86,8 @@ def assert_same_results(dia, wide, lexicon):
                 bits(prediction_matrix(wide, lexicon, spec, MATRIX_WORDS, kind).values))
     kde = ModelSpec("kde")
     np.testing.assert_array_equal(
-        bits(time_course(dia, lexicon, kde, "riser", "category").scores),
-        bits(time_course(wide, lexicon, kde, "riser", "category").scores))
+        bits(time_course(dia, lexicon, kde, "riser", "category")),
+        bits(time_course(wide, lexicon, kde, "riser", "category")))
     for space, wide_space in zip(dia, wide):
         assert (loo_accuracy(kde, lexicon, space, "category")
                 == loo_accuracy(kde, lexicon, wide_space, "category"))
