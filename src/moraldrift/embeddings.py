@@ -30,6 +30,7 @@ TEXT_FORMAT = "text-word2vec"
 BINARY_FORMAT = "binary-word2vec"
 NPY_FORMAT = "npy"
 FORMATS = (TEXT_FORMAT, BINARY_FORMAT, NPY_FORMAT)
+TEXT_CHUNK = 1 << 18  # characters of word2vec text parsed at once
 
 
 class EmbeddingSpace:
@@ -332,30 +333,66 @@ def _first_rows(path: Path, count: int, words: list[str], matrix: np.ndarray,
 
 
 def _load_text(path: Path) -> tuple[list[str], np.ndarray, int]:
+    """Parse a word2vec text file by ``_text_chunk``, ``TEXT_CHUNK``
+    characters of lines at a time. The lines read before a decode error
+    are parsed first, so an earlier bad line is named, as line by line."""
     words: list[str] = []
     lines: list[int] = []
     values = array("d")
+    chunk: list[str] = []
+    start, size, dim = 2, 0, 0
     try:
         with open(path, "r", encoding="utf-8") as fh:
             count, dim = _parse_header(fh.readline(), path)
-            for lineno, line in enumerate(fh, start=2):
-                parts = line.split()
-                if not parts:
-                    continue
-                if len(parts) != dim + 1:
-                    raise ParseError(
-                        f"{path}:{lineno}: expected {dim} values for word "
-                        f"{parts[0]!r}, got {len(parts) - 1}")
-                try:
-                    values.extend(map(float, parts[1:]))
-                except ValueError:
-                    raise ParseError(f"{path}:{lineno}: non-numeric vector entry") from None
-                words.append(parts[0])
-                lines.append(lineno)
+            for line in fh:
+                chunk.append(line)
+                size += len(line)
+                if size >= TEXT_CHUNK:
+                    _text_chunk(path, dim, chunk, start, words, lines, values)
+                    start, chunk, size = start + len(chunk), [], 0
     except UnicodeDecodeError:
+        _text_chunk(path, dim, chunk, start, words, lines, values)
         raise _not_utf8(path) from None
+    _text_chunk(path, dim, chunk, start, words, lines, values)
     matrix = np.frombuffer(values, dtype=np.float64).reshape(len(words), dim)
     return _first_rows(path, count, words, matrix, lines)
+
+
+def _text_chunk(path: Path, dim: int, chunk: Sequence[str], start: int, words: list[str],
+                lines: list[int], values: array) -> None:
+    """Append the entries of ``chunk``, lines ``start`` on, to ``words``,
+    ``lines`` and ``values``. numpy's C reader parses the values with
+    ``PyOS_string_to_double``, as ``float`` does, so to the same bits. A
+    chunk it refuses (``1_0``, which only ``float`` reads; a wrong count)
+    is read line by line, which parses it or names the bad line."""
+    pairs = [line.split(maxsplit=1) for line in chunk]
+    kept = [pair for pair in pairs if pair]  # blank lines skipped
+    if not kept:  # numpy would warn of no data
+        return
+    try:
+        block = np.loadtxt([rest for _, rest in kept], dtype=np.float64,
+                           comments=None, ndmin=2)
+    except ValueError:  # a word alone, a token numpy refuses, a ragged chunk
+        block = None
+    if block is not None and block.shape == (len(kept), dim):
+        words.extend(word for word, _ in kept)
+        lines.extend(start + i for i, pair in enumerate(pairs) if pair)
+        values.frombytes(memoryview(block).cast("B"))
+        return
+    for lineno, line in enumerate(chunk, start=start):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != dim + 1:
+            raise ParseError(
+                f"{path}:{lineno}: expected {dim} values for word "
+                f"{parts[0]!r}, got {len(parts) - 1}")
+        try:
+            values.extend(map(float, parts[1:]))
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-numeric vector entry") from None
+        words.append(parts[0])
+        lines.append(lineno)
 
 
 def _load_binary(path: Path) -> tuple[list[str], np.ndarray, int]:

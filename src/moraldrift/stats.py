@@ -247,23 +247,28 @@ def _refuse_infinite(values: np.ndarray, words: Sequence[str] | None = None) -> 
         raise DataError(f"{row} has an infinite score; only NaN marks a missing one")
 
 
-def _slopes(values: np.ndarray, t_values: np.ndarray | None = None):
+def _slopes(values: np.ndarray, t_values: np.ndarray | None = None,
+            work: np.ndarray | None = None):
     """The slopes of ``slope_rows`` without their p-values; also returns
     the centred abscissa and values, the finite counts and the abscissa
-    sums of squares that the p-values need."""
+    sums of squares that the p-values need. These are computed in
+    ``work``, float64 (3, at least n_rows, n_columns), if given; ``values``
+    may be its second slab."""
     values = np.asarray(values, dtype=np.float64)
     if t_values is None:
         t_values = np.arange(1, values.shape[1] + 1, dtype=np.float64)
-    present = np.isfinite(values)
-    k = present.sum(axis=1)
-    t_mean = np.where(present, t_values, 0.0).sum(axis=1) / k
-    y_mean = np.where(present, values, 0.0).sum(axis=1) / k
-    tc = np.where(present, t_values[None, :] - t_mean[:, None], 0.0)
-    yc = np.where(present, values - y_mean[:, None], 0.0)
-    sxx = np.sum(tc * tc, axis=1)
+    tc, yc, prod = np.empty((3, *values.shape)) if work is None else work[:, :len(values)]
+    absent = ~np.isfinite(values)
+    k = values.shape[1] - absent.sum(axis=1)
+    for centred, x in ((tc, t_values), (yc, values)):  # minus the mean; 0 where absent
+        np.copyto(centred, x)
+        np.copyto(centred, 0.0, where=absent)
+        np.subtract(centred, (centred.sum(axis=1) / k)[:, None], out=centred)
+        np.copyto(centred, 0.0, where=absent)
+    sxx = np.multiply(tc, tc, out=prod).sum(axis=1)
     if np.any(sxx == 0.0):
         raise DataError("abscissa has zero variance")
-    return np.sum(tc * yc, axis=1) / sxx, tc, yc, k, sxx
+    return np.multiply(tc, yc, out=prod).sum(axis=1) / sxx, tc, yc, k, sxx
 
 
 def _design(factors: Mapping[str, Sequence[float]], n: int) -> tuple[np.ndarray, list[str]]:
@@ -350,6 +355,7 @@ class _ChangeSample:
         self.high = self.values > 0.5
         gappy = np.flatnonzero(~present.all(axis=1))
         self.gaps = gappy, present[gappy], self.high[gappy]
+        self.work = np.empty((3, *self.values.shape))  # _slopes' buffers, for any shuffle
 
     def slopes(self, perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The rows one decade shuffle selects and their change slopes over
@@ -369,7 +375,12 @@ class _ChangeSample:
             raise DataError(
                 f"only {sel.size} words qualify for the change regression; "
                 f"need more than {len(REGRESSION_FACTORS) + 1}")
-        return sel, _slopes(self.values[sel[:, None], perm])[0]  # C-ordered gather
+        # The C-ordered rows in ``perm`` column order, gathered in ``work``; the
+        # indices are in range, and mode "raise" would gather via a new buffer.
+        rows, gathered = self.work[2, :sel.size], self.work[1, :sel.size]
+        np.take(self.values, sel, axis=0, out=rows, mode="clip")
+        np.take(rows, perm, axis=1, out=gathered, mode="clip")
+        return sel, _slopes(gathered, work=self.work)[0]
 
     def fit(self) -> tuple[RegressionFit, list[str]]:
         """The unshuffled regression (see ``psycholinguistic_regression``):

@@ -9,7 +9,9 @@ word (and in text its line) for word2vec files.
 import json
 import re
 import tempfile
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from moraldrift import (DataError, MoraldriftError, ParseError, load_diachronic,
                         load_embedding_space, load_mfd, load_norms, load_survey,
                         load_wordlist, matrix_from_json, multiple_regression,
                         psycholinguistic_regression)
+import moraldrift.embeddings
 from moraldrift.embeddings import BINARY_FORMAT, TEXT_FORMAT
 from moraldrift.embeddings import NPY_FORMAT, EmbeddingSpace, save_embedding_space
 from moraldrift.stats import factor_tables, slope_rows
@@ -87,6 +90,112 @@ class TestWord2vecAgainstReference:
             write_binary(binary, words, rows, newlines)
             assert_reads_as_reference(text, TEXT_FORMAT, reference.word2vec_text)
             assert_reads_as_reference(binary, BINARY_FORMAT, reference.word2vec_binary)
+
+
+# Tokens that float() reads and numpy's C reader does not (1_0, an Arabic-
+# Indic one), that both read (+.5, 5.), and that both read as non-finite
+# or zero (1e999, 1e-400, nan, -Infinity).
+ODD_TOKENS = ("1_0", "\u0661", "+.5", "5.", "1e999", "1e-400", "nan", "-Infinity")
+REPRS = st.floats(allow_nan=False, allow_infinity=False).map(lambda x: "%.17g" % x)
+# Whitespace to str.split, not a line end to a text-mode file.
+SEPARATORS = st.sampled_from([" ", "   ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0",
+                              "\u2028", "\u3000"])
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def word2vec_text_files(draw):
+    """(text of a word2vec text file, characters per parsed chunk). Its
+    lines join their tokens with any whitespace, end in CRLF, LF or a lone
+    CR, and come between blank and whitespace-only lines; some hold one
+    value too few or too many. Each file draws at most two odd tokens and
+    mixes them into 17-digit reprs."""
+    dim = draw(st.integers(1, 3))
+    pool = draw(st.lists(WORDS, min_size=1, max_size=3, unique=True))
+    odd = draw(st.lists(st.sampled_from(ODD_TOKENS), max_size=2, unique=True))
+    tokens = st.one_of(REPRS, st.sampled_from(odd)) if odd else REPRS
+    n = draw(st.integers(1, 6))
+    text = f"{n} {dim}" + draw(LINE_ENDS)
+    for _ in range(n):
+        for _ in range(draw(st.integers(0, 1))):  # a blank or whitespace-only line
+            text += draw(st.sampled_from(["", " ", "\t\xa0"])) + draw(LINE_ENDS)
+        width = draw(st.sampled_from([dim] * 4 + [dim - 1, dim + 1]))
+        parts = [draw(st.sampled_from(pool))] + [draw(tokens) for _ in range(width)]
+        text += draw(st.sampled_from(["", "\x0c"])) + parts[0]
+        text += "".join(draw(SEPARATORS) + part for part in parts[1:])
+        text += draw(st.sampled_from(["", " ", "\u3000"])) + draw(LINE_ENDS)
+    return text, draw(st.one_of(st.integers(1, 60), st.just(moraldrift.embeddings.TEXT_CHUNK)))
+
+
+class TestTextChunks:
+    """The text reader parses chunks of lines with numpy's C reader and
+    reads a chunk numpy refuses line by line, with its line numbers."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(word2vec_text_files())
+    @example(("2 2\n1_0 1_0 2\n\xe9 \u0661 5.\n", 8))
+    @example(("1 1\n\n \n\t\n\na +.5\n", 4))  # a chunk of blank lines only
+    def test_text_files_match_reference(self, drawn):
+        text, chunk = drawn
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(moraldrift.embeddings, "TEXT_CHUNK", chunk):
+            path = Path(tmp) / "v.txt"
+            path.write_text(text, encoding="utf-8", newline="")
+            assert_reads_as_reference(path, TEXT_FORMAT, reference.word2vec_text)
+
+    def write(self, path, cell):
+        """40 entries of 2 values, with ``cell`` in place of the first
+        value of word w30 (line 32)."""
+        rows = np.arange(80.0).reshape(40, 2) / 7
+        write_text(path, [f"w{i}" for i in range(40)], rows)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[31] = lines[31].replace(lines[31].split()[1], cell, 1)
+        path.write_text("".join(lines))
+
+    @pytest.mark.parametrize("cell, message", [
+        ("1.0 9.5", "expected 2 values for word 'w30', got 3"),
+        ("1.0x", "non-numeric vector entry"),
+        ("inf", "non-finite vector for word 'w30'")])
+    def test_bad_line_in_a_later_chunk_named(self, tmp_path, monkeypatch, cell, message):
+        monkeypatch.setattr(moraldrift.embeddings, "TEXT_CHUNK", 64)
+        path = tmp_path / "v.txt"
+        self.write(path, cell)
+        with pytest.raises(ParseError) as info:
+            load_embedding_space(path, TEXT_FORMAT, 1900)
+        assert str(info.value) == f"{path}:32: {message}"
+
+    def test_underscore_token_in_a_later_chunk_reads_as_float_does(self, tmp_path,
+                                                                   monkeypatch):
+        monkeypatch.setattr(moraldrift.embeddings, "TEXT_CHUNK", 64)
+        path = tmp_path / "v.txt"
+        self.write(path, "1_0")
+        words, matrix, _ = reference.word2vec_text(path)
+        space = load_embedding_space(path, TEXT_FORMAT, 1900)
+        assert space.words == tuple(words)
+        assert space.matrix[30, 0] == 10.0
+        np.testing.assert_array_equal(space.matrix.view(np.uint64), matrix.view(np.uint64))
+
+    def test_chunk_of_blank_lines_warns_nothing(self, tmp_path, monkeypatch):
+        # numpy warns on a chunk with no data; the reader lets no warning out.
+        monkeypatch.setattr(moraldrift.embeddings, "TEXT_CHUNK", 4)
+        path = tmp_path / "v.txt"
+        path.write_text("1 1\n\n \n\t\n\n\na 0.5\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            space = load_embedding_space(path, TEXT_FORMAT, 1900)
+        assert caught == []
+        assert space.words == ("a",) and space.matrix[0, 0] == 0.5
+
+    def test_bad_line_before_an_invalid_byte_named_first(self, tmp_path):
+        # Both faults fall in one chunk, but text decodes in 8 KiB blocks
+        # as it is read: the bad line, in an earlier block, is named.
+        path = tmp_path / "v.txt"
+        write_text(path, [f"w{i}" for i in range(2000)], np.ones((2000, 2)))
+        data = path.read_bytes().replace(b"\nw2 1 1\n", b"\nw2 1\n").replace(b"w1999 ", b"\xff ")
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as info:
+            load_embedding_space(path, TEXT_FORMAT, 1900)
+        assert str(info.value) == f"{path}:4: expected 2 values for word 'w2', got 1"
 
 
 class TestWord2vecFaults:
