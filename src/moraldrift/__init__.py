@@ -23,8 +23,8 @@ from .evaluate import (AccuracyReport, HistoricalAccuracy, chance_level,
                        load_survey, loo_accuracy, loo_accuracy_historical,
                        survey_correlation, valence_correlation)
 from .lexicon import (NormTable, SeedLexicon, build_irrelevant_seeds,
-                      build_tiers, category_label, load_mfd, load_norms,
-                      relevant_words, seed_vectors, tier_classes)
+                      build_tiers, load_mfd, load_norms, relevant_words,
+                      seed_vectors, tier_classes)
 from .stats import (CorrelationReport, PermutationReport, RegressionFit,
                     fisher_projection, multiple_regression, pearson,
                     permutation_control, psycholinguistic_regression)
@@ -38,7 +38,7 @@ __all__ = [
     # lexicon
     "NormTable", "SeedLexicon", "load_mfd", "load_norms",
     "build_irrelevant_seeds", "build_tiers", "seed_vectors", "relevant_words",
-    "category_label", "tier_classes",
+    "tier_classes",
     # classifiers
     "ModelSpec", "Classifier", "fit", "fit_tier", "posterior",
     "posterior_batch", "select_bandwidth",

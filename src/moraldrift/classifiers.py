@@ -302,15 +302,15 @@ def posterior(model: Classifier, query) -> dict[str, float]:
     return {label: float(p) for label, p in zip(model.classes, row[0])}
 
 
-def _loo_predict(spec: ModelSpec, class_vectors: Mapping[str, Sequence],
-                 grid: Sequence[float] = BANDWIDTH_GRID) -> tuple[ModelSpec, np.ndarray]:
+def _loo_predict(spec: ModelSpec, class_vectors: Mapping[str, Sequence]
+                 ) -> tuple[ModelSpec, np.ndarray]:
     """The spec (h chosen if None) and each seed's leave-one-out predicted
     class index, seeds stacked in class order. Nothing is refit: knn and kde
     mask the diagonal of the seed-by-seed distances (a kde seed's class then
     counts n - 1 seeds); centroid and naive_bayes drop the seed from its
     class moments in closed form (|x - mu_-i| = n/(n-1)·|x - mu|), flooring
-    the variance after. The bandwidth search takes the smallest grid value
-    of best accuracy over seeds outside singleton classes."""
+    the variance after. The bandwidth search takes the smallest value of
+    ``BANDWIDTH_GRID`` of best accuracy over seeds outside singleton classes."""
     labels, matrices = _class_matrices(class_vectors)
     seeds, seed_labels = _stack(matrices)
     n_seeds, dim = seeds.shape
@@ -347,7 +347,7 @@ def _loo_predict(spec: ModelSpec, class_vectors: Mapping[str, Sequence],
     if spec.h is None and not scored.any():
         raise DataError("cannot auto-select bandwidth: every class is a singleton; "
                         "pass an explicit h")
-    grid = sorted(grid) if spec.h is None else (spec.h,)
+    grid = BANDWIDTH_GRID if spec.h is None else (spec.h,)  # ascending
     blocks = [-sq[:, seed_labels == c] for c in range(len(labels))]  # gathered once for the grid
     predicted = [np.argmax(_normalize(_kde_log_likelihoods(blocks, loo_sizes, h, dim)), axis=1)
                  for h in grid]
@@ -356,18 +356,11 @@ def _loo_predict(spec: ModelSpec, class_vectors: Mapping[str, Sequence],
     return replace(spec, h=float(grid[best])), predicted[best]
 
 
-def select_bandwidth(class_vectors: Mapping[str, Sequence],
-                     grid: Sequence[float] = BANDWIDTH_GRID) -> float:
-    """Pick the KDE bandwidth with the best leave-one-out seed accuracy.
+def select_bandwidth(class_vectors: Mapping[str, Sequence]) -> float:
+    """Pick the KDE bandwidth of ``BANDWIDTH_GRID`` with the best
+    leave-one-out seed accuracy.
 
     The leave-one-out is masked, not refit: one seed-by-seed distance
     matrix with its diagonal masked serves the whole grid. Seeds in
-    singleton classes are skipped; accuracy ties go to the smaller h.
-    An empty grid, or a value that ``ModelSpec`` refuses as ``h``, raises
-    ValueError before any search."""
-    if not len(grid):
-        raise ValueError("bandwidth grid is empty")
-    for h in grid:
-        ModelSpec(kind=KDE, h=h)
-    spec, _ = _loo_predict(ModelSpec(kind=KDE), class_vectors, grid)
-    return spec.h
+    singleton classes are skipped; accuracy ties go to the smaller h."""
+    return _loo_predict(ModelSpec(kind=KDE), class_vectors)[0].h

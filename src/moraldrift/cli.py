@@ -19,6 +19,7 @@ of memory.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
@@ -31,12 +32,12 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .classifiers import MODEL_KINDS, ModelSpec, fit_tier, posterior
+from .classifiers import MODEL_KINDS, ModelSpec, _word_posteriors, fit_tier
 from .diachronic import (DIRECTIONS, json_scores, load_wordlist,
                          matrix_from_json, matrix_to_json_dict,
                          prediction_matrix, retrieve_changing, time_course)
 from .embeddings import (NPY_FORMAT, DiachronicEmbeddings, EmbeddingSpace,
-                         _not_utf8, align_diachronic, load_diachronic, lookup,
+                         _not_utf8, align_diachronic, load_diachronic,
                          save_embedding_space)
 from .errors import CoverageError, DataError, MoraldriftError, ParseError
 from .evaluate import (load_survey, loo_accuracy, loo_accuracy_historical,
@@ -87,7 +88,7 @@ def _config_argv(path: Path, parser: argparse.ArgumentParser) -> list[str]:
     actions = {a.dest: a for a in parser._actions
                if a.option_strings and a.dest not in ("help", "config")}
     try:
-        lines = path.read_text(encoding="utf-8").split("\n")
+        lines = path.read_text(encoding="utf-8-sig").split("\n")
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
     argv = []
@@ -196,11 +197,13 @@ def _write_json(fh, meta: dict, body: dict) -> None:
 
 
 def _write_csv(fh, meta: dict, table: tuple[Sequence[str], Sequence[Sequence]]) -> None:
+    """The meta line, then the header and rows quoted as the csv module
+    quotes them (a cell holding a comma, a quote or a line break)."""
     header, rows = table
     fh.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
-    fh.write(",".join(header) + "\n")
-    for row in rows:
-        fh.write(",".join(_fmt(v) for v in row) + "\n")
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _write_outputs(args: argparse.Namespace, outputs: dict) -> None:
@@ -243,12 +246,11 @@ def _cmd_classify(args) -> dict:
     spec, diachronic, lexicon = _model_inputs(args)
     space = _pick_space(args, diachronic)
     model = fit_tier(spec, lexicon, space, tier)
-    q = lookup(space, word)
-    if q is None:
+    [row] = _word_posteriors(model, space, [word])
+    if np.isnan(row).any():
         raise CoverageError(f"word {word!r} has no embedding in decade {space.decade}")
-    post = posterior(model, q)
     return {"-": {"word": word, "tier": tier, "decade": space.decade,
-                  "posterior": {label: post[label] for label in model.classes}}}
+                  "posterior": dict(zip(model.classes, row.tolist()))}}
 
 
 def _cmd_timecourse(args) -> dict:

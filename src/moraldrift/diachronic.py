@@ -17,7 +17,7 @@ from .classifiers import ModelSpec, _word_posteriors, fit_tier
 from .embeddings import Column, DiachronicEmbeddings, read_table
 from .errors import CoverageError, DataError, ParseError
 from .lexicon import CATEGORY, POLARITY, RELEVANCE, SeedLexicon, tier_classes
-from .stats import MIN_SLOPE_DECADES, _refuse_infinite, slope_rows
+from .stats import MIN_SLOPE_DECADES, _decade_steps, _refuse_infinite, slope_rows
 
 logger = logging.getLogger(__name__)
 
@@ -132,7 +132,8 @@ def retrieve_changing(matrix: PredictionMatrix, lexicon: SeedLexicon,
                       direction: str, top_n: int = 10,
                       relevance_matrix: PredictionMatrix | None = None,
                       bonferroni_family: str = "filtered") -> list[ChangeRecord]:
-    """Rank words by fitted score slope and annotate the top ones.
+    """Rank words by fitted score slope, per decade, and annotate the top
+    ones.
 
     Words whose mean relevance score falls below 0.5 are removed, as are
     words with too few scored decades for a slope. Raw slope p-values
@@ -188,7 +189,7 @@ def retrieve_changing(matrix: PredictionMatrix, lexicon: SeedLexicon,
     if not rows.size:
         logger.warning("no words pass the relevance filter; empty retrieval")
         return []
-    slopes, p_values = slope_rows(matrix.values[rows])
+    slopes, p_values = slope_rows(matrix.values[rows], _decade_steps(matrix.decades))
     reverse = direction in (TOWARD_RELEVANCE, TOWARD_POSITIVE)
     words = np.array(matrix.words, dtype=object)[rows]
     top = np.lexsort((words, -slopes if reverse else slopes))[:top_n]
@@ -196,8 +197,8 @@ def retrieve_changing(matrix: PredictionMatrix, lexicon: SeedLexicon,
     rows, words, slopes, p_values = rows[top], words[top], slopes[top], p_values[top]
 
     categories = _decade_scores(diachronic, lexicon, spec, list(words), CATEGORY)
-    early, modern = _category_labels(categories, relevance_matrix.values[rows] > 0.5,
-                                     diachronic.decades, words)
+    early, modern = _early_modern_categories(
+        categories, relevance_matrix.values[rows] > 0.5, diachronic.decades, words)
     switching = _switching_index(matrix.values[rows], matrix.kind)
     return [ChangeRecord(word=word, slope=float(b), p_raw=float(p),
                          p_bonferroni=min(1.0, m * float(p)),
@@ -208,9 +209,9 @@ def retrieve_changing(matrix: PredictionMatrix, lexicon: SeedLexicon,
             in zip(words, rows, slopes, p_values, switching, early, modern)]
 
 
-def _category_labels(categories: np.ndarray, relevant: np.ndarray,
-                     decades: tuple[int, ...], words: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray]:
+def _early_modern_categories(categories: np.ndarray, relevant: np.ndarray,
+                             decades: tuple[int, ...], words: np.ndarray
+                             ) -> tuple[np.ndarray, np.ndarray]:
     """Per word of a (words, decades, 10) category-score block, the most
     probable category at the first decade that is scored and ``relevant``,
     and that of the mean distribution over the scored modern decades;
@@ -270,7 +271,7 @@ def matrix_from_json(path: str | Path) -> PredictionMatrix:
     row of scores in [0, 1] or null. Anything else raises a ParseError
     naming ``path``."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             data = json.load(fh, parse_constant=_not_a_score)
         kind, decades, words, rows = data["kind"], data["decades"], data["words"], data["values"]
         if type(words) is not list or not all(type(w) is str for w in words):

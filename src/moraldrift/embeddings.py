@@ -230,7 +230,7 @@ def read_table(path: str | Path, headers: Sequence[Sequence[str]],
     a row with a quoted line break, its last line).
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
@@ -342,7 +342,7 @@ def _load_text(path: Path) -> tuple[list[str], np.ndarray, int]:
     chunk: list[str] = []
     start, size, dim = 2, 0, 0
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             count, dim = _parse_header(fh.readline(), path)
             for line in fh:
                 chunk.append(line)
@@ -474,7 +474,7 @@ def _map_labelled(path: Path) -> tuple[list[str], np.ndarray]:
                          f"{array.ndim}-D {array.dtype.str}")
     vocab = path.with_suffix(".vocab")
     try:
-        text = vocab.read_bytes().decode("utf-8")
+        text = vocab.read_bytes().decode("utf-8-sig")
     except FileNotFoundError:
         raise ParseError(f"{path}: vocabulary file {vocab} not found") from None
     except UnicodeDecodeError:

@@ -41,12 +41,6 @@ VALENCE_RANGE = (1.0, 9.0)
 CONCRETENESS_RANGE = (1.0, 5.0)
 
 
-def category_label(category: int) -> str:
-    if not 1 <= category <= 10:
-        raise ValueError(f"category number out of range: {category}")
-    return CATEGORY_CLASSES[category - 1]
-
-
 def tier_classes(tier: str) -> tuple[str, ...]:
     """Canonical class labels, in tie-breaking order, for a tier."""
     if tier == RELEVANCE:
@@ -145,20 +139,16 @@ def relevant_words(mfd: Mapping[str, int]) -> list[str]:
 
 
 def build_irrelevant_seeds(norms: NormTable, mfd_words: Iterable[str],
-                           count: int | None = None,
                            vocabulary: Iterable[str] | None = None) -> set[str]:
-    """Select the ``count`` most valence-neutral non-seed words.
+    """Select the most valence-neutral non-seed words, one per distinct
+    seed word, so the relevant and irrelevant sets end up the same size.
 
     Neutrality is distance from the scale midpoint 5.0; ties break
-    lexicographically. ``count`` defaults to the seed-word count so the
-    relevant and irrelevant sets end up the same size. ``vocabulary``,
-    when given, restricts candidates to words with embeddings.
+    lexicographically. ``vocabulary``, when given, restricts candidates
+    to words with embeddings.
     """
     mfd = set(mfd_words)
-    if count is None:
-        count = len(mfd)
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
+    count = len(mfd)
     vocab = set(vocabulary) if vocabulary is not None else None
     rows = [i for i, w in enumerate(norms.words)
             if w not in mfd and (vocab is None or w in vocab)]

@@ -239,6 +239,13 @@ def slope_rows(values: np.ndarray, t_values: np.ndarray | None = None
     return slopes, p
 
 
+def _decade_steps(decades: Sequence[int]) -> np.ndarray:
+    """The abscissa of change slopes: 1 at the first decade, one step per
+    ten years (1..n for n consecutive decades), so a slope is per decade."""
+    decades = np.asarray(decades, dtype=np.float64)
+    return (decades - decades[0]) / 10 + 1
+
+
 def _refuse_infinite(values: np.ndarray, words: Sequence[str] | None = None) -> None:
     """Refuse a score row holding ±inf, naming the row (or its word): only
     NaN means a missing score."""
@@ -328,9 +335,10 @@ class _ChangeSample:
     words with at least ``MIN_SLOPE_DECADES`` scored decades and an entry
     in both tables of ``factor_tables(norms, frequencies)``. Holds their
     score rows (C-ordered), relevance classes (score > 0.5) and factor
-    columns, the rows with gaps (with their presence and classes), and
-    the design matrix (intercept, then ``REGRESSION_FACTORS``). A matrix
-    whose kind is not relevance, or that holds a ±inf score, is refused."""
+    columns, the rows with gaps (with their presence and classes), the
+    decades' ``_decade_steps`` and the design matrix (intercept, then
+    ``REGRESSION_FACTORS``). A matrix whose kind is not relevance, or that
+    holds a ±inf score, is refused."""
 
     def __init__(self, matrix: "PredictionMatrix", norms: NormTable,
                  frequencies: Mapping[str, float] | Sequence[tuple[str, float]]):
@@ -355,14 +363,16 @@ class _ChangeSample:
         self.high = self.values > 0.5
         gappy = np.flatnonzero(~present.all(axis=1))
         self.gaps = gappy, present[gappy], self.high[gappy]
+        self.steps = _decade_steps(matrix.decades)
         self.work = np.empty((3, *self.values.shape))  # _slopes' buffers, for any shuffle
 
     def slopes(self, perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The rows one decade shuffle selects and their change slopes over
-        the decades in ``perm`` order. A row is selected when its relevance
-        class (score vs 0.5) differs between its first and last scored
-        decade in that order: column ``perm[0]`` and ``perm[-1]`` for a row
-        without gaps, found per shuffle for a row with gaps."""
+        """The rows one decade shuffle selects and their change slopes: the
+        score columns in ``perm`` order against the decades in matrix order.
+        A row is selected when its relevance class (score vs 0.5) differs
+        between its first and last scored decade in ``perm`` order: column
+        ``perm[0]`` and ``perm[-1]`` for a row without gaps, found per
+        shuffle for a row with gaps."""
         changed = self.high[:, perm[0]] != self.high[:, perm[-1]]
         gappy, present, high = self.gaps
         if gappy.size:
@@ -380,7 +390,7 @@ class _ChangeSample:
         rows, gathered = self.work[2, :sel.size], self.work[1, :sel.size]
         np.take(self.values, sel, axis=0, out=rows, mode="clip")
         np.take(rows, perm, axis=1, out=gathered, mode="clip")
-        return sel, _slopes(gathered, work=self.work)[0]
+        return sel, _slopes(gathered, self.steps, work=self.work)[0]
 
     def fit(self) -> tuple[RegressionFit, list[str]]:
         """The unshuffled regression (see ``psycholinguistic_regression``):
@@ -416,8 +426,8 @@ def psycholinguistic_regression(
     norms: NormTable,
     frequencies: Mapping[str, float] | Sequence[tuple[str, float]],
 ) -> tuple[RegressionFit, list[str]]:
-    """Regress per-word relevance-change slopes on log frequency, word
-    length, and concreteness.
+    """Regress per-word relevance-change slopes, per decade, on log
+    frequency, word length, and concreteness.
 
     The sample is restricted to words whose relevance class (score vs
     0.5) differs between their first and last unmasked decades, i.e.

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from moraldrift import (DiachronicEmbeddings, EmbeddingSpace, NormTable,
-                        build_irrelevant_seeds, build_tiers, category_label,
-                        relevant_words)
+                        build_irrelevant_seeds, build_tiers, relevant_words)
+from moraldrift.lexicon import CATEGORY_CLASSES
 
 WORLD_DECADES = (1900, 1910, 1920, 1930, 1940, 1950)
 DIM = 6
@@ -39,7 +39,7 @@ def category_center(c: int) -> np.ndarray:
 
 
 def seed_base(c: int) -> str:
-    return category_label(c).rstrip("+-")
+    return CATEGORY_CLASSES[c - 1].rstrip("+-")
 
 
 def make_space(decade: int, positions: dict) -> EmbeddingSpace:
@@ -127,6 +127,14 @@ def norm_table(words, valence, concreteness=np.nan) -> NormTable:
         np.broadcast_to(np.array(column, dtype=np.float64), (len(words),)).copy()
         for column in (valence, concreteness))
     return NormTable(words, valence, concreteness)
+
+
+def padded_seeds(words, count: int) -> set[str]:
+    """``words`` as a set of ``count`` seed words, padded with words that no
+    norms table in the tests holds (``build_irrelevant_seeds`` draws one
+    neutral word per seed word)."""
+    seeds = set(words)
+    return seeds | {f"unrated{i}" for i in range(count - len(seeds))}
 
 
 def world_norm_rows() -> list[tuple[str, float, float]]:

@@ -200,9 +200,15 @@ def space_index(words):
 # (the loop before the batched change filter)
 # ---------------------------------------------------------------------------
 
-def changed_word_fit(values, words, concreteness, log_frequency):
+def decade_abscissa(decades):
+    """Slope x values: one step per ten years, 1 at the first decade."""
+    return np.array([(d - decades[0]) / 10 + 1 for d in decades])
+
+
+def changed_word_fit(values, decades, words, concreteness, log_frequency):
     """The change regression's coefficients, found row by row from the
-    first and last scored decade of each word."""
+    first and last scored decade of each word, with slopes over
+    ``decades``."""
     from moraldrift.errors import DataError
     from moraldrift.stats import MIN_SLOPE_DECADES, multiple_regression, slope_rows
 
@@ -219,7 +225,7 @@ def changed_word_fit(values, words, concreteness, log_frequency):
         raise DataError(f"only {len(selected)} words qualify for the change "
                         f"regression; need more than 4")
     kept = [words[i] for i in selected]
-    slopes, _ = slope_rows(values[np.array(selected)])
+    slopes, _ = slope_rows(values[np.array(selected)], decade_abscissa(decades))
     return multiple_regression(slopes, {
         "frequency": np.array([log_frequency[w] for w in kept]),
         "length": np.array([float(len(w)) for w in kept]),
@@ -238,7 +244,7 @@ def permutation_control_loop(matrix, norms, frequencies, n_shuffles=1000, seed=0
     values = np.asarray(matrix.values, dtype=np.float64)
     tables = factor_tables(norms, frequencies)
     words = list(matrix.words)
-    base = changed_word_fit(values, words, *tables)
+    base = changed_word_fit(values, matrix.decades, words, *tables)
     if permutations is None:
         children = np.random.SeedSequence(seed).spawn(n_shuffles)
         permutations = [np.random.default_rng(c).permutation(values.shape[1])
@@ -247,7 +253,7 @@ def permutation_control_loop(matrix, norms, frequencies, n_shuffles=1000, seed=0
     control = np.empty((n_shuffles, len(REGRESSION_FACTORS)))
     for i, perm in enumerate(permutations):
         try:
-            fit = changed_word_fit(values[:, perm], words, *tables)
+            fit = changed_word_fit(values[:, perm], matrix.decades, words, *tables)
         except DataError as exc:
             raise DataError(f"shuffle {i}: {exc}") from exc
         control[i] = [fit.coefficients[name] for name in REGRESSION_FACTORS]
@@ -500,7 +506,7 @@ def retrieve_changing(matrix, lexicon, diachronic, spec, direction, top_n=10,
         mean_rels.append(mean_rel)
     if not rows:
         return []
-    slopes, p_values = slope_rows(matrix.values[rows])
+    slopes, p_values = slope_rows(matrix.values[rows], decade_abscissa(matrix.decades))
     candidates = [(matrix.words[i], float(b), float(p), mean_rel)
                   for i, b, p, mean_rel in zip(rows, slopes, p_values, mean_rels)]
     m = len(candidates) if bonferroni_family == "filtered" else len(matrix.words)

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import moraldrift
-from moraldrift import cli, load_diachronic
+from moraldrift import ModelSpec, cli, fit_tier, load_diachronic, posterior
 from moraldrift.cli import _HANDLERS, build_parser, dispatch
 
 from conftest import WORLD_DECADES, _world_positions, write_text
@@ -113,6 +114,23 @@ class TestClassify:
                            "--word", "qqqq", "--tier", "polarity")
         assert code == 2
         assert "qqqq" in err
+
+    @pytest.mark.parametrize("tier", ["relevance", "polarity", "category"])
+    @pytest.mark.parametrize("kind", ["centroid", "naive-bayes", "knn", "kde"])
+    def test_posterior_is_the_one_row_posterior(self, capsys, world, world_files, kind, tier):
+        # classify scores through the word-list routine; its one-row block
+        # gives posterior()'s bits.
+        spec = ModelSpec(kind.replace("-", "_"))
+        for word in ("riser", "care0", "flat00", "posmean"):
+            code, out, _ = run(capsys, "classify", *data_args(world_files), "--word", word,
+                               "--tier", tier, "--model", kind, "--decade", "1920")
+            assert code == 0
+            space = world.diachronic.space(1920)
+            want = posterior(fit_tier(spec, world.lexicon, space, tier), space.vector(word))
+            got = json.loads(out)["posterior"]
+            assert list(got) == list(want)
+            assert np.array_equal(np.array(list(got.values())).view(np.uint64),
+                                  np.array(list(want.values())).view(np.uint64))
 
     def test_category_tier(self, capsys, world_files):
         code, out, _ = run(capsys, "classify", *data_args(world_files),
@@ -230,6 +248,14 @@ class TestConfigFile:
                            "--word", "riser", "--config", str(config))
         assert code == 2
         assert f"{config}:2: not valid UTF-8 (invalid continuation byte)" in err
+
+    def test_byte_order_mark_skipped(self, capsys, world_files, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_bytes("\ufefftier=polarity\n".encode())
+        code, out, _ = run(capsys, "classify", *data_args(world_files),
+                           "--word", "riser", "--config", str(config))
+        assert code == 0
+        assert json.loads(out)["tier"] == "polarity"
 
     def test_bad_boolean_value_rejected(self, capsys, world_files, tmp_path):
         config = tmp_path / "run.cfg"
@@ -404,6 +430,25 @@ class TestMatrixAndRetrieve:
         assert lines[0].startswith("# tool=moraldrift")
         assert lines[1] == "word,decade,score"
         assert len(lines) == 2 + 101 * 6
+
+    def test_csv_cells_are_quoted(self, capsys, world_files, tmp_path):
+        # word2vec splits on whitespace only, and the word list is CSV, so a
+        # word may hold a comma or a quote; each row still reads back as 3 cells.
+        odd = ["a,b", 'he"llo']
+        files = edited_world(world_files, tmp_path / "world", lambda i, positions: positions.update(
+            {word: positions["flat00"] + 0.1 * j for j, word in enumerate(odd, start=1)}))
+        with open(files.wordlist, "a", newline="") as fh:
+            csv.writer(fh).writerows([[word, 10] for word in odd])
+        code, _, _ = run(capsys, "matrix", *data_args(files), "--wordlist", str(files.wordlist),
+                         "--kind", "relevance", "--out-dir", str(tmp_path / "out"))
+        assert code == 0
+        with open(tmp_path / "out" / "matrix_relevance.csv", newline="") as fh:
+            assert fh.readline().startswith("# tool=moraldrift")
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 103 * 6
+        assert all(len(row) == 3 and None not in row for row in rows)
+        assert [row["word"] for row in rows[-12::6]] == odd
+        assert {row["decade"] for row in rows[-6:]} == {str(d) for d in WORLD_DECADES}
 
     def test_retrieve_riser_first(self, capsys, world_files, matrix_dir, tmp_path):
         code, _, _ = run(capsys, "retrieve", *data_args(world_files),

@@ -18,17 +18,18 @@ from moraldrift.stats import REGRESSION_FACTORS
 from conftest import CHANGER_DECADES, changer_courses, norm_table
 
 
-def relevance_matrix(words, values):
+def relevance_matrix(words, values, steps=None):
+    """Decades from 1800, ten years apart, or ``steps`` decades apart."""
+    steps = range(values.shape[1]) if steps is None else steps
     return PredictionMatrix(kind="relevance", words=tuple(words),
-                            decades=tuple(1800 + 10 * j for j in range(values.shape[1])),
-                            values=values)
+                            decades=tuple(1800 + 10 * int(j) for j in steps), values=values)
 
 
 @st.composite
 def control_inputs(draw):
     """(matrix, norms, frequencies, permutations): scores around 0.5 with
-    NaN gaps, some words without a concreteness rating or frequency, and
-    shuffles that may include the identity."""
+    NaN gaps, decades that may skip some, some words without a concreteness
+    rating or frequency, and shuffles that may include the identity."""
     n_dec = draw(st.integers(5, 25))
     n_words = draw(st.integers(8, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -45,7 +46,8 @@ def control_inputs(draw):
     perms = [rng.permutation(n_dec) for _ in range(draw(st.integers(1, 6)))]
     if draw(st.booleans()):
         perms.insert(draw(st.integers(0, len(perms))), np.arange(n_dec))
-    return relevance_matrix(words, values), norms, frequencies, perms
+    steps = np.sort(rng.choice(3 * n_dec, n_dec, replace=False)) if draw(st.booleans()) else None
+    return relevance_matrix(words, values, steps), norms, frequencies, perms
 
 
 def assert_matches_loop(matrix, norms, frequencies, perms=None, **kwargs):

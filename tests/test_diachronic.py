@@ -4,14 +4,17 @@ import json
 import numpy as np
 import pytest
 
-from moraldrift import (CoverageError, DataError, ModelSpec, ParseError,
-                        PredictionMatrix, load_wordlist, matrix_from_json,
-                        matrix_to_json_dict, prediction_matrix, retrieve_changing,
+from moraldrift import (CoverageError, DataError, DiachronicEmbeddings,
+                        EmbeddingSpace, ModelSpec, ParseError, PredictionMatrix,
+                        load_wordlist, matrix_from_json, matrix_to_json_dict,
+                        multiple_regression, prediction_matrix,
+                        psycholinguistic_regression, retrieve_changing,
                         time_course, tier_classes)
 from moraldrift.diachronic import _switching_index
 from moraldrift.stats import slope_rows
 
 import reference
+from conftest import CHANGER_DECADES, changer_courses, norm_table
 
 SPEC = ModelSpec("centroid")
 
@@ -137,6 +140,49 @@ class TestSlope:
         b, p = slope_rows(scores[None, :])
         assert b[0] == pytest.approx(0.005, abs=0.003)
         assert p[0] < 0.05
+
+
+class TestSlopesPerDecade:
+    """Slopes are fitted against the decades, one step per ten years, not
+    against the column positions: here 1930 and 1960 have no column."""
+
+    DECADES = (1900, 1910, 1920, 1940, 1950, 1970)
+
+    def test_retrieval_slopes_match_linregress(self, world):
+        from scipy.stats import linregress
+        diachronic = DiachronicEmbeddings([EmbeddingSpace(d, s.words, s.matrix)
+                                           for d, s in zip(self.DECADES, world.diachronic)])
+        words = tuple(world.flat_words[:12])
+        values = np.random.default_rng(5).uniform(0.5, 1.0, (len(words), len(self.DECADES)))
+        values[0, 2] = values[3, 4] = np.nan
+        matrix = PredictionMatrix("relevance", words, self.DECADES, values)
+        records = retrieve_changing(matrix, world.lexicon, diachronic, SPEC,
+                                    "toward-relevance", top_n=len(words))
+        assert len(records) == len(words)
+        t = np.array(self.DECADES) / 10
+        for record in records:
+            row = values[words.index(record.word)]
+            want = linregress(t[np.isfinite(row)], row[np.isfinite(row)])
+            assert record.slope == pytest.approx(want.slope, rel=1e-10)
+            assert record.p_raw == pytest.approx(want.pvalue, rel=1e-9)
+
+    def test_change_regression_slopes_match_linregress(self):
+        from scipy.stats import linregress
+        words, freqs, concs, values = changer_courses(decade_noise=0.02)
+        keep = [j for j, d in enumerate(CHANGER_DECADES) if d not in (1850, 1900, 1910)]
+        decades = tuple(CHANGER_DECADES[j] for j in keep)
+        matrix = PredictionMatrix("relevance", tuple(words), decades, values[:, keep])
+        frequencies = dict(zip(words, freqs))
+        fit, kept = psycholinguistic_regression(matrix, norm_table(words, 5.0, concs),
+                                                frequencies)
+        slopes = [linregress(np.array(decades) / 10, matrix.values[words.index(w)]).slope
+                  for w in kept]
+        want = multiple_regression(slopes, {
+            "frequency": [np.log(frequencies[w]) for w in kept],
+            "length": [len(w) for w in kept],
+            "concreteness": [concs[words.index(w)] for w in kept]})
+        for name, coefficient in fit.coefficients.items():
+            assert coefficient == pytest.approx(want.coefficients[name], rel=1e-8)
 
 
 def switching_decades(rows, tier="polarity"):

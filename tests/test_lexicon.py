@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from moraldrift import (CoverageError, DataError, ParseError,
-                        build_irrelevant_seeds, build_tiers, category_label,
-                        load_mfd, load_norms, relevant_words, seed_vectors,
-                        tier_classes)
+                        build_irrelevant_seeds, build_tiers, load_mfd,
+                        load_norms, relevant_words, seed_vectors, tier_classes)
 
-from conftest import make_space, norm_table
+from conftest import make_space, norm_table, padded_seeds
 
 
 def write_csv(path, text):
@@ -20,7 +19,7 @@ class TestLoadMfd:
     def test_basic_row(self, tmp_path):
         path = write_csv(tmp_path / "mfd.csv", "word,category\nempathy,1\n")
         assert load_mfd(path) == {"empathy": 1}
-        assert category_label(1) == "care+"
+        assert tier_classes("category")[1 - 1] == "care+"
 
     def test_out_of_range_category(self, tmp_path):
         path = write_csv(tmp_path / "mfd.csv", "word,category\nbetray,11\n")
@@ -116,11 +115,11 @@ class TestLoadNorms:
 class TestBuildIrrelevantSeeds:
     def test_ordering_by_neutrality(self):
         norms = norm_table(["calm", "joy", "murder"], [5.0, 8.2, 1.5])
-        assert build_irrelevant_seeds(norms, set(), count=2) == {"calm", "joy"}
+        assert build_irrelevant_seeds(norms, padded_seeds(set(), 2)) == {"calm", "joy"}
 
     def test_seed_words_excluded(self):
         norms = norm_table(["duty", "calm", "chair"], [5.0, 5.2, 5.3])
-        selected = build_irrelevant_seeds(norms, {"duty"}, count=2)
+        selected = build_irrelevant_seeds(norms, padded_seeds({"duty"}, 2))
         assert selected == {"calm", "chair"}
 
     def test_count_defaults_to_seed_count(self):
@@ -131,37 +130,33 @@ class TestBuildIrrelevantSeeds:
     def test_capacity_error(self):
         norms = norm_table(["only"], 5.0)
         with pytest.raises(DataError, match="candidate"):
-            build_irrelevant_seeds(norms, set(), count=2)
+            build_irrelevant_seeds(norms, padded_seeds(set(), 2))
 
     def test_deterministic(self):
         rng = np.random.default_rng(0)
         norms = norm_table([f"w{i}" for i in range(50)], rng.uniform(1, 9, size=50))
-        first = build_irrelevant_seeds(norms, {"w0", "w1"}, count=10)
-        second = build_irrelevant_seeds(norms, {"w0", "w1"}, count=10)
+        first = build_irrelevant_seeds(norms, padded_seeds({"w0", "w1"}, 10))
+        second = build_irrelevant_seeds(norms, padded_seeds({"w0", "w1"}, 10))
         assert first == second
 
     def test_lexicographic_tie_break(self):
         norms = norm_table(["zeta", "alpha", "mid"], [5.1, 4.9, 5.0])
-        assert build_irrelevant_seeds(norms, set(), count=2) == {"mid", "alpha"}
+        assert build_irrelevant_seeds(norms, padded_seeds(set(), 2)) == {"mid", "alpha"}
 
     def test_selected_dominate_non_selected(self):
         # every selected word is at least as neutral as every non-selected one
         rng = np.random.default_rng(42)
         norms = norm_table([f"w{i:03d}" for i in range(200)], rng.uniform(1, 9, size=200))
         mfd = {f"w{i:03d}" for i in range(0, 200, 7)}
-        selected = build_irrelevant_seeds(norms, mfd, count=40)
+        selected = build_irrelevant_seeds(norms, padded_seeds(mfd, 40))
         by_word = dict(zip(norms.words, np.abs(norms.valence - 5.0)))
         worst_selected = max(by_word[w] for w in selected)
         others = [by_word[w] for w in norms.words if w not in selected and w not in mfd]
         assert all(worst_selected <= d + 1e-12 for d in others)
 
-    def test_negative_count_refused(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            build_irrelevant_seeds(norm_table(["calm"], 5.0), set(), count=-1)
-
     def test_vocabulary_filter(self):
         norms = norm_table(["invocab", "outvocab"], [5.2, 5.0])
-        selected = build_irrelevant_seeds(norms, set(), count=1,
+        selected = build_irrelevant_seeds(norms, padded_seeds(set(), 1),
                                           vocabulary={"invocab"})
         assert selected == {"invocab"}
 
@@ -267,18 +262,13 @@ class TestSeedVectors:
 
 
 class TestLabels:
-    def test_category_label_table(self):
-        assert category_label(1) == "care+"
-        assert category_label(2) == "harm-"
-        assert category_label(9) == "sanctity+"
-        assert category_label(10) == "degradation-"
-        with pytest.raises(ValueError):
-            category_label(11)
-
     def test_tier_class_orders(self):
         assert tier_classes("relevance") == ("irrelevant", "relevant")
         assert tier_classes("polarity") == ("positive", "negative")
-        assert len(tier_classes("category")) == 10
+        categories = tier_classes("category")  # category number c is categories[c - 1]
+        assert len(categories) == 10
+        assert [categories[c - 1] for c in (1, 2, 9, 10)] == [
+            "care+", "harm-", "sanctity+", "degradation-"]
         with pytest.raises(ValueError):
             tier_classes("other")
 

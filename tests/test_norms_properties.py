@@ -22,7 +22,7 @@ from moraldrift import (build_irrelevant_seeds, load_diachronic, load_mfd,
 from moraldrift.stats import factor_tables
 
 import reference
-from conftest import norm_table, write_text
+from conftest import norm_table, padded_seeds, write_text
 
 
 def cells(valid, faults):
@@ -133,8 +133,9 @@ class TestNormsAgainstReference:
         words = list(table.words)
         mfd = data.draw(st.sets(st.sampled_from(words))) if words else set()
         vocabulary = data.draw(st.none() | st.sets(st.sampled_from(words + ["absent"])))
-        for count in [None, *range(len(rows) + 2)]:
-            assert (_outcome(build_irrelevant_seeds, table, mfd, count, vocabulary)
+        for count in range(len(mfd), len(rows) + 2):  # one neutral word per seed word
+            assert (_outcome(build_irrelevant_seeds, table, padded_seeds(mfd, count),
+                             vocabulary)
                     == _outcome(reference.build_irrelevant_seeds, table, mfd, count,
                                 vocabulary))
 
@@ -149,8 +150,9 @@ class TestNormsAgainstReference:
         words = sorted(set(table.words))
         mfd = data.draw(st.sets(st.sampled_from(words))) if words else set()
         vocabulary = data.draw(st.none() | st.sets(st.sampled_from(words + ["absent"])))
-        for count in range(len(pairs) + 2):
-            assert (_outcome(build_irrelevant_seeds, table, mfd, count, vocabulary)
+        for count in range(len(mfd), len(pairs) + 2):
+            assert (_outcome(build_irrelevant_seeds, table, padded_seeds(mfd, count),
+                             vocabulary)
                     == _outcome(reference.build_irrelevant_seeds, table, mfd, count,
                                 vocabulary))
 

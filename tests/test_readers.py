@@ -455,6 +455,46 @@ class TestNotUtf8:
             load_embedding_space(path, NPY_FORMAT, 1900)
 
 
+BOM = "\ufeff".encode()
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark at the start of a text input (spreadsheet
+    programs write one) is skipped, and lines are still numbered from 1."""
+
+    def test_csv_table(self, tmp_path):
+        path = tmp_path / "mfd.csv"
+        path.write_bytes(BOM + b"word,category\ncare,1\n")
+        assert load_mfd(path) == {"care": 1}
+        path.write_bytes(BOM + b"word,category\ncare,1\nharm,11\n")
+        with pytest.raises(ParseError, match=re.escape(f"{path}:3: category 11 outside")):
+            load_mfd(path)
+        path.write_bytes(BOM + b"word,category\ncare,1\ncaf\xe9,2\n")
+        with pytest.raises(ParseError, match=re.escape(f"{path}:3: not valid UTF-8")):
+            load_mfd(path)
+
+    def test_word2vec_text(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_bytes(BOM + b"2 2\ncare 1.0 2.0\nharm 3.0 4.0\n")
+        space = load_embedding_space(path, TEXT_FORMAT, 1900)
+        assert space.words == ("care", "harm")
+        np.testing.assert_array_equal(space.matrix, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_npy_vocabulary(self, tmp_path):
+        path = tmp_path / "v.npy"
+        save_embedding_space(EmbeddingSpace(1900, ["care", "harm"], np.eye(2)), path)
+        vocab = path.with_suffix(".vocab")
+        vocab.write_bytes(BOM + vocab.read_bytes())
+        space = load_embedding_space(path, NPY_FORMAT, 1900)
+        assert space.words == ("care", "harm") and "care" in space
+
+    def test_prediction_matrix_json(self, tmp_path):
+        path = tmp_path / "matrix.json"
+        path.write_bytes(BOM + json.dumps({"kind": "relevance", "decades": [1900],
+                                           "words": ["care"], "values": [[0.5]]}).encode())
+        assert matrix_from_json(path).words == ("care",)
+
+
 @pytest.mark.filterwarnings("error")
 def test_signalling_nan_refused_without_a_warning(tmp_path):
     path = tmp_path / "v.bin"
