@@ -6,6 +6,7 @@ import pytest
 
 from moraldrift import (DataError, ModelSpec, fit, fit_tier, posterior,
                         posterior_batch, select_bandwidth)
+from moraldrift import classifiers
 from moraldrift.classifiers import BANDWIDTH_GRID, _loo_predict
 
 import reference
@@ -216,10 +217,12 @@ class TestKdePosterior:
         model = fit(ModelSpec("kde"), vectors)  # h=None resolves at fit
         assert model.spec.h == h
 
-    def test_accuracy_tie_goes_to_the_smaller_bandwidth(self):
-        # every bandwidth of the grid classifies every seed right
+    @pytest.mark.parametrize("grid", [[0.5, 1.0], list(BANDWIDTH_GRID)])
+    def test_accuracy_tie_goes_to_the_smaller_bandwidth(self, grid, monkeypatch):
+        # every bandwidth of the ascending grid classifies every seed right
+        monkeypatch.setattr(classifiers, "BANDWIDTH_GRID", tuple(grid))
         vectors = {"a": [[0.0], [0.1], [0.2]], "b": [[5.0], [5.1], [5.2]]}
-        assert select_bandwidth(vectors) == BANDWIDTH_GRID[0] == 0.1
+        assert select_bandwidth(vectors) == grid[0]
 
     def test_auto_bandwidth_all_singletons_rejected(self):
         with pytest.raises(DataError, match="singleton"):
