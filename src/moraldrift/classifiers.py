@@ -156,10 +156,16 @@ def fit_tier(spec: ModelSpec, lexicon: SeedLexicon, space: EmbeddingSpace,
              tier: str) -> Classifier:
     """Fit a model on one tier's seed vectors from one decade's space, once
     per (lexicon, space, spec, tier): later calls return the same read-only
-    model. A fit that raises is not kept, so it raises again."""
+    model. A fit that raises is not kept, so it raises again. kNN and KDE
+    models of one space and tier hold one seed block, the first one's."""
     models = lexicon._models.setdefault(space, {})
     if (spec, tier) not in models:
-        models[spec, tier] = fit(spec, seed_vectors(lexicon, space, tier))
+        model = fit(spec, seed_vectors(lexicon, space, tier))
+        held = [m for (_, t), m in models.items() if t == tier and m.seed_matrix is not None]
+        if model.seed_matrix is not None and held:  # the same rows, gathered the same way
+            model = replace(model, seed_matrix=held[0].seed_matrix,
+                            seed_labels=held[0].seed_labels)
+        models[spec, tier] = model
     return models[spec, tier]
 
 
@@ -239,16 +245,16 @@ def _blocks(n: int) -> Iterator[slice]:
     return (slice(s, s + _BLOCK_ROWS) for s in range(0, n, _BLOCK_ROWS))
 
 
-def _word_posteriors(model: Classifier, space: EmbeddingSpace,
-                     words: Sequence[str]) -> np.ndarray:
-    """Posteriors of a word list in one space, shape (n, n_classes), with a
-    NaN row where the space lacks the word. Each of the list's ``_blocks``
-    is gathered into one reused buffer and its present rows are scored
-    unchecked: a space's rows are finite. ``model.dim`` must be ``space.dim``."""
-    out = np.full((len(words), len(model.classes)), np.nan)
-    buffer = np.empty((min(len(words), _BLOCK_ROWS), space.dim))
-    for block in _blocks(len(words)):
-        matrix, present = space.rows(words[block], out=buffer)
+def _word_posteriors(model: Classifier, space: EmbeddingSpace, at: np.ndarray) -> np.ndarray:
+    """Posteriors of a word list in one space, given as its rows ``at`` from
+    ``space._lookup``, shape (n, n_classes), with a NaN row where the space
+    lacks the word. Each of the list's ``_blocks`` is gathered into one
+    reused buffer and its present rows are scored unchecked: a space's rows
+    are finite. ``model.dim`` must be ``space.dim``."""
+    out = np.full((len(at), len(model.classes)), np.nan)
+    buffer = np.empty((min(len(at), _BLOCK_ROWS), space.dim))
+    for block in _blocks(len(at)):
+        matrix, present = space._gather(at[block], out=buffer)
         out[block][present] = _posteriors(model, matrix)
     return out
 

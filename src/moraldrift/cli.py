@@ -161,10 +161,9 @@ def _seed_inputs(args: argparse.Namespace, norms: NormTable | None = None
         norms = load_norms(_path(args, "norms"))
     words = relevant_words(entries)
     vocabulary = None
-    if args.neutral_in_vocab:
-        vocabulary = set(diachronic.spaces[0].words)
-        for space in diachronic.spaces[1:]:
-            vocabulary.intersection_update(space.words)
+    if args.neutral_in_vocab:  # once per distinct vocabulary object
+        first, *others = {id(space.words): space.words for space in diachronic}.values()
+        vocabulary = set(first).intersection(*others)
     irrelevant = build_irrelevant_seeds(norms, words, vocabulary=vocabulary)
     return diachronic, build_tiers(entries, irrelevant)
 
@@ -246,7 +245,7 @@ def _cmd_classify(args) -> dict:
     spec, diachronic, lexicon = _model_inputs(args)
     space = _pick_space(args, diachronic)
     model = fit_tier(spec, lexicon, space, tier)
-    [row] = _word_posteriors(model, space, [word])
+    [row] = _word_posteriors(model, space, space._lookup([word]))
     if np.isnan(row).any():
         raise CoverageError(f"word {word!r} has no embedding in decade {space.decade}")
     return {"-": {"word": word, "tier": tier, "decade": space.decade,

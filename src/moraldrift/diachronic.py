@@ -60,12 +60,15 @@ def _decade_scores(diachronic: DiachronicEmbeddings, lexicon: SeedLexicon,
     tracked pole's probability for a binary tier, (n_words, n_decades); the
     class distribution for the category tier, (n_words, n_decades, 10).
     NaN where a word has no embedding. Decade by decade, ``_word_posteriors``
-    scores the word list."""
+    scores the word list, looked up once per distinct vocabulary object."""
     values = np.empty((len(words), len(diachronic))
                       + ((len(tier_classes(tier)),) if tier == CATEGORY else ()))
+    rows: dict[int, np.ndarray] = {}  # id(space.words) -> the list's rows
     for j, space in enumerate(diachronic):
         model = fit_tier(spec, lexicon, space, tier)
-        probs = _word_posteriors(model, space, words)
+        if id(space.words) not in rows:
+            rows[id(space.words)] = space._lookup(words)
+        probs = _word_posteriors(model, space, rows[id(space.words)])
         if tier != CATEGORY:
             probs = probs[:, model.classes.index(_SCORE_CLASS[tier])]
         values[:, j] = probs

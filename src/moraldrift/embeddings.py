@@ -16,6 +16,7 @@ import math
 import os
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -33,12 +34,22 @@ FORMATS = (TEXT_FORMAT, BINARY_FORMAT, NPY_FORMAT)
 TEXT_CHUNK = 1 << 18  # characters of word2vec text parsed at once
 
 
+class _Vocabulary(tuple):
+    """Words in row order; every space on this object shares its ``index``."""
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        return dict(zip(self, range(len(self))))
+
+
 class EmbeddingSpace:
     """One decade's word -> vector map with fixed dimensionality.
 
     Immutable after construction; safe for concurrent reads. Vectors are
     rows of a read-only matrix in insertion order, float32 if given so,
     else float64; ``vector`` and ``rows`` widen them exactly to float64.
+    Given another space's ``words``, a space shares its word tuple and
+    index.
     """
 
     def __init__(self, decade: int, words: Sequence[str], matrix: np.ndarray,
@@ -59,8 +70,8 @@ class EmbeddingSpace:
             raise DataError("embedding space has empty vocabulary")
         if not np.all(np.isfinite(matrix)):
             raise DataError("embedding matrix contains non-finite entries")
-        words = tuple(words)
-        index = dict(zip(words, range(len(words))))
+        words = words if isinstance(words, _Vocabulary) else _Vocabulary(words)
+        index = words.index
         if len(index) < len(words) or "" in index:  # an empty or repeated word: name the first
             seen: set[str] = set()
             for w in words:
@@ -99,7 +110,15 @@ class EmbeddingSpace:
         """Float64 rows of the words the space holds, in input order, and a
         boolean mask over ``words`` that is True where the word is held.
         With ``out`` (float64, a row per word) the matrix is its first rows."""
-        at = np.fromiter(map(self._index.get, words, repeat(-1)), dtype=np.intp)  # one dict pass
+        return self._gather(self._lookup(words), out)
+
+    def _lookup(self, words: Iterable[str]) -> np.ndarray:
+        """Each word's row, -1 where absent: rows of every space on these ``words``."""
+        return np.fromiter(map(self._index.get, words, repeat(-1)), dtype=np.intp)
+
+    def _gather(self, at: np.ndarray, out: np.ndarray | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """``rows`` of the words at ``_lookup`` rows ``at``."""
         present = at >= 0
         index = at[present]
         mat = np.empty((len(index), self.dim)) if out is None else out[:len(index)]
@@ -310,7 +329,7 @@ def _parse_header(line: str, path: Path) -> tuple[int, int]:
 
 
 def _first_rows(path: Path, count: int, words: list[str], matrix: np.ndarray,
-                lines: Sequence[int] | None = None) -> tuple[list[str], np.ndarray, int]:
+                lines: Sequence[int] | None = None) -> tuple[_Vocabulary, np.ndarray, int]:
     """The checks and dedupe shared by both word2vec readers: the entries
     must number ``count`` and be finite, duplicates included (errors name
     the word, and in text its line from ``lines``). Each word keeps its
@@ -329,10 +348,10 @@ def _first_rows(path: Path, count: int, words: list[str], matrix: np.ndarray,
     n_dup = len(words) - len(first)
     if n_dup:
         words, matrix = list(first), matrix[list(first.values())]
-    return words, matrix, n_dup
+    return _Vocabulary(words), matrix, n_dup
 
 
-def _load_text(path: Path) -> tuple[list[str], np.ndarray, int]:
+def _load_text(path: Path) -> tuple[_Vocabulary, np.ndarray, int]:
     """Parse a word2vec text file by ``_text_chunk``, ``TEXT_CHUNK``
     characters of lines at a time. The lines read before a decode error
     are parsed first, so an earlier bad line is named, as line by line."""
@@ -395,7 +414,7 @@ def _text_chunk(path: Path, dim: int, chunk: Sequence[str], start: int, words: l
         lines.append(lineno)
 
 
-def _load_binary(path: Path) -> tuple[list[str], np.ndarray, int]:
+def _load_binary(path: Path) -> tuple[_Vocabulary, np.ndarray, int]:
     """Walk the file in one buffer: a word runs to the next space and is
     followed by exactly 4 * dim vector bytes, so vector bytes are never
     taken for separators. Newlines before a word are skipped."""
@@ -451,11 +470,12 @@ def _write_labelled(path: Path, words: Sequence[str], array: np.ndarray) -> None
         fh.writelines(f"{w}\n" for w in words)
 
 
-def _map_labelled(path: Path) -> tuple[list[str], np.ndarray]:
+def _map_labelled(path: Path, known: dict) -> tuple[_Vocabulary, np.ndarray]:
     """Map ``path``, a 2-D ``<f4`` or ``<f8`` array, read-only and read the
     words of ``<stem>.vocab``, one per ``\n``-ended line (a ``\r`` before
     the ``\n`` is dropped); a word the writer refuses (a ``\r`` or U+2028
-    inside it) is refused.
+    inside it) is refused. ``.vocab`` bytes that key ``known`` give its
+    words, read before; new ones are added.
 
     Rows are not checked here: the EmbeddingSpace checks (finite values,
     one row per word, no empty or duplicate word) apply to the map.
@@ -474,9 +494,13 @@ def _map_labelled(path: Path) -> tuple[list[str], np.ndarray]:
                          f"{array.ndim}-D {array.dtype.str}")
     vocab = path.with_suffix(".vocab")
     try:
-        text = vocab.read_bytes().decode("utf-8-sig")
+        raw = vocab.read_bytes()
     except FileNotFoundError:
         raise ParseError(f"{path}: vocabulary file {vocab} not found") from None
+    if raw in known:
+        return known[raw], array
+    try:
+        text = raw.decode("utf-8-sig")
     except UnicodeDecodeError:
         raise _not_utf8(vocab) from None
     words = text.split("\n")
@@ -487,7 +511,8 @@ def _map_labelled(path: Path) -> tuple[list[str], np.ndarray]:
     bad = _unstorable(words, str.splitlines, "\n")
     if bad is not None:
         raise ParseError(f"{vocab}:{bad + 1}: word {words[bad]!r} contains a line break")
-    return words, array
+    known[raw] = _Vocabulary(words)
+    return known[raw], array
 
 
 def load_embedding_space(path: str | Path, format: str, decade: int,
@@ -502,12 +527,19 @@ def load_embedding_space(path: str | Path, format: str, decade: int,
     ``<f4`` stay float32. With ``normalize``, every vector is scaled to
     unit L2 norm after loading (into a new float64 matrix).
     """
+    return _load_space(Path(path), format, decade, normalize, {})
+
+
+def _load_space(path: Path, format: str, decade: int, normalize: bool,
+                vocabularies: dict) -> EmbeddingSpace:
+    """``load_embedding_space`` taking equal words from ``vocabularies``
+    (keyed by the words, and by npy ``.vocab`` bytes), where new ones go."""
     readers = {TEXT_FORMAT: _load_text, BINARY_FORMAT: _load_binary,
-               NPY_FORMAT: lambda path: (*_map_labelled(path), 0)}  # a store repeats no word
+               NPY_FORMAT: lambda path: (*_map_labelled(path, vocabularies), 0)}  # 0 duplicates
     if format not in readers:
         raise ValueError(f"unknown embedding format {format!r}; expected one of {FORMATS}")
-    path = Path(path)
     words, matrix, n_dup = readers[format](path)
+    words = vocabularies.setdefault(words, words)
     if n_dup:
         logger.warning("%s: dropped %d duplicate vocabulary entries", path, n_dup)
     if normalize:
@@ -568,7 +600,8 @@ def align_procrustes(source: EmbeddingSpace,
     if source.dim != target.dim:
         raise AlignmentError(
             f"dimension mismatch: {source.dim} vs {target.dim}")
-    shared = sorted(w for w in source.words if w in target)
+    shared = sorted(source.words if source.words is target.words
+                    else (w for w in source.words if w in target))
     if len(shared) < source.dim:
         raise AlignmentError(
             f"shared vocabulary has {len(shared)} words; need at least "
@@ -593,18 +626,19 @@ def load_diachronic(manifest: str | Path, normalize: bool = False) -> Diachronic
     Every row is checked (an integer decade, not repeated; a known
     format) before any decade is loaded. Relative paths are resolved
     against the manifest's own directory. All spaces must share one
-    dimensionality.
+    dimensionality. Decades with equal vocabularies share one word tuple
+    and index; a repeated npy ``.vocab`` content is read once.
     """
     manifest = Path(manifest)
     decades, paths, formats = read_table(manifest, [["decade", "path", "format"]], [
         Column("decade", int, unique=True), Column("path", None), Column("format", FORMATS)])
     if not decades:
         raise ParseError(f"{manifest}: no entries")
-    spaces = []
+    spaces, vocabularies = [], {}
     for decade, path, fmt in zip(decades, paths, formats):
         try:  # an absolute path stays as is
-            spaces.append(load_embedding_space(manifest.parent / path, fmt, decade,
-                                               normalize=normalize))
+            spaces.append(_load_space(manifest.parent / path, fmt, decade, normalize,
+                                      vocabularies))
         except (OSError, ParseError, DataError) as exc:
             raise DataError(f"decade {decade}: {exc}") from exc
     return DiachronicEmbeddings(spaces)

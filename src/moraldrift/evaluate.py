@@ -114,7 +114,7 @@ def valence_correlation(polarity_model: Classifier, space: EmbeddingSpace,
     refused."""
     if polarity_model.dim != space.dim:
         raise DataError(f"query has dimension {space.dim}, model expects {polarity_model.dim}")
-    probs = _word_posteriors(polarity_model, space, norms.words)
+    probs = _word_posteriors(polarity_model, space, space._lookup(norms.words))
     present = ~np.isnan(probs[:, 0])
     if (n := int(np.count_nonzero(present))) < 3:
         raise DataError(f"only {n} rated words have embeddings; need >= 3")

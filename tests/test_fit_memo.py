@@ -5,7 +5,8 @@ Every score that goes through the memo is checked bit for bit against
 call: time courses, prediction matrices and retrieval's category labels,
 for all four model kinds (KDE with its bandwidth search included) and all
 three tiers, with queries in any order. A failed fit is not kept, and
-the memo lets go of a space's models with the space.
+the memo lets go of a space's models with the space. kNN and KDE models of
+one space and tier hold one seed block.
 """
 import copy
 import dataclasses
@@ -20,8 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moraldrift import (CoverageError, DiachronicEmbeddings, ModelSpec, PredictionMatrix,
-                        build_tiers, fit_tier, prediction_matrix, retrieve_changing,
-                        time_course)
+                        build_tiers, fit, fit_tier, prediction_matrix, retrieve_changing,
+                        seed_vectors, time_course)
 
 import reference
 from conftest import make_space
@@ -113,6 +114,28 @@ def test_same_model_object_per_key(world, caplog):
     assert fit_tier(ModelSpec("kde"), world.lexicon, space, "category") is not model
     with pytest.raises(ValueError, match="read-only"):
         model.seed_matrix[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("first", ["knn", "kde"])
+def test_knn_and_kde_share_one_seed_block_per_space_and_tier(world, first):
+    lexicon, space = fresh(world.lexicon), world.spaces[0]
+    specs = {"knn": ModelSpec("knn", k=3), "kde": ModelSpec("kde")}
+    fit_tier(specs[first], lexicon, space, "relevance")
+    knn, kde = (fit_tier(specs[kind], lexicon, space, "relevance") for kind in specs)
+    assert kde.seed_matrix is knn.seed_matrix and kde.seed_labels is knn.seed_labels
+    assert not kde.seed_matrix.flags.writeable and not kde.seed_labels.flags.writeable
+    alone = fit(ModelSpec("kde"), seed_vectors(lexicon, space, "relevance"))
+    assert kde.spec.h == alone.spec.h
+    np.testing.assert_array_equal(bits(kde.seed_matrix), bits(alone.seed_matrix))
+    np.testing.assert_array_equal(kde.seed_labels, alone.seed_labels)
+    others = [fit_tier(specs["kde"], lexicon, space, "polarity"),
+              fit_tier(specs["knn"], lexicon, world.spaces[1], "relevance")]
+    assert all(m.seed_matrix is not kde.seed_matrix for m in others)
+    assert fit_tier(ModelSpec("centroid"), lexicon, space, "relevance").seed_matrix is None
+    assert set(lexicon._models[space]) == {
+        (specs["knn"], "relevance"), (specs["kde"], "relevance"), (specs["kde"], "polarity"),
+        (ModelSpec("centroid"), "relevance")}
+    assert len(pickle.loads(pickle.dumps(lexicon))._models) == 0
 
 
 def test_failed_fit_is_raised_again():
