@@ -25,6 +25,7 @@ import hashlib
 import json
 import logging
 import math
+import shutil
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -37,8 +38,8 @@ from .diachronic import (DIRECTIONS, json_scores, load_wordlist,
                          matrix_from_json, matrix_to_json_dict,
                          prediction_matrix, retrieve_changing, time_course)
 from .embeddings import (NPY_FORMAT, DiachronicEmbeddings, EmbeddingSpace,
-                         _not_utf8, align_diachronic, load_diachronic,
-                         save_embedding_space)
+                         _align_chain, _load_row, _manifest_rows, _not_utf8,
+                         _write_labelled, load_diachronic)
 from .errors import CoverageError, DataError, MoraldriftError, ParseError
 from .evaluate import (load_survey, loo_accuracy, loo_accuracy_historical,
                        survey_correlation, valence_correlation)
@@ -223,20 +224,34 @@ def _write_outputs(args: argparse.Namespace, outputs: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_align(args) -> dict:
-    diachronic = load_diachronic(_path(args, "manifest"),
-                                 normalize=args.normalize_embeddings)
-    aligned = align_diachronic(diachronic, direction=args.alignment_direction)
-    out = _out_dir(args)
-    manifest_rows = []
-    for space in aligned:
-        name = f"aligned_{space.decade}.npy"
-        save_embedding_space(space, out / name)
-        manifest_rows.append((space.decade, name, NPY_FORMAT))
-    return {
-        "aligned_manifest.csv": (["decade", "path", "format"], manifest_rows),
-        "align.json": {"direction": args.alignment_direction,
-                       "decades": list(aligned.decades), "dim": aligned.dim},
-    }
+    # One pair of decades at a time, in anchor order. The stores move into place
+    # once all have aligned; on a failure they go, with any directory made here.
+    manifest = _path(args, "manifest")
+    rows = sorted(_manifest_rows(manifest), reverse=args.alignment_direction == "backward")
+    out = Path(args.out_dir)
+    made = [d for d in (out, *out.parents) if not d.exists()]
+    vocabularies, staged = {}, []
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for space in _align_chain(_load_row(manifest, row, args.normalize_embeddings,
+                                            vocabularies) for row in rows):
+            staged += _write_labelled(out / f"aligned_{space.decade}.npy", space.words,
+                                      space.matrix)
+            for key in [k for k, v in vocabularies.items() if v is not space.words]:
+                del vocabularies[key]  # only the next source may share a vocabulary
+    except BaseException:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+        if made:
+            shutil.rmtree(made[-1], ignore_errors=True)
+        raise
+    for tmp, final in staged:
+        tmp.replace(final)
+    decades = sorted(decade for decade, _, _ in rows)
+    manifest_rows = [(d, f"aligned_{d}.npy", NPY_FORMAT) for d in decades]
+    return {"aligned_manifest.csv": (["decade", "path", "format"], manifest_rows),
+            "align.json": {"direction": args.alignment_direction, "decades": decades,
+                           "dim": space.dim}}
 
 
 def _cmd_classify(args) -> dict:

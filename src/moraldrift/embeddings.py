@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import logging
 import math
-import os
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -449,25 +448,32 @@ def _load_binary(path: Path) -> tuple[_Vocabulary, np.ndarray, int]:
     return _first_rows(path, count, words, matrix)
 
 
-def _write_labelled(path: Path, words: Sequence[str], array: np.ndarray) -> None:
-    """Write ``array`` to ``path`` as ``<f8`` (no pickle) and ``words``, one
-    per ``\n``-ended line, to ``<stem>.vocab``. A path not ending in
-    ``.npy``, or a word holding a line break (it would not read back),
-    raises DataError before anything is written."""
+def _write_labelled(path: Path, words: Sequence[str], array: np.ndarray
+                    ) -> list[tuple[Path, Path]]:
+    """Write ``array`` as ``<f8`` (no pickle) and ``words``, one per
+    ``\n``-ended line, beside ``path`` and ``<stem>.vocab``; return the
+    ``(temporary, final)`` pairs to rename (``array`` may map ``path``). A
+    path not ending in ``.npy``, or a word holding a line break (it would
+    not read back), raises DataError before anything is written; a failed
+    write removes both temporaries."""
     if path.suffix != ".npy":
         raise DataError(f"{path}: an npy store's path must end in .npy")
     bad = _unstorable(words, str.splitlines, "\n")
     if bad is not None:
         raise DataError(f"{path}: word {words[bad]!r} contains a line break, which the "
                         "npy format cannot store")
-    # Write beside and rename: ``array`` may be a map of ``path``
-    # itself, which truncating in place would pull from under it.
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        np.save(fh, np.ascontiguousarray(array, dtype="<f8"), allow_pickle=False)
-    os.replace(tmp, path)
-    with open(path.with_suffix(".vocab"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(f"{w}\n" for w in words)
+    pairs = [(final.with_name(final.name + ".tmp"), final)
+             for final in (path, path.with_suffix(".vocab"))]
+    try:
+        with open(pairs[0][0], "wb") as fh:
+            np.save(fh, np.ascontiguousarray(array, dtype="<f8"), allow_pickle=False)
+        with open(pairs[1][0], "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(f"{w}\n" for w in words)
+    except BaseException:
+        for tmp, _ in pairs:
+            tmp.unlink(missing_ok=True)
+        raise
+    return pairs
 
 
 def _map_labelled(path: Path, known: dict) -> tuple[_Vocabulary, np.ndarray]:
@@ -566,7 +572,8 @@ def save_embedding_space(space: EmbeddingSpace, path: str | Path) -> None:
     ``.npy``, or a word the store cannot hold, raises DataError before
     anything is written. The store is float64, and loading it reproduces
     every row ``rows`` gives bit-for-bit. word2vec files are read-only."""
-    _write_labelled(Path(path), space.words, space.matrix)
+    for tmp, final in _write_labelled(Path(path), space.words, space.matrix):
+        tmp.replace(final)
 
 
 def lookup(space: EmbeddingSpace, word: str) -> np.ndarray | None:
@@ -606,11 +613,11 @@ def align_procrustes(source: EmbeddingSpace,
         raise AlignmentError(
             f"shared vocabulary has {len(shared)} words; need at least "
             f"dim={source.dim} for a stable alignment")
-    x, _ = source.rows(shared)
-    y, _ = target.rows(shared)
-    # R = V U^T from the SVD of Y^T X = U S V^T.
+    # R = V U^T from the SVD of Y^T X = U S V^T, Y and X the target's and
+    # the source's shared rows (freed before the rotated copy is made).
+    cross = target.rows(shared)[0].T @ source.rows(shared)[0]
     try:
-        u, _, vt = np.linalg.svd(y.T @ x)
+        u, _, vt = np.linalg.svd(cross)
     except np.linalg.LinAlgError as exc:
         raise DataError(f"SVD failed during alignment: {exc}") from exc
     rotation = vt.T @ u.T
@@ -629,19 +636,28 @@ def load_diachronic(manifest: str | Path, normalize: bool = False) -> Diachronic
     dimensionality. Decades with equal vocabularies share one word tuple
     and index; a repeated npy ``.vocab`` content is read once.
     """
-    manifest = Path(manifest)
+    manifest, vocabularies = Path(manifest), {}
+    return DiachronicEmbeddings([_load_row(manifest, row, normalize, vocabularies)
+                                 for row in _manifest_rows(manifest)])
+
+
+def _manifest_rows(manifest: Path) -> list[tuple[int, str, str]]:
+    """The checked ``(decade, path, format)`` rows of a manifest, in file order."""
     decades, paths, formats = read_table(manifest, [["decade", "path", "format"]], [
         Column("decade", int, unique=True), Column("path", None), Column("format", FORMATS)])
     if not decades:
         raise ParseError(f"{manifest}: no entries")
-    spaces, vocabularies = [], {}
-    for decade, path, fmt in zip(decades, paths, formats):
-        try:  # an absolute path stays as is
-            spaces.append(_load_space(manifest.parent / path, fmt, decade, normalize,
-                                      vocabularies))
-        except (OSError, ParseError, DataError) as exc:
-            raise DataError(f"decade {decade}: {exc}") from exc
-    return DiachronicEmbeddings(spaces)
+    return list(zip(decades, paths, formats))
+
+
+def _load_row(manifest: Path, row: tuple[int, str, str], normalize: bool,
+              vocabularies: dict) -> EmbeddingSpace:
+    """The space of a ``_manifest_rows`` row; a failure names its decade."""
+    decade, path, fmt = row
+    try:  # an absolute path stays as is
+        return _load_space(manifest.parent / path, fmt, decade, normalize, vocabularies)
+    except (OSError, ParseError, DataError) as exc:
+        raise DataError(f"decade {decade}: {exc}") from exc
 
 
 def align_diachronic(diachronic: DiachronicEmbeddings,
@@ -656,7 +672,16 @@ def align_diachronic(diachronic: DiachronicEmbeddings,
         raise ValueError(f"unknown alignment direction {direction!r}")
     # Backward is forward over the reversed decades; the result sorts by decade.
     spaces = diachronic.spaces if direction == "forward" else diachronic.spaces[::-1]
-    aligned = [spaces[0]]
-    for sp in spaces[1:]:
-        aligned.append(align_procrustes(sp, aligned[-1])[1])
-    return DiachronicEmbeddings(aligned)
+    return DiachronicEmbeddings(list(_align_chain(iter(spaces))))
+
+
+def _align_chain(spaces: Iterator[EmbeddingSpace]) -> Iterator[EmbeddingSpace]:
+    """``spaces`` in anchor order, each rotated onto the one yielded before
+    it, the anchor as is. Only the last yielded space is kept."""
+    yield (target := next(spaces))
+    for space in spaces:
+        if space.dim != target.dim:
+            raise DataError("member spaces disagree on dimensionality: "
+                            f"{sorted({target.dim, space.dim})}")
+        space = target = align_procrustes(space, target)[1]  # the source goes
+        yield space

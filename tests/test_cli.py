@@ -707,34 +707,73 @@ class TestAlign:
         first = (tmp_path / "aligned_manifest.csv").read_text().splitlines()[0]
         assert first.startswith("# tool=moraldrift")
 
-    def test_unstorable_word_leaves_no_output(self, capsys, tmp_path):
-        # The later decade holds a word the npy store cannot hold (U+2028
-        # is a line break); it is refused at load, before any file is written.
+    @pytest.mark.parametrize("faulty", ["1910.bin", "1900.bin"])  # first, last aligned
+    def test_unstorable_word_leaves_no_output(self, capsys, tmp_path, faulty):
+        # A decade holds a word the npy store cannot hold (U+2028 is a line
+        # break); it is refused at load, and the anchor's staged store goes.
         rows = np.arange(6, dtype="<f4").reshape(3, 2)
         manifest = tmp_path / "manifest.csv"
-        manifest.write_text("decade,path,format\n1900,a.bin,binary-word2vec\n"
-                            "1910,b.bin,binary-word2vec\n")
-        for name, words in (("a.bin", ["a", "b", "c"]), ("b.bin", ["a", "b", "odd\u2028word"])):
+        manifest.write_text("decade,path,format\n1900,1900.bin,binary-word2vec\n"
+                            "1910,1910.bin,binary-word2vec\n")
+        for name in ("1900.bin", "1910.bin"):
+            words = ["a", "b", "odd\u2028word" if name == faulty else "c"]
             (tmp_path / name).write_bytes(b"3 2\n" + b"".join(
                 w.encode() + b" " + row.tobytes() for w, row in zip(words, rows)))
         out = tmp_path / "out"
         code, _, err = run(capsys, "align", "--manifest", str(manifest), "--out-dir", str(out))
         assert code == 2
-        assert f"{tmp_path / 'b.bin'}: entry 3: word 'odd\\u2028word' contains whitespace" in err
+        assert f"{tmp_path / faulty}: entry 3: word 'odd\\u2028word' contains whitespace" in err
         assert not out.exists()
 
-    def test_failed_alignment_leaves_no_out_dir(self, capsys, tmp_path):
-        # Two 3-d decades share one word: too few for a rotation.
-        manifest = tmp_path / "manifest.csv"
-        manifest.write_text("decade,path,format\n1900,a.txt,text-word2vec\n"
-                            "1910,b.txt,text-word2vec\n")
-        for name, words in (("a.txt", ["a", "b", "c"]), ("b.txt", ["a", "x", "y"])):
-            write_text(tmp_path / name, words, np.eye(3))
-        out = tmp_path / "out"
-        code, _, err = run(capsys, "align", "--manifest", str(manifest), "--out-dir", str(out))
+    @pytest.mark.parametrize("case", ["two-decades", "oldest", "out-of-memory", "earlier-run"])
+    def test_failed_alignment_leaves_no_out_dir(self, capsys, monkeypatch, tmp_path, case):
+        # 3-d text decades sharing the words a-e, but one shares only "a"
+        # with its neighbour: too few for a rotation. "oldest" is the last
+        # decade the backward chain aligns; "out-of-memory" fails the 10th
+        # load; "earlier-run" fails as "oldest" over the files of an earlier
+        # run whose vectors are twice as long.
+        n = 2 if case == "two-decades" else 20
+        faulty = None if case == "out-of-memory" else 1800
+        decades = range(1800, 1800 + 10 * n, 10)
+
+        def manifest_of(root, faulty, scale=1.0):
+            root.mkdir()
+            for decade in decades:
+                words = ["a", "x", "y", "z"] if decade == faulty else ["a", "b", "c", "d", "e"]
+                write_text(root / f"{decade}.txt", words,
+                           scale * np.eye(len(words), 3, k=decade % 3))
+            (root / "manifest.csv").write_text("decade,path,format\n" + "".join(
+                f"{d},{d}.txt,text-word2vec\n" for d in decades))
+            return str(root / "manifest.csv")
+
+        out = tmp_path / "out" / "nested"
+        before = {}
+        if case == "earlier-run":
+            assert run(capsys, "align", "--manifest", manifest_of(tmp_path / "good", None, 2.0),
+                       "--out-dir", str(out))[0] == 0
+            before = {p.name: p.read_bytes() for p in out.iterdir()}
+            assert len(before) == 42
+        if case == "out-of-memory":
+            loads = []
+
+            def exhausted(*args):
+                loads.append(args)
+                if len(loads) == 10:
+                    raise MemoryError
+                return load_row(*args)
+
+            load_row = cli._load_row
+            monkeypatch.setattr(cli, "_load_row", exhausted)
+        code, _, err = run(capsys, "align", "--manifest", manifest_of(tmp_path / "bad", faulty),
+                           "--out-dir", str(out))
         assert code == 2
-        assert "shared vocabulary has 1 words; need at least dim=3" in err
-        assert not out.exists()
+        assert err == ("moraldrift: error: out of memory in align\n" if faulty is None else
+                       "moraldrift: error: shared vocabulary has 1 words; need at least dim=3 "
+                       "for a stable alignment\n")
+        if before:
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        else:
+            assert not (tmp_path / "out").exists()
 
     def test_npy_store_gives_the_text_outputs(self, capsys, world_files, tmp_path):
         store, out = tmp_path / "aligned", tmp_path / "out"

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from moraldrift import (DataError, ParseError, load_diachronic, load_embedding_space,
-                        save_embedding_space)
+from moraldrift import (DataError, ParseError, embeddings, load_diachronic,
+                        load_embedding_space, save_embedding_space)
 from moraldrift.embeddings import NPY_FORMAT, EmbeddingSpace
 
 FMAX = float(np.finfo(np.float64).max)
@@ -109,6 +109,32 @@ def test_save_over_the_mapped_file(tmp_path):
     save_embedding_space(loaded, path)
     np.testing.assert_array_equal(loaded.matrix, np.eye(2))
     np.testing.assert_array_equal(load_embedding_space(path, NPY_FORMAT, 1900).matrix, np.eye(2))
+
+
+@pytest.mark.parametrize("fault", [OSError(28, "No space left on device"), MemoryError()])
+def test_failed_vocabulary_write_keeps_the_earlier_store(tmp_path, monkeypatch, fault):
+    # A store of as many rows but other words and values: were its array
+    # renamed before its word list is written, the old store would load
+    # the new rows under the old words, or under a truncated list.
+    path = tmp_path / "s.npy"
+    save_embedding_space(EmbeddingSpace(1900, ["a", "b"], np.eye(2)), path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        if ".vocab" in Path(file).name and "w" in mode:
+            fh.close()
+            raise fault
+        return fh
+
+    monkeypatch.setattr(embeddings, "open", failing_open, raising=False)
+    with pytest.raises(type(fault)):
+        save_embedding_space(EmbeddingSpace(1900, ["x", "y"], np.full((2, 2), 7.0)), path)
+    monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    loaded = load_embedding_space(path, NPY_FORMAT, 1900)
+    assert loaded.words == ("a", "b")
+    np.testing.assert_array_equal(loaded.matrix, np.eye(2))
 
 
 @pytest.mark.parametrize("name", ["a.txt", "a.bin", "a.npz", "a.NPY", "a"])
