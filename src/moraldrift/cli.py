@@ -27,6 +27,7 @@ import logging
 import math
 import shutil
 import sys
+import tempfile
 from pathlib import Path
 from typing import Sequence
 
@@ -39,7 +40,7 @@ from .diachronic import (DIRECTIONS, json_scores, load_wordlist,
                          prediction_matrix, retrieve_changing, time_course)
 from .embeddings import (NPY_FORMAT, DiachronicEmbeddings, EmbeddingSpace,
                          _align_chain, _load_row, _manifest_rows, _not_utf8,
-                         _write_labelled, load_diachronic)
+                         load_diachronic, save_embedding_space)
 from .errors import CoverageError, DataError, MoraldriftError, ParseError
 from .evaluate import (load_survey, loo_accuracy, loo_accuracy_historical,
                        survey_correlation, valence_correlation)
@@ -224,29 +225,31 @@ def _write_outputs(args: argparse.Namespace, outputs: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_align(args) -> dict:
-    # One pair of decades at a time, in anchor order. The stores move into place
-    # once all have aligned; on a failure they go, with any directory made here.
+    # One pair of decades at a time, in anchor order, each saved into a scratch
+    # directory in --out-dir. The stores move out of it once all have aligned;
+    # it goes either way, and on a failure so does any directory made here.
     manifest = _path(args, "manifest")
     rows = sorted(_manifest_rows(manifest), reverse=args.alignment_direction == "backward")
     out = Path(args.out_dir)
     made = [d for d in (out, *out.parents) if not d.exists()]
-    vocabularies, staged = {}, []
+    vocabularies = {}
     try:
         out.mkdir(parents=True, exist_ok=True)
-        for space in _align_chain(_load_row(manifest, row, args.normalize_embeddings,
-                                            vocabularies) for row in rows):
-            staged += _write_labelled(out / f"aligned_{space.decade}.npy", space.words,
-                                      space.matrix)
-            for key in [k for k, v in vocabularies.items() if v is not space.words]:
-                del vocabularies[key]  # only the next source may share a vocabulary
+        scratch = Path(tempfile.mkdtemp(dir=out))
+        try:
+            for space in _align_chain(_load_row(manifest, row, args.normalize_embeddings,
+                                                vocabularies) for row in rows):
+                save_embedding_space(space, scratch / f"aligned_{space.decade}.npy")
+                for key in [k for k, v in vocabularies.items() if v is not space.words]:
+                    del vocabularies[key]  # only the next source may share a vocabulary
+            for store in sorted(scratch.iterdir()):
+                store.replace(out / store.name)
+        finally:
+            shutil.rmtree(scratch, ignore_errors=True)
     except BaseException:
-        for tmp, _ in staged:
-            tmp.unlink(missing_ok=True)
         if made:
             shutil.rmtree(made[-1], ignore_errors=True)
         raise
-    for tmp, final in staged:
-        tmp.replace(final)
     decades = sorted(decade for decade, _, _ in rows)
     manifest_rows = [(d, f"aligned_{d}.npy", NPY_FORMAT) for d in decades]
     return {"aligned_manifest.csv": (["decade", "path", "format"], manifest_rows),

@@ -5,8 +5,9 @@ Spaces are read from word2vec-style files (text or binary) or from an
 memory-mapped at load), indexed by word, and optionally rotated into a
 common coordinate system with orthogonal Procrustes alignment so that
 vectors are comparable across decades. The npy store is the only format
-written: ``_write_labelled`` and ``_map_labelled`` hold its layout, and
-word2vec files are read-only.
+written: ``save_embedding_space`` is its one writer (CLI ``align`` saves
+through it too) and ``_map_labelled`` its reader; word2vec files are
+read-only.
 """
 from __future__ import annotations
 
@@ -70,8 +71,7 @@ class EmbeddingSpace:
         if not np.all(np.isfinite(matrix)):
             raise DataError("embedding matrix contains non-finite entries")
         words = words if isinstance(words, _Vocabulary) else _Vocabulary(words)
-        index = words.index
-        if len(index) < len(words) or "" in index:  # an empty or repeated word: name the first
+        if len(words.index) < len(words) or "" in words.index:  # an empty or repeated word
             seen: set[str] = set()
             for w in words:
                 if not w:
@@ -80,10 +80,9 @@ class EmbeddingSpace:
                     raise DataError(f"duplicate word in vocabulary: {w!r}")
                 seen.add(w)
         self.decade = int(decade)
-        self.words: tuple[str, ...] = words
+        self.words: _Vocabulary = words
         self.matrix = matrix
         self.n_duplicates = n_duplicates
-        self._index = index
 
     @property
     def dim(self) -> int:
@@ -93,31 +92,30 @@ class EmbeddingSpace:
         return self.matrix.shape[0]
 
     def __contains__(self, word: str) -> bool:
-        return word in self._index
+        return word in self.words.index
 
     def vector(self, word: str) -> np.ndarray | None:
         """The vector for ``word`` as a read-only float64 row, or None."""
-        i = self._index.get(word)
+        i = self.words.index.get(word)
         if i is None:
             return None
         row = self.matrix[i].astype(np.float64, copy=False)
         row.flags.writeable = False
         return row
 
-    def rows(self, words: Iterable[str], out: np.ndarray | None = None
-             ) -> tuple[np.ndarray, np.ndarray]:
+    def rows(self, words: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
         """Float64 rows of the words the space holds, in input order, and a
-        boolean mask over ``words`` that is True where the word is held.
-        With ``out`` (float64, a row per word) the matrix is its first rows."""
-        return self._gather(self._lookup(words), out)
+        boolean mask over ``words`` that is True where the word is held."""
+        return self._gather(self._lookup(words))
 
     def _lookup(self, words: Iterable[str]) -> np.ndarray:
         """Each word's row, -1 where absent: rows of every space on these ``words``."""
-        return np.fromiter(map(self._index.get, words, repeat(-1)), dtype=np.intp)
+        return np.fromiter(map(self.words.index.get, words, repeat(-1)), dtype=np.intp)
 
     def _gather(self, at: np.ndarray, out: np.ndarray | None = None
                 ) -> tuple[np.ndarray, np.ndarray]:
-        """``rows`` of the words at ``_lookup`` rows ``at``."""
+        """``rows`` of the words at ``_lookup`` rows ``at``; with ``out``
+        (float64, a row per word) the matrix is its first rows."""
         present = at >= 0
         index = at[present]
         mat = np.empty((len(index), self.dim)) if out is None else out[:len(index)]
@@ -448,34 +446,6 @@ def _load_binary(path: Path) -> tuple[_Vocabulary, np.ndarray, int]:
     return _first_rows(path, count, words, matrix)
 
 
-def _write_labelled(path: Path, words: Sequence[str], array: np.ndarray
-                    ) -> list[tuple[Path, Path]]:
-    """Write ``array`` as ``<f8`` (no pickle) and ``words``, one per
-    ``\n``-ended line, beside ``path`` and ``<stem>.vocab``; return the
-    ``(temporary, final)`` pairs to rename (``array`` may map ``path``). A
-    path not ending in ``.npy``, or a word holding a line break (it would
-    not read back), raises DataError before anything is written; a failed
-    write removes both temporaries."""
-    if path.suffix != ".npy":
-        raise DataError(f"{path}: an npy store's path must end in .npy")
-    bad = _unstorable(words, str.splitlines, "\n")
-    if bad is not None:
-        raise DataError(f"{path}: word {words[bad]!r} contains a line break, which the "
-                        "npy format cannot store")
-    pairs = [(final.with_name(final.name + ".tmp"), final)
-             for final in (path, path.with_suffix(".vocab"))]
-    try:
-        with open(pairs[0][0], "wb") as fh:
-            np.save(fh, np.ascontiguousarray(array, dtype="<f8"), allow_pickle=False)
-        with open(pairs[1][0], "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(f"{w}\n" for w in words)
-    except BaseException:
-        for tmp, _ in pairs:
-            tmp.unlink(missing_ok=True)
-        raise
-    return pairs
-
-
 def _map_labelled(path: Path, known: dict) -> tuple[_Vocabulary, np.ndarray]:
     """Map ``path``, a 2-D ``<f4`` or ``<f8`` array, read-only and read the
     words of ``<stem>.vocab``, one per ``\n``-ended line (a ``\r`` before
@@ -568,11 +538,33 @@ def _unstorable(words: Sequence[str], split: Callable[[str], list[str]],
 
 
 def save_embedding_space(space: EmbeddingSpace, path: str | Path) -> None:
-    """Write a space as an npy store at ``path``. A path not ending in
-    ``.npy``, or a word the store cannot hold, raises DataError before
-    anything is written. The store is float64, and loading it reproduces
-    every row ``rows`` gives bit-for-bit. word2vec files are read-only."""
-    for tmp, final in _write_labelled(Path(path), space.words, space.matrix):
+    """Write a space as an npy store: its rows as ``<f8`` (no pickle) at
+    ``path`` and its words, one per ``\n``-ended line, at ``<stem>.vocab``.
+    A path not ending in ``.npy``, or a word holding a line break (it would
+    not read back), raises DataError before anything is written. Both files
+    are written under ``.tmp`` names and renamed once both are (the matrix
+    may map ``path``); a failed write removes them. Loading the store
+    reproduces every row ``rows`` gives bit-for-bit. word2vec files are
+    read-only."""
+    path = Path(path)
+    if path.suffix != ".npy":
+        raise DataError(f"{path}: an npy store's path must end in .npy")
+    bad = _unstorable(space.words, str.splitlines, "\n")
+    if bad is not None:
+        raise DataError(f"{path}: word {space.words[bad]!r} contains a line break, which the "
+                        "npy format cannot store")
+    pairs = [(final.with_name(final.name + ".tmp"), final)
+             for final in (path, path.with_suffix(".vocab"))]
+    try:
+        with open(pairs[0][0], "wb") as fh:
+            np.save(fh, np.ascontiguousarray(space.matrix, dtype="<f8"), allow_pickle=False)
+        with open(pairs[1][0], "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(f"{w}\n" for w in space.words)
+    except BaseException:
+        for tmp, _ in pairs:
+            tmp.unlink(missing_ok=True)
+        raise
+    for tmp, final in pairs:
         tmp.replace(final)
 
 

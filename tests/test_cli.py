@@ -109,6 +109,13 @@ class TestClassify:
         assert code == 0
         assert json.loads(out)["decade"] == 1950
 
+    def test_decade_outside_the_manifest_is_data_error(self, capsys, world_files):
+        code, out, err = run(capsys, "classify", *data_args(world_files),
+                             "--word", "alwayspos", "--tier", "polarity", "--decade", "1960")
+        assert (code, out) == (2, "")
+        assert err == ("moraldrift: error: no embedding space for decade 1960 "
+                       "(have [1900, 1910, 1920, 1930, 1940, 1950])\n")
+
     def test_unknown_word_is_data_error(self, capsys, world_files):
         code, _, err = run(capsys, "classify", *data_args(world_files),
                            "--word", "qqqq", "--tier", "polarity")
@@ -178,7 +185,8 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("line, message", [
         ("model=bogus", "argument --model: invalid choice: 'bogus'"),
-        ("k=x", "argument --k: invalid int value: 'x'")])
+        ("k=x", "argument --k: invalid int value: 'x'"),
+        ("word riser", "expected key=value, got 'word riser'")])
     def test_refused_value_names_path_and_line(self, capsys, world_files, tmp_path,
                                                line, message):
         config = tmp_path / "run.cfg"
@@ -723,6 +731,19 @@ class TestAlign:
         code, _, err = run(capsys, "align", "--manifest", str(manifest), "--out-dir", str(out))
         assert code == 2
         assert f"{tmp_path / faulty}: entry 3: word 'odd\\u2028word' contains whitespace" in err
+        assert not out.exists()
+
+    def test_decades_of_different_dimensions_refused(self, capsys, tmp_path):
+        # The backward chain loads the 3-d anchor, then the 2-d decade before it.
+        for decade, dim in ((1900, 2), (1910, 3)):
+            write_text(tmp_path / f"{decade}.txt", ["a", "b", "c"], np.eye(3, dim))
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("decade,path,format\n1900,1900.txt,text-word2vec\n"
+                            "1910,1910.txt,text-word2vec\n")
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "align", "--manifest", str(manifest), "--out-dir", str(out))
+        assert code == 2
+        assert err == "moraldrift: error: member spaces disagree on dimensionality: [2, 3]\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("case", ["two-decades", "oldest", "out-of-memory", "earlier-run"])

@@ -234,6 +234,24 @@ def relevance_matrix(world):
 
 
 class TestRetrieveChanging:
+    @pytest.mark.parametrize("field", ["words", "decades"])
+    def test_mismatched_relevance_matrix_refused(self, world, relevance_matrix, field):
+        words, decades = relevance_matrix.words, relevance_matrix.decades
+        if field == "words":
+            relevance = dataclasses.replace(relevance_matrix, words=words[::-1])
+            message = "relevance matrix words do not match the score matrix"
+        else:
+            relevance = dataclasses.replace(relevance_matrix,
+                                            decades=tuple(d + 10 for d in decades))
+            message = (f"relevance matrix decades {list(relevance.decades)} do not match "
+                       f"the embeddings' {list(decades)}")
+        polarity = prediction_matrix(world.diachronic, world.lexicon, SPEC, list(words),
+                                     "polarity")
+        with pytest.raises(DataError) as info:
+            retrieve_changing(polarity, world.lexicon, world.diachronic, SPEC,
+                              "toward-negative", relevance_matrix=relevance)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("direction", ["toward-relevance", "toward-negative"])
     def test_infinite_score_refused(self, world, relevance_matrix, direction):
         values = relevance_matrix.values.copy()

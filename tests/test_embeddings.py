@@ -422,7 +422,7 @@ class TestSpaceInvariants:
                 EmbeddingSpace(1900, words, np.zeros((len(words), 2)))
             assert str(info.value) == expected
         else:
-            assert EmbeddingSpace(1900, words, np.zeros((len(words), 2)))._index == expected
+            assert EmbeddingSpace(1900, words, np.zeros((len(words), 2))).words.index == expected
 
     def test_decades_strictly_increasing(self):
         from moraldrift import DiachronicEmbeddings
@@ -456,7 +456,8 @@ class TestRowsGather:
         space, words = data
         want = np.array([space.vector(w) for w in words if w in space]).reshape(-1, space.dim)
         buffer = np.full((len(words), space.dim), np.nan)
-        for matrix, present in (space.rows(words), space.rows(iter(words), out=buffer)):
+        gathered = space._gather(space._lookup(iter(words)), out=buffer)
+        for matrix, present in (space.rows(words), gathered):
             assert matrix.dtype == np.float64 and matrix.shape == want.shape
             np.testing.assert_array_equal(matrix.view(np.uint64), want.view(np.uint64))
             assert present.dtype == bool

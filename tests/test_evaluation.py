@@ -94,6 +94,12 @@ class TestLooAccuracy:
         with pytest.raises(DataError, match="positive|negative"):
             loo_accuracy(ModelSpec("centroid"), lexicon, space, "polarity")
 
+    def test_knn_k_above_the_other_seeds_is_error(self):
+        # 10 seeds: each one left out leaves 9 to vote.
+        with pytest.raises(DataError, match=r"^k=10 exceeds the 9 available seed vectors$"):
+            loo_accuracy(ModelSpec("knn", k=10), cluster_lexicon(5), cluster_space(1900, 5),
+                         "polarity")
+
     def test_row_order_invariance(self):
         # shuffling seed entry order leaves the accuracy unchanged
         pairs = [(f"p{i}", 1) for i in range(5)] + [(f"n{i}", 2) for i in range(5)]

@@ -324,6 +324,17 @@ def test_table_fault_names_line_and_column(tmp_path, name):
     assert str(info.value) == f"{path}:4: {message}"
 
 
+@pytest.mark.parametrize("text", ["", "# only a comment\n"])
+@pytest.mark.parametrize("load", [load_diachronic, load_mfd, load_norms, load_wordlist,
+                                  load_survey], ids=lambda load: load.__name__)
+def test_empty_table_refused(tmp_path, load, text):
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError) as info:
+        load(path)
+    assert str(info.value) == f"{path}: empty file"
+
+
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
 def test_non_finite_frequency_refused(tmp_path, value):
     path = tmp_path / "wordlist.csv"
@@ -392,6 +403,8 @@ class TestMatrixFromJson:
         ({"decades": [1900, 1900]}, "malformed prediction-matrix JSON: decades must be"),
         ({"decades": [1910, 1900]}, "malformed prediction-matrix JSON: decades must be"),
         ({"decades": "1900"}, "malformed prediction-matrix JSON: decades must be"),
+        ({"values": [[0.1, 0.2, 0.3], [0.3, 0.4, 0.5]]},
+         "values shape (2, 3) does not match 2 words x 2 decades"),
     ])
     def test_fault_names_path(self, tmp_path, change, message):
         path, load = self.load(tmp_path, **change)

@@ -99,7 +99,7 @@ def test_rows_and_scores_match_the_oracles(world, data, spec, kind):
 def test_a_space_on_another_spaces_words_shares_them():
     first = EmbeddingSpace(1900, ["a", "b"], np.eye(2))
     second = EmbeddingSpace(1910, first.words, 2 * np.eye(2))
-    assert second.words is first.words and second._index is first._index
+    assert second.words is first.words  # and so its index
     assert EmbeddingSpace(1920, list(first.words), np.eye(2)).words is not first.words
     with pytest.raises(DataError, match="3 words but 2 matrix rows"):
         EmbeddingSpace(1930, EmbeddingSpace(1900, ["a", "b", "c"], np.eye(3)).words, np.eye(2))
@@ -121,14 +121,14 @@ class TestNpyStores:
     def test_identical_files_share_one_tuple_and_index(self, tmp_path):
         dia = self.load(tmp_path, [b"a\nb\nc\n"] * 3)
         first = dia.spaces[0]
-        assert all(s.words is first.words and s._index is first._index for s in dia)
+        assert all(s.words is first.words for s in dia)  # and so its index
         assert first.words == ("a", "b", "c")
         np.testing.assert_array_equal(dia.space(1920).vector("c"), np.float32([1.92, 1.92]))
 
     def test_a_file_one_word_apart_gets_its_own(self, tmp_path):
         dia = self.load(tmp_path, [b"a\nb\nc\n", b"a\nb\nd\n", b"a\nb\nc\n"])
         a, b, c = dia.spaces
-        assert c.words is a.words and b.words is not a.words and b._index is not a._index
+        assert c.words is a.words and b.words is not a.words
         assert b.words == ("a", "b", "d") and "d" in b and "d" not in a
         assert b.rows(["d", "c"])[1].tolist() == [True, False]
 
