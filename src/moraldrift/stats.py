@@ -215,8 +215,8 @@ def slope_rows(values: np.ndarray, t_values: np.ndarray | None = None
     NaN entries are missing: each row is fitted on its finite entries
     only, against the matching abscissa values (default 1..n_columns).
     Every row needs at least 3 finite entries, and a ±inf entry is
-    refused. Degenerate zero-residual fits use the convention p=0 for a
-    nonzero slope and p=1 for a zero slope.
+    refused. A zero-residual fit follows ``_t_test``'s zero-error rule:
+    p = 0 for a nonzero slope and p = 1 for a zero slope.
 
     The row sums follow the input's memory layout, so the last bits of a
     slope depend on it: callers pass C-ordered rows (a column gather such
@@ -231,12 +231,7 @@ def slope_rows(values: np.ndarray, t_values: np.ndarray | None = None
     slopes, tc, yc, k, sxx = _slopes(values, t_values)
     resid = yc - slopes[:, None] * tc
     se = np.sqrt(np.sum(resid * resid, axis=1) / (k - 2) / sxx)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_stat = slopes / se  # inf or NaN where se is 0; replaced below
-    p = _two_sided_p(t_stat, k - 2)
-    degenerate = se == 0.0
-    p[degenerate] = np.where(slopes[degenerate] == 0.0, 1.0, 0.0)
-    return slopes, p
+    return slopes, _t_test(slopes, se, k - 2)[1]
 
 
 def _decade_steps(decades: Sequence[int]) -> np.ndarray:
@@ -278,47 +273,52 @@ def _slopes(values: np.ndarray, t_values: np.ndarray | None = None,
     return np.multiply(tc, yc, out=prod).sum(axis=1) / sxx, tc, yc, k, sxx
 
 
-def _design(factors: Mapping[str, Sequence[float]], n: int) -> tuple[np.ndarray, list[str]]:
-    names = ["intercept"] + list(factors)
-    cols = [np.ones(n)]
-    for name in factors:
-        cols.append(_column(name, factors[name], n))
-    return np.column_stack(cols), names
+def _t_test(estimates: np.ndarray, std_errors: np.ndarray, dof) -> tuple[np.ndarray, np.ndarray]:
+    """t statistics and two-sided p-values of ``estimates`` over their
+    ``std_errors`` with ``dof`` degrees of freedom. At a zero standard
+    error a zero estimate gets t = 0 and p = 1, any other t = ±inf and
+    p = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(std_errors == 0.0,
+                     np.where(estimates == 0.0, 0.0, np.copysign(np.inf, estimates)),
+                     estimates / std_errors)
+    return t, _two_sided_p(t, dof)
 
 
-def _solve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients of ``y`` on the full-rank design ``x``;
-    the rank is the solve's own (singular values above eps * max(n, p)
-    times the largest)."""
-    beta, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
+def _least_squares(y, factors: Mapping[str, Sequence[float]]
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The checked least-squares part of ``multiple_regression``: ``y`` and
+    each factor column must be one-dimensional, finite and of one length,
+    with more samples than coefficients, and the design (intercept, then
+    ``factors`` in order) must have full rank, by the solve's own rank
+    (singular values above eps * max(n, p) times the largest). Returns y,
+    the design and the coefficients."""
+    ya = _column("y", y)
+    n = ya.shape[0]
+    if n <= len(factors) + 1:
+        raise DataError(f"need more than {len(factors) + 1} samples, got {n}")
+    x = np.ones((n, len(factors) + 1))
+    for j, (name, col) in enumerate(factors.items(), 1):
+        x[:, j] = _column(name, col, n)
+    beta, _, rank, _ = np.linalg.lstsq(x, ya, rcond=None)
     if rank < x.shape[1]:
         raise DataError("design matrix is rank-deficient (collinear factors)")
-    return beta
+    return ya, x, beta
 
 
 def multiple_regression(y: Sequence[float],
                         factors: Mapping[str, Sequence[float]]) -> RegressionFit:
     """OLS with intercept; two-sided t-test p-value per coefficient."""
-    ya = _column("y", y)
-    n = ya.shape[0]
-    if n <= len(factors) + 1:
-        raise DataError(f"need more than {len(factors) + 1} samples, got {n}")
-    x, names = _design(factors, n)
-    p_cols = x.shape[1]
-    beta = _solve(x, ya)
+    ya, x, beta = _least_squares(y, factors)
+    n, p_cols = x.shape
     resid = ya - x @ beta
     rss = float(resid @ resid)
     dof = n - p_cols
-    sigma2 = rss / dof
-    cov = sigma2 * np.linalg.inv(x.T @ x)
-    se = np.sqrt(np.diag(cov))
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_stats = np.where(se == 0.0, np.where(beta == 0.0, 0.0, np.copysign(np.inf, beta)),
-                           beta / se)
-    p = _two_sided_p(t_stats, dof)  # 1 at t = 0, 0 at t = ±inf
+    se = np.sqrt(np.diag(rss / dof * np.linalg.inv(x.T @ x)))
+    t_stats, p = _t_test(beta, se, dof)
     tss = float(np.sum((ya - ya.mean()) ** 2))
     r_squared = 1.0 if tss == 0.0 else 1.0 - rss / tss
+    names = ["intercept", *factors]
     return RegressionFit(coefficients=dict(zip(names, beta.tolist())),
                          std_errors=dict(zip(names, se.tolist())),
                          t_stats=dict(zip(names, t_stats.tolist())),
@@ -335,10 +335,9 @@ class _ChangeSample:
     words with at least ``MIN_SLOPE_DECADES`` scored decades and an entry
     in both tables of ``factor_tables(norms, frequencies)``. Holds their
     score rows (C-ordered), relevance classes (score > 0.5) and factor
-    columns, the rows with gaps (with their presence and classes), the
-    decades' ``_decade_steps`` and the design matrix (intercept, then
-    ``REGRESSION_FACTORS``). A matrix whose kind is not relevance, or that
-    holds a ±inf score, is refused."""
+    columns (``REGRESSION_FACTORS``), the rows with gaps (with their
+    presence and classes) and the decades' ``_decade_steps``. A matrix
+    whose kind is not relevance, or that holds a ±inf score, is refused."""
 
     def __init__(self, matrix: "PredictionMatrix", norms: NormTable,
                  frequencies: Mapping[str, float] | Sequence[tuple[str, float]]):
@@ -358,7 +357,6 @@ class _ChangeSample:
             "length": np.array([float(len(w)) for w in self.words]),
             "concreteness": np.array([concreteness[w] for w in self.words]),
         }
-        self.design = np.column_stack([np.ones(len(rows)), *self.factors.values()])
         present = np.isfinite(self.values)
         self.high = self.values > 0.5
         gappy = np.flatnonzero(~present.all(axis=1))
@@ -366,13 +364,13 @@ class _ChangeSample:
         self.steps = _decade_steps(matrix.decades)
         self.work = np.empty((3, *self.values.shape))  # _slopes' buffers, for any shuffle
 
-    def slopes(self, perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The rows one decade shuffle selects and their change slopes: the
-        score columns in ``perm`` order against the decades in matrix order.
-        A row is selected when its relevance class (score vs 0.5) differs
-        between its first and last scored decade in ``perm`` order: column
-        ``perm[0]`` and ``perm[-1]`` for a row without gaps, found per
-        shuffle for a row with gaps."""
+    def select(self, perm: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+        """The rows one decade shuffle selects, their change slopes and their
+        factor columns: the slopes fit the score columns in ``perm`` order
+        against the decades in matrix order. A row is selected when its
+        relevance class (score vs 0.5) differs between its first and last
+        scored decade in ``perm`` order: column ``perm[0]`` and ``perm[-1]``
+        for a row without gaps, found per shuffle for a row with gaps."""
         changed = self.high[:, perm[0]] != self.high[:, perm[-1]]
         gappy, present, high = self.gaps
         if gappy.size:
@@ -390,13 +388,13 @@ class _ChangeSample:
         rows, gathered = self.work[2, :sel.size], self.work[1, :sel.size]
         np.take(self.values, sel, axis=0, out=rows, mode="clip")
         np.take(rows, perm, axis=1, out=gathered, mode="clip")
-        return sel, _slopes(gathered, self.steps, work=self.work)[0]
+        factors = {name: col[sel] for name, col in self.factors.items()}
+        return sel, _slopes(gathered, self.steps, work=self.work)[0], factors
 
     def fit(self) -> tuple[RegressionFit, list[str]]:
         """The unshuffled regression (see ``psycholinguistic_regression``):
         the fit and the words that entered it."""
-        sel, slopes = self.slopes(np.arange(self.values.shape[1]))
-        factors = {name: col[sel] for name, col in self.factors.items()}
+        sel, slopes, factors = self.select(np.arange(self.values.shape[1]))
         return multiple_regression(slopes, factors), [self.words[i] for i in sel]
 
 
@@ -455,14 +453,16 @@ def permutation_control(
     magnitude as the diachronic one, with the +1/(n+1) finite-sample
     correction. Deterministic under a fixed seed.
 
-    The candidate words, their factor columns and the design matrix do
-    not depend on the shuffle and are found once, and so are each word's
-    relevance classes and the words with gaps. Each shuffle then takes its
-    own change filter, one column per word (see ``_ChangeSample.slopes``),
-    fits slopes on the rows it selects and solves the least-squares
-    problem. The coefficients equal, bit for bit, a
-    ``psycholinguistic_regression`` run on each shuffled matrix. A matrix
-    whose kind is not relevance, or that holds a ±inf score, is refused.
+    The candidate words and their factor columns do not depend on the
+    shuffle and are found once, and so are each word's relevance classes
+    and the words with gaps. Each shuffle then takes its own change
+    filter, one column per word (see ``_ChangeSample.select``), fits
+    slopes on the rows it selects and solves through ``_least_squares``,
+    the checked solve of ``multiple_regression``, without its t-tests: a
+    shuffle's refusals are the regression's, prefixed with its index, and
+    its coefficients equal, bit for bit, a ``psycholinguistic_regression``
+    run on the shuffled matrix. A matrix whose kind is not relevance, or
+    that holds a ±inf score, is refused.
 
     ``permutations`` overrides the seeded shuffles (for controls/tests);
     each must be a permutation of ``range(n_decades)``.
@@ -490,11 +490,8 @@ def permutation_control(
     control = np.empty((len(REGRESSION_FACTORS), n_shuffles))
     for i, perm in enumerate(perms):
         try:
-            sel, slopes = sample.slopes(perm)
-            x = sample.design[sel]
-            for name, col in zip(("y",) + REGRESSION_FACTORS, (slopes, *x.T[1:])):
-                _column(name, col)  # the refusals of multiple_regression
-            control[:, i] = _solve(x, slopes)[1:]
+            _, slopes, factors = sample.select(perm)
+            control[:, i] = _least_squares(slopes, factors)[2][1:]  # no t-tests
         except DataError as exc:
             raise DataError(f"shuffle {i}: {exc}") from exc
 

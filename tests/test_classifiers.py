@@ -38,6 +38,15 @@ class TestFit:
         with pytest.raises(DataError, match="k=5"):
             fit(ModelSpec("knn", k=5), vectors)
 
+    @pytest.mark.parametrize("kind", ["centroid", "naive_bayes", "knn", "kde"])
+    def test_one_vector_class_is_one_seed(self, kind):
+        spec = ModelSpec(kind, k=1) if kind == "knn" else ModelSpec(kind)
+        others = [[4.0, 1.0], [6.0, 3.0]]
+        flat = fit(spec, {"a": [1.0, 2.0], "b": others})
+        nested = fit(spec, {"a": [[1.0, 2.0]], "b": others})
+        for name in ("means", "variances", "seed_matrix", "seed_labels"):
+            np.testing.assert_array_equal(getattr(flat, name), getattr(nested, name))
+
     def test_empty_class_rejected(self):
         with pytest.raises(DataError, match="no seed"):
             fit(ModelSpec("centroid"), {"a": [[1.0]], "b": np.empty((0, 1))})

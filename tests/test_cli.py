@@ -746,6 +746,19 @@ class TestAlign:
         assert err == "moraldrift: error: member spaces disagree on dimensionality: [2, 3]\n"
         assert not out.exists()
 
+    def test_decade_with_empty_vocabulary_refused(self, capsys, tmp_path):
+        np.save(tmp_path / "e.npy", np.zeros((0, 3)))
+        (tmp_path / "e.vocab").write_text("")
+        write_text(tmp_path / "1910.txt", ["a", "b", "c"], np.eye(3))
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("decade,path,format\n1900,e.npy,npy\n1910,1910.txt,text-word2vec\n")
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "align", "--manifest", str(manifest), "--out-dir", str(out))
+        assert code == 2
+        assert err == (f"moraldrift: error: decade 1900: {tmp_path / 'e.npy'}: "
+                       f"embedding space has empty vocabulary\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", ["two-decades", "oldest", "out-of-memory", "earlier-run"])
     def test_failed_alignment_leaves_no_out_dir(self, capsys, monkeypatch, tmp_path, case):
         # 3-d text decades sharing the words a-e, but one shares only "a"

@@ -326,6 +326,18 @@ class TestRetrieveChanging:
             retrieve_changing(relevance_matrix, world.lexicon, world.diachronic,
                               SPEC, "toward-positive")
 
+    def test_toward_relevance_refuses_a_polarity_matrix(self, world, relevance_matrix):
+        polarity = dataclasses.replace(relevance_matrix, kind="polarity")
+        with pytest.raises(DataError, match="^direction toward-relevance needs a relevance "
+                                            "matrix, got kind 'polarity'$"):
+            retrieve_changing(polarity, world.lexicon, world.diachronic, SPEC,
+                              "toward-relevance")
+
+    def test_unknown_bonferroni_family(self, world, relevance_matrix):
+        with pytest.raises(ValueError, match="^unknown bonferroni family 'every-word'$"):
+            retrieve_changing(relevance_matrix, world.lexicon, world.diachronic, SPEC,
+                              "toward-relevance", bonferroni_family="every-word")
+
     def test_relevance_filter_of_another_kind_refused(self, world):
         polarity = prediction_matrix(world.diachronic, world.lexicon, SPEC,
                                      ["negfaller"] + list(world.flat_words[:10]), "polarity")
