@@ -91,7 +91,7 @@ def _as_matrix(label: str, vectors) -> np.ndarray:
     mat = np.asarray(vectors, dtype=np.float64)
     if mat.ndim == 1:
         mat = mat.reshape(1, -1)
-    if mat.ndim != 2 or mat.shape[0] == 0:
+    if mat.ndim != 2 or mat.size == 0:  # no rows, or rows of no entries
         raise DataError(f"class {label!r} has no seed vectors")
     if not np.all(np.isfinite(mat)):
         raise DataError(f"class {label!r} contains non-finite seed vectors")
@@ -185,19 +185,15 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     max-shifted form of Blanchard, Higham & Higham (IMA J. Numer. Anal.,
     2021) with scipy 1.17.1's arithmetic, so the bits match its logsumexp:
     with M the row max, m the count of entries equal to M and s the sum
-    of exp(a - M) over the others, log1p(s / m) + log(m) + M. Rows with no
-    finite result (all -inf) take log(sum(exp(a)))."""
+    of exp(a - M) over the others, log1p(s / m) + log(m) + M. A row of -inf
+    gives -inf, one with +inf gives +inf and one with NaN gives NaN."""
     top = a.max(axis=1, keepdims=True)
     at_top = a == top
     m = at_top.sum(axis=1, dtype=np.float64)
     with np.errstate(invalid="ignore", divide="ignore"):
         terms = np.exp(a - top)
         terms[at_top] = 0.0
-        out = np.log1p(terms.sum(axis=1) / m) + np.log(m) + top[:, 0]
-        lost = ~np.isfinite(out)
-        if lost.any():
-            out[lost] = np.log(np.sum(np.exp(a[lost]), axis=1))
-    return out
+        return np.log1p(terms.sum(axis=1) / m) + np.log(m) + top[:, 0]
 
 
 def _kde_log_likelihoods(blocks: Iterable[np.ndarray], sizes: np.ndarray,

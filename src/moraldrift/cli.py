@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .classifiers import MODEL_KINDS, ModelSpec, _word_posteriors, fit_tier
-from .diachronic import (DIRECTIONS, json_scores, load_wordlist,
+from .diachronic import (DIRECTIONS, ChangeRecord, json_scores, load_wordlist,
                          matrix_from_json, matrix_to_json_dict,
                          prediction_matrix, retrieve_changing, time_course)
 from .embeddings import (NPY_FORMAT, DiachronicEmbeddings, EmbeddingSpace,
@@ -46,7 +46,8 @@ from .evaluate import (load_survey, loo_accuracy, loo_accuracy_historical,
                        survey_correlation, valence_correlation)
 from .lexicon import (TIERS, NormTable, SeedLexicon, build_irrelevant_seeds,
                       build_tiers, load_mfd, load_norms, relevant_words, tier_classes)
-from .stats import fisher_projection, permutation_control, psycholinguistic_regression
+from .stats import (CorrelationReport, FactorControl, fisher_projection,
+                    permutation_control, psycholinguistic_regression)
 
 logger = logging.getLogger(__name__)
 
@@ -190,6 +191,16 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return "" if math.isnan(value) else FLOAT_FMT % value
     return str(value)
+
+
+def _table(kind: type, records, key: str | None = None) -> tuple[list[str], list[tuple]]:
+    """A CSV table of ``kind`` records: a column per field, in order, and a
+    row per record. With ``key``, ``records`` maps a key to each record and
+    the ``key`` column comes first."""
+    header = [field.name for field in dataclasses.fields(kind)]
+    if key is None:
+        return header, [dataclasses.astuple(r) for r in records]
+    return [key, *header], [(k, *dataclasses.astuple(r)) for k, r in records.items()]
 
 
 def _write_json(fh, meta: dict, body: dict) -> None:
@@ -342,8 +353,7 @@ def _cmd_valence_corr(args) -> dict:
     model = fit_tier(spec, lexicon, space, "polarity")
     report = valence_correlation(model, space, norms)
     return {"valence_corr.json": {"decade": space.decade, **dataclasses.asdict(report)},
-            "valence_corr.csv": (["decade", "r", "p", "n"],
-                                 [(space.decade, report.r, report.p, report.n)])}
+            "valence_corr.csv": _table(CorrelationReport, {space.decade: report}, "decade")}
 
 
 def _cmd_survey_corr(args) -> dict:
@@ -353,17 +363,11 @@ def _cmd_survey_corr(args) -> dict:
     survey = load_survey(survey_path)
     relevance_model = fit_tier(spec, lexicon, space, "relevance")
     polarity_model = fit_tier(spec, lexicon, space, "polarity")
-    irrelevance, acceptability = survey_correlation(
-        relevance_model, polarity_model, space, survey)
-    return {
-        "survey_corr.json": {"decade": space.decade,
-                             "irrelevance": dataclasses.asdict(irrelevance),
-                             "acceptability": dataclasses.asdict(acceptability)},
-        "survey_corr.csv": (["measure", "r", "p", "n"],
-                            [("irrelevance", irrelevance.r, irrelevance.p, irrelevance.n),
-                             ("acceptability", acceptability.r, acceptability.p,
-                              acceptability.n)]),
-    }
+    reports = dict(zip(("irrelevance", "acceptability"),
+                       survey_correlation(relevance_model, polarity_model, space, survey)))
+    body = {measure: dataclasses.asdict(r) for measure, r in reports.items()}
+    return {"survey_corr.json": {"decade": space.decade, **body},
+            "survey_corr.csv": _table(CorrelationReport, reports, "measure")}
 
 
 def _cmd_retrieve(args) -> dict:
@@ -376,12 +380,7 @@ def _cmd_retrieve(args) -> dict:
     records = retrieve_changing(matrix, lexicon, diachronic, spec, direction,
                                 top_n=args.top, relevance_matrix=relevance_matrix,
                                 bonferroni_family=args.bonferroni_family)
-    rows = [(r.word, r.slope, r.p_raw, r.p_bonferroni, r.mean_relevance,
-             r.switching_decade, r.early_category, r.modern_category)
-            for r in records]
-    return {f"retrieve_{direction}.csv": (
-        ["word", "slope", "p_raw", "p_bonferroni", "mean_relevance",
-         "switching_decade", "early_category", "modern_category"], rows)}
+    return {f"retrieve_{direction}.csv": _table(ChangeRecord, records)}
 
 
 def _regression_inputs(args):
@@ -406,14 +405,8 @@ def _cmd_regress(args) -> dict:
 def _cmd_permute(args) -> dict:
     report = permutation_control(*_regression_inputs(args),
                                  n_shuffles=args.shuffles, seed=args.seed)
-    return {
-        "permute.json": dataclasses.asdict(report),
-        "permute.csv": (["factor", "diachronic_coefficient", "control_mean",
-                         "control_stdev", "empirical_p"],
-                        [(name, fc.diachronic_coefficient, fc.control_mean,
-                          fc.control_stdev, fc.empirical_p)
-                         for name, fc in report.factors.items()]),
-    }
+    return {"permute.json": dataclasses.asdict(report),
+            "permute.csv": _table(FactorControl, report.factors, "factor")}
 
 
 def _cmd_project(args) -> dict:

@@ -68,6 +68,8 @@ class EmbeddingSpace:
             raise DataError(f"{len(words)} words but {matrix.shape[0]} matrix rows")
         if matrix.shape[0] == 0:
             raise DataError("embedding space has empty vocabulary")
+        if matrix.shape[1] == 0:
+            raise DataError("embedding matrix has no columns")
         if not np.all(np.isfinite(matrix)):
             raise DataError("embedding matrix contains non-finite entries")
         words = words if isinstance(words, _Vocabulary) else _Vocabulary(words)

@@ -148,6 +148,48 @@ class TestClassify:
         assert len(probs) == 10
         assert max(probs, key=probs.get) == "care+"
 
+    def test_zero_width_store_is_data_error(self, capsys, world_files, tmp_path):
+        # The seed words are all there, but not one vector entry.
+        words = list(_world_positions(0))
+        np.save(tmp_path / "z.npy", np.zeros((len(words), 0)))
+        (tmp_path / "z.vocab").write_text("".join(f"{w}\n" for w in words))
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("decade,path,format\n1900,z.npy,npy\n")
+        code, out, err = run(capsys, "classify", "--manifest", str(manifest),
+                             "--mfd", str(world_files.mfd), "--norms", str(world_files.norms),
+                             "--word", "riser", "--tier", "relevance")
+        assert (code, out) == (2, "")
+        assert err == (f"moraldrift: error: decade 1900: {tmp_path / 'z.npy'}: "
+                       f"embedding matrix has no columns\n")
+
+    def test_verbose_goes_before_the_subcommand(self, world_files, tmp_path):
+        # Only --verbose logs the tuned KDE bandwidth; after the subcommand it
+        # is a usage error, and in a config file an unknown key.
+        src = Path(moraldrift.__file__).resolve().parents[1]
+        argv = ["classify", *data_args(world_files), "--word", "riser", "--tier", "relevance",
+                "--model", "kde"]
+        config = tmp_path / "run.cfg"
+        config.write_text("verbose=true\n")
+
+        def cli(*args):
+            return subprocess.run([sys.executable, "-m", "moraldrift.cli", *args],
+                                  capture_output=True, text=True,
+                                  env={**os.environ, "PYTHONPATH": str(src)})
+
+        verbose, quiet = cli("--verbose", *argv), cli(*argv)
+        assert (verbose.returncode, quiet.returncode) == (0, 0)
+        assert verbose.stdout == quiet.stdout
+        assert verbose.stderr.startswith(
+            "INFO moraldrift.classifiers: selected KDE bandwidth h=")
+        assert quiet.stderr == ""
+        late = cli(*argv, "--verbose")
+        assert (late.returncode, late.stdout) == (1, "")
+        assert late.stderr == "moraldrift: error: unrecognized arguments: --verbose\n"
+        from_file = cli(*argv, "--config", str(config))
+        assert (from_file.returncode, from_file.stdout) == (2, "")
+        assert from_file.stderr == (f"moraldrift: error: {config}:1: unknown option "
+                                    f"'verbose' for moraldrift classify\n")
+
 
 class TestConfigFile:
     def test_options_from_config(self, capsys, world_files, tmp_path):
@@ -471,6 +513,29 @@ class TestMatrixAndRetrieve:
         assert len(rows) == 5
         assert rows[0][0] == "riser"
         assert rows[0][6] == "care+"
+
+    def test_retrieve_all_words_family(self, capsys, world_files, matrix_dir, tmp_path):
+        # The Bonferroni multiplier is the word list's size, not the 100
+        # words that pass the relevance filter.
+        matrix = matrix_dir / "matrix_relevance.json"
+        n_words = len(json.loads(matrix.read_text())["words"])
+        tables = {}
+        for family in ("filtered", "all-words"):
+            code, _, _ = run(capsys, "retrieve", *data_args(world_files), "--matrix", str(matrix),
+                             "--direction", "toward-relevance", "--bonferroni-family", family,
+                             "--out-dir", str(tmp_path / family))
+            assert code == 0
+            with open(tmp_path / family / "retrieve_toward-relevance.csv", newline="") as fh:
+                fh.readline()
+                tables[family] = list(csv.DictReader(fh))
+        filtered, all_words = tables["filtered"], tables["all-words"]
+        assert n_words == 101 and len(all_words) == 10
+        for row in all_words:
+            assert float(row["p_bonferroni"]) == min(1.0, n_words * float(row["p_raw"]))
+        # The two families differ in the corrected p-values alone.
+        assert [r.pop("p_bonferroni") for r in all_words] != \
+            [r.pop("p_bonferroni") for r in filtered]
+        assert all_words == filtered
 
     @pytest.mark.parametrize("kind,direction,error", [
         ("polarity", "toward-negative",

@@ -1,12 +1,14 @@
-"""README's "Library use" example against the package's exports: every
-``md.<name>`` it calls is exported, every name it imports from a module
-exists, and every exported name resolves (the bench tracer walks
-``moraldrift.__all__``)."""
+"""README's examples against the package: every ``md.<name>`` the
+"Library use" example calls is exported, every name it imports from a
+module exists, every exported name resolves (the bench tracer walks
+``moraldrift.__all__``), and every ``moraldrift`` command line parses."""
 import importlib
 import re
+import shlex
 from pathlib import Path
 
 import moraldrift
+from moraldrift.cli import _HANDLERS, build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -32,3 +34,19 @@ def test_library_use_example_calls_only_exported_names():
 def test_every_exported_name_resolves():
     assert len(set(moraldrift.__all__)) == len(moraldrift.__all__)
     assert [name for name in moraldrift.__all__ if not hasattr(moraldrift, name)] == []
+
+
+def command_line_examples() -> list[list[str]]:
+    """The argv of each ``moraldrift`` command in the README's ``sh`` blocks,
+    its continuation lines joined."""
+    text = README.read_text(encoding="utf-8")
+    lines = "".join(re.findall(r"```sh\n(.*?)```", text, re.S)).replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in lines.splitlines()
+            if line.startswith("moraldrift ")]
+
+
+def test_command_line_examples_parse():
+    # A renamed or removed flag is a usage error here.
+    examples = command_line_examples()
+    parser = build_parser()
+    assert sorted(parser.parse_args(argv).command for argv in examples) == sorted(_HANDLERS)

@@ -12,10 +12,17 @@ CASES = {
                         "embedding matrix must be 2-dimensional"),
     "space-empty-vocabulary": (lambda: EmbeddingSpace(1900, [], np.zeros((0, 3))),
                                "embedding space has empty vocabulary"),
+    "space-no-columns": (lambda: EmbeddingSpace(1900, ["a", "b", "c"], np.zeros((3, 0))),
+                         "embedding matrix has no columns"),
     "diachronic-empty": (lambda: DiachronicEmbeddings([]), "diachronic sequence is empty"),
     "fit-non-finite-seed": (
         lambda: fit(ModelSpec("centroid"), {"a": [[0.0, 1.0]], "b": [[1.0, 0.0], [np.nan, 1.0]]}),
         "class 'b' contains non-finite seed vectors"),
+    "fit-empty-seed-vector": (lambda: fit(ModelSpec("centroid"), {"a": [], "b": []}),
+                              "class 'a' has no seed vectors"),
+    "fit-zero-width-seeds": (
+        lambda: fit(ModelSpec("centroid"), {"a": np.zeros((2, 0)), "b": np.zeros((1, 0))}),
+        "class 'a' has no seed vectors"),
     "pearson-2d": (lambda: pearson([[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0]),
                    "x must be one-dimensional"),
     "regression-factor-length": (
