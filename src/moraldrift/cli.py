@@ -144,12 +144,6 @@ def _path(args: argparse.Namespace, name: str) -> Path:
     return path
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    path = Path(args.out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 # ---------------------------------------------------------------------------
 # Shared loading and output helpers
 # ---------------------------------------------------------------------------
@@ -222,12 +216,13 @@ def _write_outputs(args: argparse.Namespace, outputs: dict) -> None:
     """Write a handler's ``name -> body`` outputs in order, each with the
     command's ``_meta``: a dict for ``.json``, a ``(header, rows)`` pair for
     ``.csv``, a dict for ``-`` (JSON on stdout). --out-dir is made on demand."""
-    meta = _meta(args)
+    meta, out = _meta(args), Path(args.out_dir)
     for name, body in outputs.items():
         if name == "-":
             _write_json(sys.stdout, meta, body)
             continue
-        with open(_out_dir(args) / name, "w", encoding="utf-8", newline="\n") as fh:
+        out.mkdir(parents=True, exist_ok=True)
+        with open(out / name, "w", encoding="utf-8", newline="\n") as fh:
             (_write_json if name.endswith(".json") else _write_csv)(fh, meta, body)
 
 
@@ -332,18 +327,24 @@ def _cmd_evaluate(args) -> dict:
     if args.historical and args.decade is not None:
         raise DataError("--historical evaluates every decade and takes no --decade")
     spec, diachronic, lexicon = _model_inputs(args)
+    stem = f"evaluate_{tier}_{spec.kind}"
     if args.historical:
-        report = loo_accuracy_historical(spec, lexicon, diachronic, tier)
-        stem = f"evaluate_{tier}_{spec.kind}_historical"
-        rows = [(r.tier, r.model.kind, r.decade, r.accuracy, r.n)
-                for r in report.reports]
+        summary = loo_accuracy_historical(spec, lexicon, diachronic, tier)
+        reports, stem = summary.reports, f"{stem}_historical"
     else:
-        report = loo_accuracy(spec, lexicon, _pick_space(args, diachronic), tier)
-        stem = f"evaluate_{tier}_{spec.kind}"
-        rows = [(report.tier, report.model.kind, report.decade,
-                 report.accuracy, report.n)]
-    return {f"{stem}.json": report.to_dict(),
-            f"{stem}.csv": (["tier", "model", "decade", "accuracy", "n"], rows)}
+        reports = [loo_accuracy(spec, lexicon, _pick_space(args, diachronic), tier)]
+    records = []
+    for report in reports:  # its fields, the model as its kind and the confusion last
+        record = dataclasses.asdict(report)
+        record.update(model=spec.kind, confusion=record.pop("confusion"))
+        records.append(record)
+    body = records[0]
+    if args.historical:
+        body = {"tier": tier, "model": spec.kind, "mean_accuracy": summary.mean_accuracy,
+                "stdev_accuracy": summary.stdev_accuracy, "per_decade": records}
+    columns = ["tier", "model", "decade", "accuracy", "n"]
+    return {f"{stem}.json": body,
+            f"{stem}.csv": (columns, [[r[c] for c in columns] for r in records])}
 
 
 def _cmd_valence_corr(args) -> dict:
@@ -474,7 +475,7 @@ def _model_kind(value: str) -> str:
 
 
 def _add_common(p: _Parser, *, manifest: bool = True, mfd: bool = False,
-                norms: bool = False, model: bool = False, decade: bool = False) -> None:
+                model: bool = False, decade: bool = False) -> None:
     p.add_argument("--config", help="flat key=value config file; flags override it")
     p.add_argument("--out-dir", dest="out_dir", default=".",
                    help="output directory (default: .)")
@@ -488,7 +489,6 @@ def _add_common(p: _Parser, *, manifest: bool = True, mfd: bool = False,
                        action="store_true",
                        help="restrict neutral-seed candidates to words present "
                             "in every decade's vocabulary")
-    if norms:
         p.add_argument("--norms", help="ratings CSV (word,valence[,concreteness])")
     if model:
         p.add_argument("--model", type=_model_kind, choices=MODEL_KINDS,
@@ -526,38 +526,38 @@ def build_parser() -> _Parser:
                         "backward=latest (default)")
 
     p = sub.add_parser("classify", help="posterior for one word (JSON on stdout)")
-    _add_common(p, mfd=True, norms=True, model=True, decade=True)
+    _add_common(p, mfd=True, model=True, decade=True)
     p.add_argument("--word", help="query word")
     p.add_argument("--tier", choices=list(TIERS), help="classification tier")
 
     p = sub.add_parser("timecourse", help="per-decade scores for one word")
-    _add_common(p, mfd=True, norms=True, model=True)
+    _add_common(p, mfd=True, model=True)
     p.add_argument("--word", help="query word")
     p.add_argument("--tier", choices=list(TIERS), help="classification tier")
 
     p = sub.add_parser("matrix", help="word-by-decade prediction matrix for a word list")
-    _add_common(p, mfd=True, norms=True, model=True)
+    _add_common(p, mfd=True, model=True)
     p.add_argument("--wordlist", help="word,frequency CSV")
     p.add_argument("--kind", choices=["relevance", "polarity"],
                    help="which binary score to compute")
 
     p = sub.add_parser("evaluate", help="leave-one-out seed classification accuracy")
-    _add_common(p, mfd=True, norms=True, model=True, decade=True)
+    _add_common(p, mfd=True, model=True, decade=True)
     p.add_argument("--tier", choices=list(TIERS), help="classification tier")
     p.add_argument("--historical", action="store_true",
                    help="evaluate every decade and summarize mean/stdev")
 
     p = sub.add_parser("valence-corr",
                        help="correlate positive-polarity predictions with valence ratings")
-    _add_common(p, mfd=True, norms=True, model=True, decade=True)
+    _add_common(p, mfd=True, model=True, decade=True)
 
     p = sub.add_parser("survey-corr",
                        help="correlate predictions with survey moral judgments")
-    _add_common(p, mfd=True, norms=True, model=True, decade=True)
+    _add_common(p, mfd=True, model=True, decade=True)
     p.add_argument("--survey", help="topic,frac_not_moral,frac_acceptable CSV")
 
     p = sub.add_parser("retrieve", help="top words by moral sentiment change")
-    _add_common(p, mfd=True, norms=True, model=True)
+    _add_common(p, mfd=True, model=True)
     p.add_argument("--matrix", help="prediction-matrix JSON from the matrix command")
     p.add_argument("--relevance-matrix", dest="relevance_matrix",
                    help="companion relevance matrix JSON (polarity directions)")
@@ -581,7 +581,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
 
     p = sub.add_parser("project", help="2D discriminant map of query words")
-    _add_common(p, mfd=True, norms=True, decade=True)
+    _add_common(p, mfd=True, decade=True)
     p.add_argument("--words", help="comma-separated query words")
     p.add_argument("--all-decades", dest="all_decades", action="store_true",
                    help="project each word's vector from every decade")

@@ -30,16 +30,6 @@ class AccuracyReport:
     confusion: dict[str, dict[str, int]]  # true class -> predicted -> count
     n: int
 
-    def to_dict(self) -> dict:
-        return {
-            "tier": self.tier,
-            "model": self.model.kind,
-            "decade": self.decade,
-            "accuracy": self.accuracy,
-            "n": self.n,
-            "confusion": self.confusion,
-        }
-
 
 @dataclass(frozen=True)
 class HistoricalAccuracy:
@@ -50,15 +40,6 @@ class HistoricalAccuracy:
     reports: tuple[AccuracyReport, ...]
     mean_accuracy: float
     stdev_accuracy: float
-
-    def to_dict(self) -> dict:
-        return {
-            "tier": self.tier,
-            "model": self.model.kind,
-            "mean_accuracy": self.mean_accuracy,
-            "stdev_accuracy": self.stdev_accuracy,
-            "per_decade": [r.to_dict() for r in self.reports],
-        }
 
 
 def chance_level(tier: str) -> float:

@@ -214,15 +214,18 @@ def slope_rows(values: np.ndarray, t_values: np.ndarray | None = None
 
     NaN entries are missing: each row is fitted on its finite entries
     only, against the matching abscissa values (default 1..n_columns).
-    Every row needs at least 3 finite entries, and a ±inf entry is
-    refused. A zero-residual fit follows ``_t_test``'s zero-error rule:
-    p = 0 for a nonzero slope and p = 1 for a zero slope.
+    ``values`` is 2-D, a row per time course. Every row needs at least 3
+    finite entries, and a ±inf entry is refused. A zero-residual fit
+    follows ``_t_test``'s zero-error rule: p = 0 for a nonzero slope and
+    p = 1 for a zero slope.
 
     The row sums follow the input's memory layout, so the last bits of a
     slope depend on it: callers pass C-ordered rows (a column gather such
     as ``values[:, perm]`` is Fortran-ordered).
     """
     values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2:
+        raise DataError(f"slope rows must be 2-D, got {values.ndim}-D")
     _refuse_infinite(values)
     counts = np.isfinite(values).sum(axis=1)
     if (short := np.flatnonzero(counts < 3)).size:
@@ -451,7 +454,7 @@ def permutation_control(
     (change filter, slopes, factor fit). The empirical p per factor is
     the two-sided fraction of control coefficients at least as large in
     magnitude as the diachronic one, with the +1/(n+1) finite-sample
-    correction. Deterministic under a fixed seed.
+    correction. Deterministic under a fixed seed, a non-negative integer.
 
     The candidate words and their factor columns do not depend on the
     shuffle and are found once, and so are each word's relevance classes
@@ -470,6 +473,8 @@ def permutation_control(
     n_shuffles = n_shuffles if permutations is None else len(permutations)
     if n_shuffles < 1:
         raise ValueError(f"need at least one shuffle, got {n_shuffles}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     n_dec = np.shape(matrix.values)[1]
     if n_dec < MIN_SLOPE_DECADES:
         raise DataError(f"need at least {MIN_SLOPE_DECADES} decades, got {n_dec}")

@@ -1045,6 +1045,16 @@ class TestCountOptionsBelowOne:
         assert f"need at least one shuffle, got {shuffles}" in err
         assert not out.exists()
 
+    def test_permute_negative_seed(self, capsys, changer_files, tmp_path):
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "permute", "--matrix", str(changer_files.matrix),
+                           "--norms", str(changer_files.norms),
+                           "--wordlist", str(changer_files.wordlist),
+                           "--seed", "-1", "--out-dir", str(out))
+        assert code == 2
+        assert err == "moraldrift: error: seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
+
 
 def _meta_argv(command, world, changers, matrix_dir):
     data = data_args(world)

@@ -31,6 +31,10 @@ CASES = {
     "slopes-constant-abscissa": (
         lambda: slope_rows(np.arange(15.0).reshape(3, 5), np.full(5, 1930.0)),
         "abscissa has zero variance"),
+    "slopes-1d-values": (lambda: slope_rows(np.arange(5.0)),
+                         "slope rows must be 2-D, got 1-D"),
+    "slopes-3d-values": (lambda: slope_rows(np.zeros((2, 3, 5))),
+                         "slope rows must be 2-D, got 3-D"),
     "fisher-mixed-dimensions": (
         lambda: fisher_projection({"a": np.eye(2), "b": 2 * np.eye(2), "c": np.eye(2, 3)}),
         "classes disagree on dimensionality: [2, 3]"),
