@@ -17,7 +17,8 @@ import logging
 import numbers
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import pairwise
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -37,7 +38,7 @@ BANDWIDTH_GRID = tuple(round(0.1 * i, 1) for i in range(1, 11))
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _MAX_H = sys.float_info.max / 2.0
-_BLOCK_ROWS = 256  # queries scored at once: 256 x 300 float64 rows are 600 KB
+_BLOCK_ROWS = 256  # rows scored at once: 256 x 300 float64 rows are 600 KB
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,9 @@ class Classifier:
     variances: np.ndarray | None = field(default=None, repr=False)   # (C, d)
     seed_matrix: np.ndarray | None = field(default=None, repr=False)  # (S, d)
     seed_labels: np.ndarray | None = field(default=None, repr=False)  # (S,) class idx
+    # Squared row norms of the points distances go to: means (centroid) or
+    # seed_matrix (knn, kde); (C,) or (S,).
+    sq_norms: np.ndarray | None = field(default=None, repr=False)
 
 
 def _as_matrix(label: str, vectors) -> np.ndarray:
@@ -117,12 +121,27 @@ def _stack(matrices: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
             np.repeat(np.arange(len(matrices)), [m.shape[0] for m in matrices]))
 
 
-def _sq_dists(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, (n_queries, n_points)."""
-    q_sq = np.sum(queries * queries, axis=1)[:, None]
-    p_sq = np.sum(points * points, axis=1)[None, :]
-    out = q_sq + p_sq - 2.0 * (queries @ points.T)
-    return np.maximum(out, 0.0)
+def _sq_norms(rows: np.ndarray) -> np.ndarray:
+    """The squared Euclidean norm of each row."""
+    return np.sum(rows * rows, axis=1)
+
+
+def _sq_dists(queries: np.ndarray,
+              parts: Sequence[tuple[slice, np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Squared Euclidean distances of query rows to points, (n_queries,
+    n_points). ``parts`` are ``(rows, points, sq_norms)``: consecutive rows
+    of ``queries``, the (P, d) points they are measured against and those
+    points' ``_sq_norms``. Each part's product is one matmul of its own
+    rows, the shape its last bits depend on; the rest is row by row."""
+    out = np.empty((len(queries), parts[0][1].shape[0]))
+    prod = np.empty_like(out)
+    for rows, points, sq_norms in parts:
+        out[rows] = sq_norms
+        np.matmul(queries[rows], points.T, out=prod[rows])
+    out += _sq_norms(queries)[:, None]
+    prod *= 2.0
+    out -= prod
+    return np.maximum(out, 0.0, out=out)
 
 
 def fit(spec: ModelSpec, class_vectors: Mapping[str, Sequence]) -> Classifier:
@@ -139,8 +158,11 @@ def fit(spec: ModelSpec, class_vectors: Mapping[str, Sequence]) -> Classifier:
         if spec.kind == NAIVE_BAYES:
             arrays["variances"] = np.vstack([np.maximum(m.var(axis=0), spec.variance_floor)
                                              for m in matrices])
+        else:
+            arrays["sq_norms"] = _sq_norms(arrays["means"])
     else:
         arrays["seed_matrix"], arrays["seed_labels"] = _stack(matrices)
+        arrays["sq_norms"] = _sq_norms(arrays["seed_matrix"])
         if spec.kind == KNN and spec.k > len(arrays["seed_labels"]):
             raise DataError(f"k={spec.k} exceeds the {len(arrays['seed_labels'])} "
                             f"available seed vectors")
@@ -158,15 +180,17 @@ def fit_tier(spec: ModelSpec, lexicon: SeedLexicon, space: EmbeddingSpace,
     per (lexicon, space, spec, tier): later calls return the same read-only
     model. A fit that raises is not kept, so it raises again. kNN and KDE
     models of one space and tier hold one seed block, the first one's."""
+    models = lexicon._models.get(space)
+    if models is not None and (model := models.get((spec, tier))) is not None:
+        return model
     models = lexicon._models.setdefault(space, {})
-    if (spec, tier) not in models:
-        model = fit(spec, seed_vectors(lexicon, space, tier))
-        held = [m for (_, t), m in models.items() if t == tier and m.seed_matrix is not None]
-        if model.seed_matrix is not None and held:  # the same rows, gathered the same way
-            model = replace(model, seed_matrix=held[0].seed_matrix,
-                            seed_labels=held[0].seed_labels)
-        models[spec, tier] = model
-    return models[spec, tier]
+    model = fit(spec, seed_vectors(lexicon, space, tier))
+    held = [m for (_, t), m in models.items() if t == tier and m.seed_matrix is not None]
+    if model.seed_matrix is not None and held:  # the same rows, gathered the same way
+        model = replace(model, seed_matrix=held[0].seed_matrix,
+                        seed_labels=held[0].seed_labels, sq_norms=held[0].sq_norms)
+    models[spec, tier] = model
+    return model
 
 
 def _nb_log_likelihood(q: np.ndarray, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
@@ -196,19 +220,24 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
         return np.log1p(terms.sum(axis=1) / m) + np.log(m) + top[:, 0]
 
 
-def _kde_log_likelihoods(blocks: Iterable[np.ndarray], sizes: np.ndarray,
+def _class_bounds(seed_labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """Where each class's seeds start in the class-ordered seed stack of
+    ``_stack``, then the stack's end: (C + 1,)."""
+    return np.searchsorted(seed_labels, np.arange(n_classes + 1))
+
+
+def _kde_log_likelihoods(neg_sq: np.ndarray, bounds: np.ndarray, sizes: np.ndarray,
                          h: float, dim: int) -> np.ndarray:
-    """Per-class log kernel densities from each class's negated squared
-    distances, ``blocks`` (n, n_c) in class order; -inf adds no mass.
-    Class ``sizes`` are shared (C,) or per row (n, C). A row with no
+    """Per-class log kernel densities from negated squared distances to the
+    seeds, ``neg_sq`` (n, S) Fortran-ordered, so that each class's column
+    slice between ``bounds`` sums its kernels seed by seed; -inf adds no
+    mass. Class ``sizes`` are shared (C,) or per row (n, C). A row with no
     kernel mass in any class is refused: its posterior would be 0/0."""
     log_norm = -0.5 * dim * (_LOG_2PI + np.log(h))
-    columns = []
     with np.errstate(over="ignore"):  # a tiny h loses the mass, refused below
-        for c, block in enumerate(blocks):
-            columns.append(_logsumexp_rows(block / (2.0 * h))
-                           - np.log(sizes[..., c]) + log_norm)
-    out = np.column_stack(columns)
+        out = np.column_stack([_logsumexp_rows(neg_sq[:, lo:hi] / (2.0 * h))
+                               - np.log(sizes[..., c]) + log_norm
+                               for c, (lo, hi) in enumerate(pairwise(bounds.tolist()))])
     empty = np.count_nonzero(~(out > -np.inf).any(axis=1))
     if empty:
         raise DataError(f"KDE bandwidth h={h:g} leaves {empty} of {out.shape[0]} rows "
@@ -216,14 +245,14 @@ def _kde_log_likelihoods(blocks: Iterable[np.ndarray], sizes: np.ndarray,
     return out
 
 
-def _knn_counts(sq: np.ndarray, seed_labels: np.ndarray, n_classes: int,
-                k: int) -> np.ndarray:
-    """Per-class neighbor counts for each row of ``sq`` (n, S); distance
-    ties at rank k admit all tied seeds, +inf entries are never admitted."""
+def _knn_counts(sq: np.ndarray, bounds: np.ndarray, k: int) -> np.ndarray:
+    """Per-class neighbor counts for each row of ``sq`` (n, S), the classes'
+    columns between ``bounds``; distance ties at rank k admit all tied
+    seeds, +inf entries are never admitted."""
     kth = np.partition(sq, k - 1, axis=1)[:, k - 1:k]
     admitted = sq <= kth
-    return np.column_stack([np.count_nonzero(admitted[:, seed_labels == c], axis=1)
-                            for c in range(n_classes)])
+    return np.column_stack([np.count_nonzero(admitted[:, lo:hi], axis=1)
+                            for lo, hi in pairwise(bounds.tolist())])
 
 
 def _normalize(logits: np.ndarray) -> np.ndarray:
@@ -235,24 +264,65 @@ def _normalize(logits: np.ndarray) -> np.ndarray:
 
 
 def _blocks(n: int) -> Iterator[slice]:
-    """The row blocks that ``n`` queries are scored in, ``_BLOCK_ROWS`` at a
-    time, so no temporary grows with ``n``. A score's last bits can depend on
-    its block (BLAS), so ``posterior_batch`` and ``_word_posteriors`` share them."""
+    """The blocks of ``_BLOCK_ROWS`` queries that ``n`` queries, or a list of
+    ``n`` words, are cut into, so no temporary grows with ``n``. A score's
+    last bits can depend on its block (BLAS), so ``posterior_batch`` and
+    ``_word_posteriors`` share them."""
     return (slice(s, s + _BLOCK_ROWS) for s in range(0, n, _BLOCK_ROWS))
 
 
-def _word_posteriors(model: Classifier, space: EmbeddingSpace, at: np.ndarray) -> np.ndarray:
-    """Posteriors of a word list in one space, given as its rows ``at`` from
-    ``space._lookup``, shape (n, n_classes), with a NaN row where the space
-    lacks the word. Each of the list's ``_blocks`` is gathered into one
-    reused buffer and its present rows are scored unchecked: a space's rows
-    are finite. ``model.dim`` must be ``space.dim``."""
-    out = np.full((len(at), len(model.classes)), np.nan)
-    buffer = np.empty((min(len(at), _BLOCK_ROWS), space.dim))
-    for block in _blocks(len(at)):
-        matrix, present = space._gather(at[block], out=buffer)
-        out[block][present] = _posteriors(model, matrix)
+def _same_layout(a: Classifier, b: Classifier) -> bool:
+    """Whether ``a`` and ``b`` can score rows of one block: the same kind, k,
+    class count and dimension, and for knn and kde the same seeds per class."""
+    return ((a.spec.kind, a.spec.k, len(a.classes), a.dim)
+            == (b.spec.kind, b.spec.k, len(b.classes), b.dim)
+            and (a.seed_labels is None or np.array_equal(a.seed_labels, b.seed_labels)))
+
+
+def _word_posteriors(pairs: Sequence[tuple[Classifier, EmbeddingSpace]],
+                     words: Sequence[str]) -> np.ndarray:
+    """Posteriors of a word list under each (model, space) pair, shape
+    (n_words, n_pairs, n_classes), with a NaN row where a space lacks the
+    word. The list is looked up once per distinct vocabulary object and cut
+    into ``_blocks``. Within one, consecutive pairs share a scoring block of
+    at most ``_BLOCK_ROWS`` (pair, word) rows while their found rows fit and
+    their models have the ``_same_layout``; so a one-word list scores up to
+    256 decades in one block. The rows are gathered into one reused buffer
+    and scored unchecked (a space's rows are finite) by ``_posteriors``,
+    each pair's rows under its own model as one segment: its found rows of
+    the word block, in list order, the batch ``posterior_batch`` would
+    score them in. Every model's ``dim`` must be every space's ``dim``."""
+    rows: dict[int, np.ndarray] = {}  # id(space.words) -> the list's rows
+    for _, space in pairs:
+        if id(space.words) not in rows:
+            rows[id(space.words)] = space._lookup(words)
+    out = np.full((len(words), len(pairs), len(pairs[0][0].classes)), np.nan)
+    buffer = np.empty((min(len(words) * len(pairs), _BLOCK_ROWS), pairs[0][1].dim))
+    for block in _blocks(len(words)):
+        packed, filled = [], 0  # (model, buffer rows, pair index, found mask)
+        for j, (model, space) in enumerate(pairs):
+            at = rows[id(space.words)][block]
+            found = at >= 0
+            n = np.count_nonzero(found)
+            if not n:
+                continue
+            if packed and (filled + n > _BLOCK_ROWS or not _same_layout(packed[0][0], model)):
+                _score_packed(buffer, packed, out[block])
+                packed, filled = [], 0
+            space._gather(at, out=buffer[filled:])
+            packed.append((model, slice(filled, filled + n), j, found))
+            filled += n
+        if packed:
+            _score_packed(buffer, packed, out[block])
     return out
+
+
+def _score_packed(buffer: np.ndarray, packed: list, out: np.ndarray) -> None:
+    """Score ``_word_posteriors``' packed rows of ``buffer`` and write each
+    pair's rows to its column of one word block's ``out``."""
+    probs = _posteriors(buffer[:packed[-1][1].stop], [(m, rows) for m, rows, _, _ in packed])
+    for _, rows, j, found in packed:
+        out[found, j] = probs[rows]
 
 
 def posterior_batch(model: Classifier, queries) -> np.ndarray:
@@ -270,28 +340,44 @@ def posterior_batch(model: Classifier, queries) -> np.ndarray:
         raise DataError("query vector contains non-finite entries")
     out = np.empty((len(q), len(model.classes)))
     for block in _blocks(len(q)):
-        out[block] = _posteriors(model, q[block])
+        out[block] = _posteriors(q[block], [(model, slice(None))])
     return out
 
 
-def _posteriors(model: Classifier, q: np.ndarray) -> np.ndarray:
+def _posteriors(q: np.ndarray, segments: Sequence[tuple[Classifier, slice]]) -> np.ndarray:
     """Posteriors of one block of queries, a finite float64 (n, dim) matrix,
-    unchecked."""
+    unchecked. ``segments`` cut the block into consecutive rows, each
+    scored under its own model; all models have the ``_same_layout``. Only
+    the work whose bits depend on a segment's height runs per segment: the
+    distance product (``_sq_dists``) and KDE's class log-sum-exp, which
+    numpy sums pairwise in a one-row block and seed by seed in a taller
+    one. The rest runs once per block and gives every row the same bits
+    whatever the block's height. Naive Bayes gathers per-row moments only
+    when the block holds more than one segment."""
+    model = segments[0][0]
     n_classes = len(model.classes)
-    if model.spec.kind == CENTROID:
-        return _normalize(-np.sqrt(_sq_dists(q, model.means)))
     if model.spec.kind == NAIVE_BAYES:
+        if len(segments) == 1:  # moments (d,), as posterior_batch scores them
+            at, means, variances = 0, model.means[None], model.variances[None]
+        else:  # moments per row
+            at = np.repeat(np.arange(len(segments)),
+                           [rows.stop - rows.start for _, rows in segments])
+            means = np.stack([m.means for m, _ in segments])
+            variances = np.stack([m.variances for m, _ in segments])
         return _normalize(np.column_stack(
-            [_nb_log_likelihood(q, model.means[c], model.variances[c])
-             for c in range(n_classes)]))
-    sq = _sq_dists(q, model.seed_matrix)
+            [_nb_log_likelihood(q, means[at, c], variances[at, c]) for c in range(n_classes)]))
+    if model.spec.kind == CENTROID:
+        sq = _sq_dists(q, [(rows, m.means, m.sq_norms) for m, rows in segments])
+        return _normalize(-np.sqrt(sq))
+    sq = _sq_dists(q, [(rows, m.seed_matrix, m.sq_norms) for m, rows in segments])
+    bounds = _class_bounds(model.seed_labels, n_classes)
     if model.spec.kind == KNN:  # scores are counts, not log densities
-        counts = _knn_counts(sq, model.seed_labels, n_classes, model.spec.k)
+        counts = _knn_counts(sq, bounds, model.spec.k)
         return counts / counts.sum(axis=1, keepdims=True)
-    sizes = np.bincount(model.seed_labels, minlength=n_classes)
-    # One class block at a time, so peak memory stays near one n x S matrix.
-    blocks = (-sq[:, model.seed_labels == c] for c in range(n_classes))
-    return _normalize(_kde_log_likelihoods(blocks, sizes, model.spec.h, model.dim))
+    neg_sq = np.negative(sq, order="F")
+    return _normalize(np.vstack([_kde_log_likelihoods(neg_sq[rows], bounds, np.diff(bounds),
+                                                      m.spec.h, m.dim)
+                                 for m, rows in segments]))
 
 
 def posterior(model: Classifier, query) -> dict[str, float]:
@@ -324,7 +410,8 @@ def _loo_predict(spec: ModelSpec, class_vectors: Mapping[str, Sequence]
         variances = np.vstack([m.var(axis=0) for m in matrices])
         n = sizes[seed_labels][:, None].astype(np.float64)
         if spec.kind == CENTROID:
-            logits = -np.sqrt(_sq_dists(seeds, means)) * np.where(own, n / (n - 1), 1.0)
+            logits = (-np.sqrt(_sq_dists(seeds, [(slice(None), means, _sq_norms(means))]))
+                      * np.where(own, n / (n - 1), 1.0))
         else:
             dev = seeds - means[seed_labels]
             loo_mean = means[seed_labels] - dev / (n - 1)
@@ -336,12 +423,13 @@ def _loo_predict(spec: ModelSpec, class_vectors: Mapping[str, Sequence]
                 for c in range(len(labels))])
         return spec, np.argmax(_normalize(logits), axis=1)
 
-    sq = _sq_dists(seeds, seeds)
+    sq = _sq_dists(seeds, [(slice(None), seeds, _sq_norms(seeds))])
     np.fill_diagonal(sq, np.inf)
+    bounds = _class_bounds(seed_labels, len(labels))
     if spec.kind == KNN:
         if spec.k > n_seeds - 1:
             raise DataError(f"k={spec.k} exceeds the {n_seeds - 1} available seed vectors")
-        return spec, np.argmax(_knn_counts(sq, seed_labels, len(labels), spec.k), axis=1)
+        return spec, np.argmax(_knn_counts(sq, bounds, spec.k), axis=1)
 
     # KDE. A singleton class keeps size 1 with no kernel left: log density -inf.
     loo_sizes = np.maximum(sizes - own, 1)
@@ -350,8 +438,9 @@ def _loo_predict(spec: ModelSpec, class_vectors: Mapping[str, Sequence]
         raise DataError("cannot auto-select bandwidth: every class is a singleton; "
                         "pass an explicit h")
     grid = BANDWIDTH_GRID if spec.h is None else (spec.h,)  # ascending
-    blocks = [-sq[:, seed_labels == c] for c in range(len(labels))]  # gathered once for the grid
-    predicted = [np.argmax(_normalize(_kde_log_likelihoods(blocks, loo_sizes, h, dim)), axis=1)
+    neg_sq = np.negative(sq, order="F")  # negated once for the grid
+    predicted = [np.argmax(_normalize(_kde_log_likelihoods(neg_sq, bounds, loo_sizes, h, dim)),
+                           axis=1)
                  for h in grid]
     best = int(np.argmax([np.count_nonzero(p[scored] == seed_labels[scored])
                           for p in predicted]))  # first maximum: the smaller h

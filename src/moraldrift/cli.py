@@ -269,7 +269,7 @@ def _cmd_classify(args) -> dict:
     spec, diachronic, lexicon = _model_inputs(args)
     space = _pick_space(args, diachronic)
     model = fit_tier(spec, lexicon, space, tier)
-    [row] = _word_posteriors(model, space, space._lookup([word]))
+    [[row]] = _word_posteriors([(model, space)], [word])
     if np.isnan(row).any():
         raise CoverageError(f"word {word!r} has no embedding in decade {space.decade}")
     return {"-": {"word": word, "tier": tier, "decade": space.decade,

@@ -5,20 +5,27 @@ each block edge and a last block that one decade lacks entirely, is
 scored bit for bit as ``reference.decade_scores`` scores it block by
 block, for all four model kinds and all three tiers, and as a rated-word
 list by ``valence_correlation``; ``posterior_batch`` scores its rows in
-the same blocks. A prediction matrix asks ``fit_tier`` once per decade.
-Memory does not grow with the word list: ``tracemalloc`` (which sees
-numpy's buffers) bounds a prediction matrix over 8,000 words, a valence
-correlation over 8,000 rated words and a 1,000-shuffle permutation control.
+the same blocks. Decades packed into shared scoring blocks keep those
+bits: a property test draws word lists of 1 to 2 blocks plus 37 words,
+absences per (word, decade), decades that lack a seed (so a knn or kde
+block must close) and float32 or float64 stores. A prediction matrix asks
+``fit_tier`` once per decade. Memory does not grow with the word list:
+``tracemalloc`` (which sees numpy's buffers) bounds a prediction matrix
+over 8,000 words, a valence correlation over 8,000 rated words, a
+1,000-shuffle permutation control and a one-word time course over 200
+decades.
 """
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import moraldrift.diachronic
 from moraldrift import (DiachronicEmbeddings, EmbeddingSpace, ModelSpec, PredictionMatrix,
                         build_tiers, fit_tier, pearson, permutation_control,
-                        posterior_batch, prediction_matrix, valence_correlation)
+                        posterior_batch, prediction_matrix, time_course, valence_correlation)
 from moraldrift.classifiers import _BLOCK_ROWS
 from moraldrift.diachronic import _decade_scores
 
@@ -100,6 +107,45 @@ def test_category_scores_match_blockwise_oracle(edge_world, spec):
     want = reference.decade_scores(diachronic, lexicon, spec, words, "category")
     assert got.shape == (N_WORDS, 4, 10)
     np.testing.assert_array_equal(bits(got), bits(want))
+
+
+def without_seed(space, word):
+    """``space`` without the row of ``word``."""
+    keep = [i for i, w in enumerate(space.words) if w != word]
+    return EmbeddingSpace(space.decade, [space.words[i] for i in keep], space.matrix[keep])
+
+
+PACKED_SPECS = (*SPECS, ModelSpec("kde"))  # auto h: a packed block mixes bandwidths
+
+
+@settings(max_examples=20, deadline=None)
+@given(n_words=st.integers(1, N_WORDS), n_decades=st.integers(1, 5),
+       dim=st.sampled_from([3, 24]), absent_rate=st.sampled_from([0.0, 0.05, 0.5, 0.95]),
+       lacking=st.sets(st.integers(0, 4)), seed=st.integers(0, 2**32 - 1),
+       dtype=st.sampled_from([np.float32, np.float64]))
+@example(n_words=1, n_decades=5, dim=3, absent_rate=0.0, lacking={2}, seed=1,
+         dtype=np.float64)
+@example(n_words=200, n_decades=5, dim=24, absent_rate=0.05, lacking={1, 4}, seed=2,
+         dtype=np.float32)
+@example(n_words=N_WORDS, n_decades=3, dim=3, absent_rate=0.5, lacking=set(), seed=3,
+         dtype=np.float64)
+def test_packed_decades_match_blockwise_oracle(n_words, n_decades, dim, absent_rate, lacking,
+                                               seed, dtype):
+    # In 3 dimensions the clusters overlap, so every seed's kernel adds to a
+    # KDE sum and the order of its terms shows in the last bits.
+    rng = np.random.default_rng(seed)
+    absent = rng.random((n_words, n_decades)) < absent_rate
+    diachronic, lexicon, words = seeded_world(n_words, dim, n_decades, seed,
+                                              lambda i, j: absent[i, j], dtype)
+    seeds = [w for w in diachronic.spaces[0].words if w.startswith(("seed", "neutral"))]
+    diachronic = DiachronicEmbeddings([
+        without_seed(space, seeds[rng.integers(len(seeds))]) if j in lacking else space
+        for j, space in enumerate(diachronic)])
+    for spec in PACKED_SPECS:
+        for tier in ("relevance", "polarity", "category"):
+            got = _decade_scores(diachronic, lexicon, spec, words, tier)
+            want = reference.decade_scores(diachronic, lexicon, spec, words, tier)
+            np.testing.assert_array_equal(bits(got), bits(want), err_msg=f"{spec} {tier}")
 
 
 def test_prediction_matrix_fits_once_per_decade(edge_world, monkeypatch):
@@ -188,3 +234,15 @@ def test_permutation_control_memory_does_not_grow_with_shuffles():
                                                    n_shuffles=1000, seed=0))
     # The change filter of all 1,000 shuffles at once is 3 x 8 MB of booleans.
     assert peak < 6 * values.nbytes, (peak, values.nbytes)
+
+
+@pytest.mark.parametrize("spec", [ModelSpec("centroid"), ModelSpec("kde", h=0.5)],
+                         ids=["centroid", "kde"])
+def test_one_word_time_course_memory_stays_near_one_block(spec):
+    diachronic, lexicon, words = seeded_world(1, 300, 200, seed=13, dtype=np.float32)
+    time_course(diachronic, lexicon, spec, words[0], "relevance")  # fits every decade
+    block = _BLOCK_ROWS * 300 * 8
+    peak = traced_peak(lambda: time_course(diachronic, lexicon, spec, words[0], "relevance"))
+    # All 200 decades' rows are one packed block of 200 x 300 float64 values,
+    # held with its squared copy for the row norms.
+    assert peak < 3 * block, (peak, block)
